@@ -3,7 +3,7 @@
 //! the weighted shard partition and the in-process trial pool).
 //!
 //! The library never measures time (ppcheck's wall-clock rule): the
-//! per-(engine, batch-mode) throughputs in
+//! per-(engine, compiled) throughputs in
 //! `ppexp::cost::throughput_ipus` are *committed data*, and this target
 //! is where they come from. It runs each engine on the same gsu19
 //! config under a **horizon** stop — so the interaction count is exact
@@ -16,18 +16,12 @@
 //!
 //! The model only needs *relative* magnitudes to schedule well; a ratio
 //! within ~2× is fine, an order of magnitude is not.
-//!
-//! One wrinkle: the approximate-multinomial sampler's throughput is
-//! strongly n-dependent (fixed per-block work amortises over block
-//! size), and its committed figure is the large-n asymptote — that is
-//! the regime where anyone would pick it. Its row therefore always
-//! measures at n = 2²⁰ regardless of scale.
 
 use std::time::Instant;
 
 use bench::{scale, Scale};
 use ppexp::cost::throughput_ipus;
-use ppexp::{run_experiment, BatchMode, EngineKind, ExperimentSpec, ProtocolKind, StopCondition};
+use ppexp::{run_experiment, EngineKind, ExperimentSpec, ProtocolKind, StopCondition};
 use ppsim::table::{fnum, Table};
 
 fn main() {
@@ -42,70 +36,35 @@ fn main() {
          (n = {n}, horizon {horizon_pt} pt, {trials} trials, {sc:?} scale) ===\n"
     );
 
-    let combos: &[(&str, EngineKind, BatchMode, bool)] = &[
-        ("agent", EngineKind::Agent, BatchMode::Exact, false),
-        (
-            "agent --compiled",
-            EngineKind::Agent,
-            BatchMode::Exact,
-            true,
-        ),
-        ("urn", EngineKind::Urn, BatchMode::Exact, false),
-        ("urn --compiled", EngineKind::Urn, BatchMode::Exact, true),
-        (
-            "urn-batched exact",
-            EngineKind::UrnBatched,
-            BatchMode::Exact,
-            false,
-        ),
-        (
-            "urn-batched exact --compiled",
-            EngineKind::UrnBatched,
-            BatchMode::Exact,
-            true,
-        ),
-        (
-            "urn-batched approx",
-            EngineKind::UrnBatched,
-            BatchMode::ApproximateMultinomial,
-            false,
-        ),
+    let combos: &[(&str, EngineKind, bool)] = &[
+        ("agent", EngineKind::Agent, false),
+        ("agent --compiled", EngineKind::Agent, true),
+        ("urn", EngineKind::Urn, false),
+        ("urn --compiled", EngineKind::Urn, true),
+        ("urn-batched", EngineKind::UrnBatched, false),
+        ("urn-batched --compiled", EngineKind::UrnBatched, true),
     ];
 
     let mut t = Table::new(["engine", "secs", "measured int/us", "committed", "ratio"]);
-    for &(label, engine, batch_mode, compiled) in combos {
-        // The approximate sampler is committed at its large-n asymptote
-        // (see module docs); measuring it at a small n would compare a
-        // startup-dominated run against an amortised figure.
-        let n = if batch_mode == BatchMode::ApproximateMultinomial {
-            n.max(1 << 20)
-        } else {
-            n
-        };
-        let mut spec = ExperimentSpec {
+    for &(label, engine, compiled) in combos {
+        let spec = ExperimentSpec {
             protocols: vec![ProtocolKind::Gsu19],
             ns: vec![n],
             trials,
             seed: 1,
             engine,
             compiled,
-            batch_mode,
             stop: StopCondition::Horizon { at_pt: horizon_pt },
             threads: 1,
             ..ExperimentSpec::default()
         };
-        if batch_mode == BatchMode::ApproximateMultinomial {
-            // The approximate sampler gates its per-block bias at
-            // shift ≥ 6.
-            spec.batch_shift = 6;
-        }
         spec.validate().expect("calibration preset is valid");
         let interactions = n as f64 * horizon_pt * trials as f64;
         let start = Instant::now();
         run_experiment(&spec).expect("calibration preset runs");
         let secs = start.elapsed().as_secs_f64();
         let measured = interactions / (secs * 1e6);
-        let committed = throughput_ipus(engine, batch_mode, compiled) as f64;
+        let committed = throughput_ipus(engine, compiled) as f64;
         t.row([
             label.to_string(),
             fnum(secs),

@@ -87,32 +87,9 @@ fn urn_batched(c: &mut Criterion) {
     g.finish();
 }
 
-fn urn_batched_approx(c: &mut Criterion) {
-    let steps = batch_steps();
-    let mut g = c.benchmark_group("urn_batched_approx");
-    g.throughput(Throughput::Elements(steps));
-    // The opt-in legacy sampler: one multinomial snapshot per block, no
-    // within-batch feedback — O(2^-shift) bias per block, so it never
-    // feeds figures. Benched so the "fast but biased" option's speed
-    // claim stays honest alongside the exact engine's.
-    let policy = BatchPolicy::approximate_multinomial();
-    for &npow in batched_npows() {
-        let n = 1u64 << npow;
-        g.bench_function(BenchmarkId::new("gsu19", format!("2^{npow}")), |b| {
-            let mut sim = UrnSim::new(Gsu19::for_population(n), n, 1);
-            b.iter(|| sim.steps_batched(steps, &policy));
-        });
-        g.bench_function(BenchmarkId::new("slow", format!("2^{npow}")), |b| {
-            let mut sim = UrnSim::new(SlowLe, n, 1);
-            b.iter(|| sim.steps_batched(steps, &policy));
-        });
-    }
-    g.finish();
-}
-
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
-    targets = urn_sequential, urn_batched, urn_batched_approx
+    targets = urn_sequential, urn_batched
 }
 criterion_main!(benches);

@@ -31,7 +31,7 @@ use crate::artifact::TrialRecord;
 use crate::json;
 use crate::json::Json;
 use crate::registry::ProtocolKind;
-use crate::spec::{BatchMode, EngineKind, ExperimentSpec};
+use crate::spec::{EngineKind, ExperimentSpec};
 
 /// Hit/miss counters of one cached run.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -75,13 +75,8 @@ impl Cache {
     pub fn config_identity(spec: &ExperimentSpec, protocol: ProtocolKind, n: u64) -> String {
         // The batch policy only shapes trials on the batched engine;
         // canonicalise so flipping `batch_shift` under other engines does
-        // not invalidate their entries. The approximate mode gets its own
-        // policy prefix: an approximate trial must never be served from (or
-        // into) an exact run's cache entry, whatever the other keys say.
+        // not invalidate their entries.
         let policy = match spec.engine {
-            EngineKind::UrnBatched if spec.batch_mode == BatchMode::ApproximateMultinomial => {
-                format!("batched-approx:{}", spec.batch_shift)
-            }
             EngineKind::UrnBatched => format!("batched:{}", spec.batch_shift),
             _ => "per-step".into(),
         };
@@ -200,12 +195,27 @@ impl ConfigCache {
     }
 }
 
-/// Write via a temp file + rename, so concurrent runs never observe a
-/// half-written record.
-fn write_atomic(path: &Path, contents: &str) -> Result<(), String> {
+/// Write `contents` to `path` via a temp file beside it plus a rename, so
+/// neither a concurrent reader nor a kill mid-write ever observes a
+/// half-written file: `path` holds its old contents or the new ones. A
+/// target that exists but is not a regular file (a FIFO or a device node)
+/// is written in place, since a rename would replace the node rather than
+/// write to it.
+pub fn write_atomic(path: &Path, contents: &str) -> Result<(), String> {
+    if std::fs::metadata(path).is_ok_and(|m| !m.is_file()) {
+        return std::fs::write(path, contents)
+            .map_err(|e| format!("writing {}: {e}", path.display()));
+    }
     let tmp = path.with_extension(format!("tmp.{}", std::process::id()));
-    std::fs::write(&tmp, contents).map_err(|e| format!("writing {}: {e}", tmp.display()))?;
-    std::fs::rename(&tmp, path).map_err(|e| format!("renaming {}: {e}", tmp.display()))
+    let written = std::fs::write(&tmp, contents)
+        .map_err(|e| format!("writing {}: {e}", tmp.display()))
+        .and_then(|()| {
+            std::fs::rename(&tmp, path).map_err(|e| format!("renaming {}: {e}", tmp.display()))
+        });
+    if written.is_err() {
+        let _ = std::fs::remove_file(&tmp);
+    }
+    written
 }
 
 #[cfg(test)]
@@ -294,20 +304,6 @@ mod tests {
         let mut shifted = batched.clone();
         shifted.batch_shift = 9;
         assert_ne!(id(&batched), id(&shifted));
-
-        // The approximate mode must never share an entry with the exact
-        // engine at otherwise-identical parameters (a cache hit across
-        // that line would silently launder approximate trials into exact
-        // artifacts), and stays shift-sensitive within itself.
-        let mut approx = batched.clone();
-        approx.batch_mode = BatchMode::ApproximateMultinomial;
-        approx.batch_shift = 6;
-        let mut exact6 = batched.clone();
-        exact6.batch_shift = 6;
-        assert_ne!(id(&approx), id(&exact6));
-        let mut approx7 = approx.clone();
-        approx7.batch_shift = 7;
-        assert_ne!(id(&approx), id(&approx7));
     }
 
     #[test]
@@ -324,6 +320,41 @@ mod tests {
         std::fs::write(&path, "{ not json").unwrap();
         assert!(cache.load(&id, 7).is_none());
         let _ = std::fs::remove_dir_all(cache.dir());
+    }
+
+    #[test]
+    fn deeply_nested_trial_file_degrades_to_a_miss() {
+        // The parser is recursive; a poisoned entry nesting far past its
+        // depth cap must be a miss, not a stack overflow aborting the run.
+        let cache = tmp_cache("nested");
+        let spec = ExperimentSpec::default();
+        let id = Cache::config_identity(&spec, ProtocolKind::Slow, 64);
+        cache.store(&id, &record(9)).unwrap();
+        let path = cache
+            .dir()
+            .join(format!("{:016x}", Cache::config_hash(&id)))
+            .join(format!("{:016x}.json", 9u64));
+        std::fs::write(&path, "[".repeat(200_000)).unwrap();
+        assert!(cache.load(&id, 9).is_none());
+        let _ = std::fs::remove_dir_all(cache.dir());
+    }
+
+    #[test]
+    fn write_atomic_replaces_the_file_and_leaves_no_temp() {
+        let dir = tmp_cache("atomic").dir().to_path_buf();
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("out.json");
+        write_atomic(&path, "first").unwrap();
+        write_atomic(&path, "second").unwrap();
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), "second");
+        let names: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name())
+            .collect();
+        assert_eq!(names, ["out.json"]);
+        // A write that cannot happen is an error, not a panic.
+        assert!(write_atomic(&dir.join("missing").join("x.json"), "x").is_err());
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! per trial (a model microsecond on the calibration machine):
 //!
 //! ```text
-//! cost = expected interactions / throughput(engine, batch mode)
+//! cost = expected interactions / throughput(engine, compiled)
 //! ```
 //!
 //! Both scheduling layers consume it: the in-process trial pool
@@ -37,7 +37,7 @@
 //! absolute error changes no assignment as long as it is consistent.
 
 use crate::registry::ProtocolKind;
-use crate::spec::{BatchMode, EngineKind, ExperimentSpec, StopCondition};
+use crate::spec::{EngineKind, ExperimentSpec, StopCondition};
 
 /// Deterministic base-2 logarithm: integer exponent plus a linear
 /// interpolation of the mantissa. Exact at powers of two, strictly
@@ -118,33 +118,29 @@ pub fn expected_interactions(spec: &ExperimentSpec, protocol: ProtocolKind, n: u
 
 /// Committed throughput table, in **interactions per model
 /// microsecond** (= millions of interactions per second), per
-/// `(engine, batch mode, compiled)`. Calibrated by the bench crate's
+/// `(engine, compiled)`. Calibrated by the bench crate's
 /// `cost_calibration` target (quick scale, single core, gsu19 under a
 /// horizon stop so interaction counts are exact); re-run it with
 /// `PP_SCALE=quick cargo bench -p bench --bench cost_calibration`
 /// whenever an engine changes materially and update these numbers in
 /// the same commit. Only relative magnitudes matter to scheduling.
-pub fn throughput_ipus(engine: EngineKind, batch_mode: BatchMode, compiled: bool) -> u64 {
-    match (engine, batch_mode) {
-        (EngineKind::Agent, _) => {
+pub fn throughput_ipus(engine: EngineKind, compiled: bool) -> u64 {
+    match engine {
+        EngineKind::Agent => {
             if compiled {
                 25
             } else {
                 20
             }
         }
-        (EngineKind::Urn, _) => 4,
-        (EngineKind::UrnBatched, BatchMode::Exact) => {
+        EngineKind::Urn => 4,
+        EngineKind::UrnBatched => {
             if compiled {
                 14
             } else {
                 17
             }
         }
-        // Amortised large-n figure: the approximate sampler's advantage
-        // only materialises once blocks are big (n ≥ ~2^20); the
-        // calibration target measures it there.
-        (EngineKind::UrnBatched, BatchMode::ApproximateMultinomial) => 250,
     }
 }
 
@@ -157,7 +153,7 @@ const MAX_COST_UNITS: u64 = 1 << 60;
 /// arguments and bit-identical across platforms, so every worker and
 /// the merge derive the same weighted partition independently.
 pub fn trial_cost_units(spec: &ExperimentSpec, protocol: ProtocolKind, n: u64) -> u64 {
-    let ipus = throughput_ipus(spec.engine, spec.batch_mode, spec.compiled) as f64;
+    let ipus = throughput_ipus(spec.engine, spec.compiled) as f64;
     let units = (expected_interactions(spec, protocol, n) / ipus).ceil();
     if units >= MAX_COST_UNITS as f64 {
         MAX_COST_UNITS
@@ -262,12 +258,9 @@ mod tests {
         let urn = trial_cost_units(&spec, ProtocolKind::Gsu19, n);
         spec.engine = EngineKind::UrnBatched;
         let batched = trial_cost_units(&spec, ProtocolKind::Gsu19, n);
-        spec.batch_mode = BatchMode::ApproximateMultinomial;
-        let approx = trial_cost_units(&spec, ProtocolKind::Gsu19, n);
         assert!(compiled < agent);
         assert!(agent < urn);
         assert!(batched < urn);
-        assert!(approx < batched);
     }
 
     #[test]

@@ -211,12 +211,19 @@ fn write_escaped(out: &mut String, s: &str) {
     out.push('"');
 }
 
+/// Deepest container nesting [`parse`] accepts. Artifacts nest about 8
+/// deep; the cap turns a hostile document (say 200k `[`) into an `Err`
+/// instead of a stack overflow in the recursive descent.
+const MAX_DEPTH: usize = 128;
+
 /// Parse a JSON document. Numbers without `.`/exponent/sign parse as
-/// [`Json::Uint`]; everything else as [`Json::Num`].
+/// [`Json::Uint`]; everything else as [`Json::Num`]. Runs in time linear
+/// in the document size; containers nested more than 128 deep are an
+/// error.
 pub fn parse(text: &str) -> Result<Json, String> {
     let bytes = text.as_bytes();
     let mut pos = 0usize;
-    let value = parse_value(bytes, &mut pos)?;
+    let value = parse_value(bytes, &mut pos, 0)?;
     skip_ws(bytes, &mut pos);
     if pos != bytes.len() {
         return Err(format!("trailing content at byte {pos}"));
@@ -239,10 +246,15 @@ fn expect(bytes: &[u8], pos: &mut usize, c: u8) -> Result<(), String> {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+/// Parse the value at `pos`, which sits inside `depth` open containers.
+fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     skip_ws(bytes, pos);
     match bytes.get(*pos) {
         None => Err("unexpected end of input".into()),
+        Some(b'{' | b'[') if depth == MAX_DEPTH => Err(format!(
+            "containers nested deeper than {MAX_DEPTH} at byte {}",
+            *pos
+        )),
         Some(b'{') => {
             *pos += 1;
             let mut fields = Vec::new();
@@ -256,7 +268,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
                 let key = parse_string(bytes, pos)?;
                 skip_ws(bytes, pos);
                 expect(bytes, pos, b':')?;
-                let value = parse_value(bytes, pos)?;
+                let value = parse_value(bytes, pos, depth + 1)?;
                 fields.push((key, value));
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
@@ -278,7 +290,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
                 return Ok(Json::Arr(items));
             }
             loop {
-                items.push(parse_value(bytes, pos)?);
+                items.push(parse_value(bytes, pos, depth + 1)?);
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -329,13 +341,24 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
     expect(bytes, pos, b'"')?;
     let mut out = String::new();
     loop {
+        // Copy the whole run up to the next quote or backslash at once.
+        // Both are ASCII, so the run ends on a UTF-8 boundary, and
+        // validating each byte once keeps parsing linear.
+        let start = *pos;
+        while *pos < bytes.len() && !matches!(bytes[*pos], b'"' | b'\\') {
+            *pos += 1;
+        }
+        let run =
+            std::str::from_utf8(&bytes[start..*pos]).map_err(|_| "invalid UTF-8 in string")?;
+        out.push_str(run);
         match bytes.get(*pos) {
             None => return Err("unterminated string".into()),
             Some(b'"') => {
                 *pos += 1;
                 return Ok(out);
             }
-            Some(b'\\') => {
+            Some(_) => {
+                // A backslash: decode one escape.
                 *pos += 1;
                 match bytes.get(*pos) {
                     Some(b'"') => out.push('"'),
@@ -361,14 +384,6 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
                 }
                 *pos += 1;
             }
-            Some(_) => {
-                // Copy the full UTF-8 scalar starting here.
-                let rest =
-                    std::str::from_utf8(&bytes[*pos..]).map_err(|_| "invalid UTF-8 in string")?;
-                let c = rest.chars().next().expect("non-empty");
-                out.push(c);
-                *pos += c.len_utf8();
-            }
         }
     }
 }
@@ -381,6 +396,7 @@ mod tests {
     fn emit_and_parse_round_trip() {
         let doc = Json::Obj(vec![
             ("name".into(), Json::Str("gsu19 \"quoted\"\n".into())),
+            ("text".into(), Json::Str("é€ tab\t\u{1} end\\".into())),
             ("seed".into(), Json::Uint(u64::MAX)),
             ("time".into(), Json::Num(12.375)),
             ("ok".into(), Json::Bool(true)),
@@ -441,6 +457,22 @@ mod tests {
         assert!(parse("[1,]").is_err());
         assert!(parse("12 34").is_err());
         assert!(parse("nul").is_err());
+        assert!(parse(r#""abc"#).is_err());
+        assert!(parse(r#""abc\"#).is_err());
+        assert!(parse(r#""\u12""#).is_err());
+    }
+
+    #[test]
+    fn nesting_past_the_cap_is_an_error_not_a_stack_overflow() {
+        let nested = |open: &str, close: &str, depth: usize| {
+            format!("{}1{}", open.repeat(depth), close.repeat(depth))
+        };
+        assert!(parse(&nested("[", "]", MAX_DEPTH)).is_ok());
+        let err = parse(&nested("[", "]", MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.contains("nested deeper"), "{err}");
+        assert!(parse(&nested("{\"a\":", "}", MAX_DEPTH)).is_ok());
+        assert!(parse(&nested("{\"a\":", "}", MAX_DEPTH + 1)).is_err());
+        assert!(parse(&"[".repeat(200_000)).is_err());
     }
 
     #[test]

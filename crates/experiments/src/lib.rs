@@ -60,4 +60,4 @@ pub use shard::{
     merge_from_cache, merge_shards, run_shard, shard_slice, spec_hash, trial_plan, MergeError,
     MissingTrial, PlannedTrial, ShardManifest, ShardOutput, ShardStats, SHARD_SCHEMA,
 };
-pub use spec::{parse_n_grid, BatchMode, EngineKind, ExperimentSpec, InitConfig, StopCondition};
+pub use spec::{parse_n_grid, EngineKind, ExperimentSpec, InitConfig, StopCondition};

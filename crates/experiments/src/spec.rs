@@ -21,7 +21,7 @@ pub enum EngineKind {
     Agent,
     /// Count-based urn, sequential sampling.
     Urn,
-    /// Count-based urn with batched multinomial sampling (`ppsim::batch`).
+    /// Count-based urn with exact batched sampling (`ppsim::batch`).
     UrnBatched,
 }
 
@@ -44,46 +44,6 @@ impl EngineKind {
             EngineKind::Agent => "agent",
             EngineKind::Urn => "urn",
             EngineKind::UrnBatched => "urn-batched",
-        }
-    }
-}
-
-/// Sampling mode of the `urn-batched` engine (mirrors `ppctl --batch-mode`;
-/// ignored with an error by the other engines rather than silently).
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum BatchMode {
-    /// The exact collision-resampling engine (default): every block is
-    /// distributed exactly as the same number of sequential steps, and
-    /// predicate stops rewind/replay to exact first-hit counts.
-    Exact,
-    /// The legacy **approximate** multinomial engine
-    /// ([`BatchPolicy::ApproximateMultinomial`]) — roles for a whole block
-    /// are drawn from the block-start configuration with no within-block
-    /// feedback, an O(2^-batch_shift) bias per block. Much faster in the
-    /// mid-range, deterministic per seed and cached under a separate
-    /// identity, but **not exact**: stopping times are block-granular and
-    /// the mode is excluded from the bit-level equivalence gates. Keep it
-    /// out of anything feeding the paper's figures.
-    ApproximateMultinomial,
-}
-
-impl BatchMode {
-    /// Parse a batch-mode name as used by the CLI and spec files.
-    pub fn parse(s: &str) -> Result<Self, String> {
-        match s {
-            "exact" => Ok(BatchMode::Exact),
-            "approximate-multinomial" | "approximate" => Ok(BatchMode::ApproximateMultinomial),
-            other => Err(format!(
-                "unknown batch mode '{other}' (expected exact | approximate-multinomial)"
-            )),
-        }
-    }
-
-    /// Canonical name (inverse of [`BatchMode::parse`]).
-    pub fn name(self) -> &'static str {
-        match self {
-            BatchMode::Exact => "exact",
-            BatchMode::ApproximateMultinomial => "approximate-multinomial",
         }
     }
 }
@@ -340,11 +300,6 @@ pub struct ExperimentSpec {
     /// Batch-size shift for the `urn-batched` engine: batches of
     /// `n >> batch_shift` interactions (ignored by the other engines).
     pub batch_shift: u32,
-    /// Sampling mode for the `urn-batched` engine: exact collision
-    /// resampling (default) or the clearly-labelled legacy approximation
-    /// ([`BatchMode::ApproximateMultinomial`]). Part of the experiment's
-    /// identity — approximate and exact runs never share cache entries.
-    pub batch_mode: BatchMode,
     /// Stopping condition shared by every config.
     pub stop: StopCondition,
     /// Named observables from the registry ([`crate::observe`]); the
@@ -380,7 +335,6 @@ impl Default for ExperimentSpec {
             seed: 42,
             threads: 0,
             batch_shift: BatchPolicy::DEFAULT_SHIFT,
-            batch_mode: BatchMode::Exact,
             stop: StopCondition::Stabilize {
                 budget_pt: 200_000.0,
             },
@@ -441,7 +395,6 @@ impl ExperimentSpec {
             "seed" => self.seed = parse_num(value, "seed")?,
             "threads" => self.threads = parse_num(value, "threads")?,
             "batch_shift" | "batch-shift" => self.batch_shift = parse_num(value, "batch_shift")?,
-            "batch_mode" | "batch-mode" => self.batch_mode = BatchMode::parse(value)?,
             "stop" => self.stop = StopCondition::parse(value)?,
             "budget" => {
                 self.stop = StopCondition::Stabilize {
@@ -574,29 +527,6 @@ impl ExperimentSpec {
                 self.batch_shift
             ));
         }
-        if self.batch_mode == BatchMode::ApproximateMultinomial {
-            // Requesting an approximation and silently not getting one
-            // would be worse than the approximation itself.
-            if self.engine != EngineKind::UrnBatched {
-                return Err(format!(
-                    "batch_mode = approximate-multinomial requires engine = urn-batched \
-                     (engine {} samples exactly and would silently ignore it)",
-                    self.engine.name()
-                ));
-            }
-            // The per-block bias is O(2^-batch_shift); 6 (blocks of n/64)
-            // is the largest block the legacy engine's statistical gates
-            // ever accepted, so the spec layer refuses coarser blocks.
-            if self.batch_shift < BatchPolicy::APPROX_DEFAULT_SHIFT {
-                return Err(format!(
-                    "batch_mode = approximate-multinomial needs batch_shift ≥ {} \
-                     (per-block bias is 2^-batch_shift; {} is the legacy gate-tested cap), got {}",
-                    BatchPolicy::APPROX_DEFAULT_SHIFT,
-                    BatchPolicy::APPROX_DEFAULT_SHIFT,
-                    self.batch_shift
-                ));
-            }
-        }
         if let StopCondition::DragReached { level, .. } = self.stop {
             if level == 0 {
                 return Err("stop = drag needs a level of at least 1".into());
@@ -651,21 +581,14 @@ impl ExperimentSpec {
         Ok(())
     }
 
-    /// The batch policy this spec's engine runs under: adaptive (or, opted
-    /// in, approximate-multinomial) batches for `urn-batched`, exact
-    /// per-step scheduling otherwise.
+    /// The batch policy this spec's engine runs under: adaptive batches for
+    /// `urn-batched`, exact per-step scheduling otherwise.
     pub fn batch_policy(&self) -> BatchPolicy {
-        match (self.engine, self.batch_mode) {
-            (EngineKind::UrnBatched, BatchMode::Exact) => BatchPolicy::Adaptive {
+        match self.engine {
+            EngineKind::UrnBatched => BatchPolicy::Adaptive {
                 shift: self.batch_shift,
                 min_population: BatchPolicy::DEFAULT_MIN_POPULATION,
             },
-            (EngineKind::UrnBatched, BatchMode::ApproximateMultinomial) => {
-                BatchPolicy::ApproximateMultinomial {
-                    shift: self.batch_shift,
-                    min_population: BatchPolicy::DEFAULT_MIN_POPULATION,
-                }
-            }
             _ => BatchPolicy::PerStep,
         }
     }
@@ -700,10 +623,6 @@ impl ExperimentSpec {
             ("trials".into(), Json::Uint(self.trials as u64)),
             ("seed".into(), Json::Uint(self.seed)),
             ("batch_shift".into(), Json::Uint(self.batch_shift as u64)),
-            (
-                "batch_mode".into(),
-                Json::Str(self.batch_mode.name().into()),
-            ),
             ("stop".into(), stop),
             (
                 "observables".into(),
@@ -960,54 +879,6 @@ mod tests {
             "threads must not enter identity"
         );
         assert_eq!(j.emit(), spec.to_json().emit());
-    }
-
-    #[test]
-    fn batch_mode_round_trips_and_validates() {
-        // Key parse → canonical JSON → re-parse closes the loop.
-        let spec = ExperimentSpec::parse(
-            "engine = urn-batched\nbatch_shift = 7\nbatch_mode = approximate-multinomial",
-        )
-        .unwrap();
-        spec.validate().unwrap();
-        assert_eq!(spec.batch_mode, BatchMode::ApproximateMultinomial);
-        assert!(spec.batch_policy().is_approximate());
-        let j = spec.to_json();
-        assert_eq!(
-            j.get("batch_mode").unwrap().as_str(),
-            Some("approximate-multinomial")
-        );
-        let mut round = ExperimentSpec::default();
-        round.apply("engine", "urn-batched").unwrap();
-        round
-            .apply("batch-mode", j.get("batch_mode").unwrap().as_str().unwrap())
-            .unwrap();
-        assert_eq!(round.batch_mode, spec.batch_mode);
-        // The alias and the error path.
-        assert_eq!(
-            BatchMode::parse("approximate").unwrap(),
-            BatchMode::ApproximateMultinomial
-        );
-        assert!(BatchMode::parse("fast").is_err());
-        // Default is exact, and exact stays out of nothing — it is the
-        // canonical serialized value too.
-        let d = ExperimentSpec::default();
-        assert_eq!(d.batch_mode, BatchMode::Exact);
-        assert_eq!(
-            d.to_json().get("batch_mode").unwrap().as_str(),
-            Some("exact")
-        );
-
-        // Approximation requests that would be silently ignored are errors.
-        let wrong_engine = ExperimentSpec {
-            batch_mode: BatchMode::ApproximateMultinomial,
-            ..Default::default()
-        };
-        assert!(wrong_engine.validate().unwrap_err().contains("urn-batched"));
-        // And so are blocks coarser than the legacy gate-tested bias cap.
-        let mut coarse = spec.clone();
-        coarse.batch_shift = 4;
-        assert!(coarse.validate().unwrap_err().contains("batch_shift"));
     }
 
     #[test]

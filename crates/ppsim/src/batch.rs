@@ -597,42 +597,16 @@ pub enum BatchPolicy {
         /// Populations strictly below this run per-step.
         min_population: u64,
     },
-    /// **Approximate** legacy multinomial batching — the PR 2 engine,
-    /// deliberately preserved behind this clearly-labelled opt-in. Each
-    /// block draws its `b` responders and `b` initiators without replacement
-    /// from the block-start configuration and pairs them uniformly, with
-    /// **no within-batch feedback**: transition outputs only become visible
-    /// to sampling at the next block. That is an O(batch/n) bias per block —
-    /// invisible to coarse statistics at `shift ≥ 6` (the legacy gate-tested
-    /// cap) but *not* exact, and excluded from the bit-level equivalence
-    /// machinery: no interaction trace exists, so predicate stops are
-    /// block-granular and `steps_batched_traced` rejects this policy.
-    ///
-    /// Use it only for throughput-bound exploratory sweeps where a ~2% tail
-    /// perturbation is acceptable; anything feeding the paper's figures
-    /// should stay on [`BatchPolicy::Adaptive`]. Runs remain fully
-    /// deterministic per seed, and the experiment cache keys approximate
-    /// runs separately from exact ones.
-    ApproximateMultinomial {
-        /// Block size is `population >> shift`; the per-block bias scales
-        /// like `2^-shift`. Must be ≥ 1 (same cap as [`Self::Adaptive`]);
-        /// the legacy default is 6 (blocks of n/64).
-        shift: u32,
-        /// Populations strictly below this run per-step.
-        min_population: u64,
-    },
 }
 
 impl BatchPolicy {
     /// Default block fraction: 1/16 of the population per scheduling block.
     ///
-    /// PR 2's approximate engine had to cap batches at n/64 to keep its
-    /// O(batch/n) within-batch bias inside the statistical gates. The exact
-    /// collision-resampling engine has no such bias, so the default is
-    /// raised toward the n/2 validity bound: blocks are n/16, and the
-    /// engine subdivides internally for sampling efficiency. The remaining
-    /// trade-off is only stop-detection granularity, which the
-    /// rewind-and-replay exact stops make invisible in reported times.
+    /// The exact collision-resampling engine has no within-block bias, so
+    /// the block size sits well inside the n/2 validity bound and the engine
+    /// subdivides each block internally for sampling efficiency. The only
+    /// trade-off is stop-detection granularity, which the rewind-and-replay
+    /// exact stops make invisible in reported times.
     pub const DEFAULT_SHIFT: u32 = 4;
     /// Default small-population cutoff for the per-step fallback.
     pub const DEFAULT_MIN_POPULATION: u64 = 4096;
@@ -666,37 +640,8 @@ impl BatchPolicy {
         }
     }
 
-    /// Legacy default shift for [`Self::ApproximateMultinomial`]: blocks of
-    /// n/64, the largest block whose O(batch/n) within-batch bias stayed
-    /// inside PR 2's statistical engine gates.
-    pub const APPROX_DEFAULT_SHIFT: u32 = 6;
-
-    /// The default approximate configuration
-    /// (`ApproximateMultinomial { shift: 6, min_population: 4096 }`) —
-    /// read the variant's warning before reaching for this.
-    pub const fn approximate_multinomial() -> Self {
-        BatchPolicy::ApproximateMultinomial {
-            shift: Self::APPROX_DEFAULT_SHIFT,
-            min_population: Self::DEFAULT_MIN_POPULATION,
-        }
-    }
-
-    /// Validated constructor for hand-built approximate policies; same
-    /// shift contract (and panic) as [`Self::adaptive_with`].
-    pub fn approximate_multinomial_with(shift: u32, min_population: u64) -> Self {
-        assert!(
-            (1..64).contains(&shift),
-            "BatchPolicy shift must be in 1..64, got {shift}: shift 0 violates \
-             2·batch ≤ population and shifts ≥ 64 always produce batch size 1"
-        );
-        BatchPolicy::ApproximateMultinomial {
-            shift,
-            min_population,
-        }
-    }
-
     /// Check the cap invariant without constructing: `Ok` for [`PerStep`]
-    /// and for adaptive/approximate shifts in `1..64`, `Err` with a
+    /// and for adaptive shifts in `1..64`, `Err` with a
     /// description otherwise. Lets spec layers validate user-supplied
     /// policies before the clamp in [`Self::batch_size`] silently papers
     /// over them.
@@ -705,14 +650,8 @@ impl BatchPolicy {
     pub fn validate(&self) -> Result<(), String> {
         match *self {
             BatchPolicy::PerStep => Ok(()),
-            BatchPolicy::Adaptive { shift, .. }
-            | BatchPolicy::ApproximateMultinomial { shift, .. }
-                if (1..64).contains(&shift) =>
-            {
-                Ok(())
-            }
-            BatchPolicy::Adaptive { shift, .. }
-            | BatchPolicy::ApproximateMultinomial { shift, .. } => {
+            BatchPolicy::Adaptive { shift, .. } if (1..64).contains(&shift) => Ok(()),
+            BatchPolicy::Adaptive { shift, .. } => {
                 Err(format!("batch shift must be in 1..64, got {shift}"))
             }
         }
@@ -724,10 +663,6 @@ impl BatchPolicy {
         match *self {
             BatchPolicy::PerStep => 1,
             BatchPolicy::Adaptive {
-                shift,
-                min_population,
-            }
-            | BatchPolicy::ApproximateMultinomial {
                 shift,
                 min_population,
             } => {
@@ -746,14 +681,6 @@ impl BatchPolicy {
     /// [`BatchPolicy::PerStep`] and every block is a single interaction.
     pub fn is_per_step(&self) -> bool {
         matches!(self, BatchPolicy::PerStep)
-    }
-
-    /// `true` for the deliberately-approximate legacy multinomial mode
-    /// ([`BatchPolicy::ApproximateMultinomial`]). Engines use this to pick
-    /// the no-feedback block sampler; spec/cache layers use it to keep
-    /// approximate artifacts from ever sharing identity with exact ones.
-    pub fn is_approximate(&self) -> bool {
-        matches!(self, BatchPolicy::ApproximateMultinomial { .. })
     }
 }
 

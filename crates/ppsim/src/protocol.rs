@@ -114,7 +114,7 @@ pub trait Simulator {
     /// engine supports it.
     ///
     /// The default ignores the policy and runs `k` sequential steps;
-    /// [`crate::UrnSim`] overrides this with its multinomial batch sampler
+    /// [`crate::UrnSim`] overrides this with its exact batch sampler
     /// (see [`crate::batch`]). Drivers call this so that any engine can be
     /// driven under any [`BatchPolicy`].
     fn steps_bulk(&mut self, k: u64, policy: &crate::batch::BatchPolicy) {

@@ -350,15 +350,6 @@ impl<P: EnumerableProtocol> UrnSim<P> {
                 left -= 1;
                 continue;
             }
-            if policy.is_approximate() {
-                // The approximate engine's speed comes from sampling the
-                // whole block as one multinomial; subdividing it would just
-                // shrink the bias toward the exact engine at the exact
-                // engine's cost. One block, one draw.
-                self.step_batch_approx(block);
-                left -= block;
-                continue;
-            }
             let inner = inner_batch_size(self.population);
             let mut rem = block;
             while rem > 0 {
@@ -377,23 +368,12 @@ impl<P: EnumerableProtocol> UrnSim<P> {
     /// reproduces this simulator's configuration bit for bit; the
     /// equivalence suite uses this as the shared decoding that promotes the
     /// batched-vs-sequential gates from statistical to bit-level.
-    ///
-    /// # Panics
-    /// Panics for [`BatchPolicy::ApproximateMultinomial`]: the approximate
-    /// block sampler applies bucketed transitions with no interaction order,
-    /// so no sequential trace exists to record — silently returning an
-    /// empty or fabricated trace would defeat the bit-level gates this
-    /// method exists for.
     pub fn steps_batched_traced(
         &mut self,
         k: u64,
         policy: &BatchPolicy,
         out: &mut Vec<(u32, u32)>,
     ) {
-        assert!(
-            !policy.is_approximate(),
-            "approximate multinomial batches admit no sequential trace"
-        );
         let mut left = k;
         while left > 0 {
             let block = policy.batch_size(self.population).min(left);
@@ -921,39 +901,6 @@ impl<P: EnumerableProtocol> UrnSim<P> {
         sc.init_nz.clear();
     }
 
-    /// **Approximate** legacy multinomial block sampler
-    /// ([`BatchPolicy::ApproximateMultinomial`] only): draw the block's `b`
-    /// responders, then its `b` initiators, without replacement from the
-    /// block-**start** configuration and pair them uniformly — the PR 2
-    /// engine. Transition outputs are invisible to sampling until the next
-    /// block (no within-batch feedback), which is exactly the documented
-    /// O(b/n) approximation; everything downstream of the role draws reuses
-    /// the exact engine's pairing chain and merge machinery. No trace is
-    /// recorded: this path cannot participate in bit-level replay or exact
-    /// first-hit stops.
-    fn step_batch_approx(&mut self, b: u64) {
-        debug_assert!(b >= 1 && 2 * b <= self.population);
-        let mut sc = self.begin_sub_batch();
-        let mut pool_total = self.population;
-        draw_without_replacement_sparse(
-            &mut self.rng,
-            b,
-            &mut sc.pool,
-            &mut pool_total,
-            &mut sc.resp_nz,
-        );
-        draw_without_replacement_sparse(
-            &mut self.rng,
-            b,
-            &mut sc.pool,
-            &mut pool_total,
-            &mut sc.init_nz,
-        );
-        self.pair_and_apply(&mut sc, b, false);
-        self.interactions += b;
-        self.merge_sub_batch(sc, false);
-    }
-
     /// Draw an interaction pair and remove both balls from the urn; the
     /// caller finishes the interaction with [`UrnSim::finish_pair`].
     #[inline]
@@ -1084,11 +1031,6 @@ impl<P: EnumerableProtocol> Simulator for UrnSim<P> {
     /// chain's first-hit time; for a non-monotone predicate it is the first
     /// hit *within the first block whose endpoint satisfies it* (earlier
     /// transient flips strictly inside an unsatisfied block are not probed).
-    ///
-    /// Under [`BatchPolicy::ApproximateMultinomial`] no trace exists, so
-    /// stops are **block-granular**: the reported interaction count is
-    /// rounded up to the end of the block in which the predicate first
-    /// held — one more way that mode trades fidelity for speed.
     fn steps_until(
         &mut self,
         k: u64,
@@ -1104,14 +1046,6 @@ impl<P: EnumerableProtocol> Simulator for UrnSim<P> {
             if block < 4 || block > self.population / 2 {
                 self.step();
                 left -= 1;
-                if pred(self) {
-                    return true;
-                }
-                continue;
-            }
-            if policy.is_approximate() {
-                self.step_batch_approx(block);
-                left -= block;
                 if pred(self) {
                     return true;
                 }
@@ -1332,8 +1266,7 @@ mod tests {
         // below", so at exactly 4096 the default policy batches (256 per
         // block). Stops are still exact — blocks are a scheduling
         // granularity, and the stop rewinds/replays to the first hit — so
-        // unlike the legacy approximate engine the stopping time need not
-        // land on a block boundary.
+        // the stopping time need not land on a block boundary.
         let n = 4096u64;
         let policy = BatchPolicy::adaptive();
         assert_eq!(policy.batch_size(n), 256);
@@ -1458,74 +1391,5 @@ mod tests {
             }
         });
         assert_eq!(leaders, sim.leaders());
-    }
-
-    /// Approximate-multinomial policy forcing batches at test populations.
-    fn approx_policy() -> BatchPolicy {
-        BatchPolicy::ApproximateMultinomial {
-            shift: 6,
-            min_population: 64,
-        }
-    }
-
-    #[test]
-    fn approx_batched_conserves_population_and_outputs() {
-        let mut sim = UrnSim::new(Slow, 10_000, 3);
-        sim.steps_batched(200_000, &approx_policy());
-        assert_eq!(sim.interactions(), 200_000);
-        let total: u64 = sim.nonzero_counts().iter().map(|&(_, c)| c).sum();
-        assert_eq!(total, 10_000);
-        assert_eq!(sim.output_counts().iter().sum::<u64>(), 10_000);
-    }
-
-    #[test]
-    fn approx_batched_is_deterministic_per_seed() {
-        let run = |seed: u64| {
-            let mut sim = UrnSim::new(Slow, 20_000, seed);
-            sim.steps_batched(100_000, &approx_policy());
-            (sim.nonzero_counts(), sim.interactions())
-        };
-        assert_eq!(run(41), run(41));
-        // Different seeds are different samples of the process (the Slow
-        // leader count after 5n interactions is spread over dozens of
-        // values, so a collision would be an astronomical fluke).
-        assert_ne!(run(41).0, run(42).0);
-    }
-
-    #[test]
-    fn approx_batched_tracks_sequential_trajectory() {
-        // Same x(t) = 1/(1+t) marginal check as the exact engine's: at
-        // shift 6 the per-block bias (≈ 2^-6 per block) is far inside the
-        // 20% tolerance band, which is exactly the regime the legacy
-        // engine's gates accepted.
-        let n = 1u64 << 14;
-        let mut sim = UrnSim::new(Slow, n, 9);
-        for k in 1..=6u64 {
-            sim.steps_batched(2 * n, &approx_policy());
-            let t = 2.0 * k as f64;
-            let expected = n as f64 / (1.0 + t);
-            let rel = (sim.leaders() as f64 - expected).abs() / expected;
-            assert!(rel < 0.2, "t={t}: {} vs {expected:.0}", sim.leaders());
-        }
-    }
-
-    #[test]
-    fn approx_batched_stops_at_block_granularity() {
-        // Stops still work under the approximate mode, but with no trace to
-        // rewind they land on a block boundary (or on a per-step remainder).
-        let n = 4096u64;
-        let mut sim = UrnSim::new(Slow, n, 77);
-        let res = run_until_stable_with(&mut sim, &approx_policy(), 1 << 40);
-        assert!(res.converged);
-        assert_eq!(sim.leaders(), 1);
-        assert_eq!(res.interactions, sim.interactions());
-    }
-
-    #[test]
-    #[should_panic(expected = "no sequential trace")]
-    fn traced_rejects_approximate_policy() {
-        let mut sim = UrnSim::new(Slow, 10_000, 3);
-        let mut trace = Vec::new();
-        sim.steps_batched_traced(1_000, &approx_policy(), &mut trace);
     }
 }

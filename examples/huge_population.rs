@@ -3,8 +3,8 @@
 //! agent, so memory is O(|states|) and the population size only bounds
 //! the counters.
 //!
-//! With batched multinomial sampling (`ppsim::batch`) whole blocks of
-//! n/64 interactions are drawn at once, so even *parallel-time-scale*
+//! With exact batched sampling (`ppsim::batch`) whole blocks of n/16
+//! interactions are sampled at once, so even *parallel-time-scale*
 //! horizons at n = 2³⁰ — billions of interactions — run in well under a
 //! second. The example follows the protocol through its opening (the
 //! partition rules, the coin race, the first junta levels) and prints the

@@ -15,8 +15,8 @@
 //! engine — `sweep` is a preset that expands to a spec, and `run` takes
 //! the spec directly (a `key = value` file via `--spec`, with every key
 //! also available as a flag override). Engines: `agent` (exact agent
-//! array), `urn` (count-based), `urn-batched` (batched multinomial
-//! sampling, the only engine interactive at n ≥ 2^30). `--compiled` runs
+//! array), `urn` (count-based), `urn-batched` (exact batched sampling,
+//! the only engine interactive at n ≥ 2^30). `--compiled` runs
 //! the chosen engine on compiled transition tables (gsu19 and gs18).
 //!
 //! Argument parsing is hand-rolled (the repository keeps its dependency
@@ -24,7 +24,10 @@
 //! flags exit nonzero with a hint, so a typo like `--trails` can never
 //! silently run the wrong experiment.
 
+use std::path::Path;
+
 use population_protocols::core::{Census, Gsu19};
+use population_protocols::ppexp::cache::write_atomic;
 use population_protocols::ppexp::{
     merge_from_cache, merge_shards, replay_trial, run_experiment, run_experiment_cached, run_shard,
     shard::shard_assignments, trial_plan, Artifact, Cache, ConfigResult, ExperimentSpec,
@@ -106,8 +109,7 @@ fn print_help() {
          \x20 --engine E --compiled --n GRID --trials T --seed S --threads K\n\
          \x20 --budget PT | --at PT | --stop stabilize:B|horizon:T|drag:L:B|\n\
          \x20 active:K:B|settled:B --sample-at T1,T2,... --observables LIST\n\
-         \x20 --batch-shift B --batch-mode exact|approximate-multinomial\n\
-         \x20 --round-every R --init fresh|final-epoch:K[lg]\n\
+         \x20 --batch-shift B --round-every R --init fresh|final-epoch:K[lg]\n\
          \x20 --gamma G --phi P --psi P\n\n\
          observables: core (none) or a comma list of census | level_sizes |\n\
          \x20 junta_size | drag_histogram | round_census | drag_times |\n\
@@ -120,11 +122,6 @@ fn print_help() {
          protocols: gsu19 (default) | gsu19-no-drag | gsu19-no-backup |\n\
          \x20          gsu19-direct | gs18 | bkko18 | slow | clock\n\
          engines:   agent (default) | urn | urn-batched\n\
-         --batch-mode approximate-multinomial opts the batched engine into\n\
-         \x20          the legacy APPROXIMATE multinomial sampler (fast,\n\
-         \x20          deterministic per seed, separately cached — but biased\n\
-         \x20          O(2^-batch-shift) per block with block-granular stops;\n\
-         \x20          keep figures on the default exact mode)\n\
          threads:   --threads K or the PPSIM_THREADS environment variable\n\
          --compiled runs the engine on compiled transition tables\n\
          \x20          (ppsim::compiled; gsu19 and gs18 only)"
@@ -150,8 +147,8 @@ impl Flags {
     /// cost hours of probing the wrong configuration.
     fn parse(
         args: &[String],
-        value_flags: &'static [&'static str],
-        switch_flags: &'static [&'static str],
+        value_flags: &[&'static str],
+        switch_flags: &[&'static str],
     ) -> Result<Self, String> {
         let (flags, positionals) = Self::parse_inner(args, value_flags, switch_flags, false)?;
         debug_assert!(positionals.is_empty());
@@ -164,16 +161,16 @@ impl Flags {
     /// still validated strictly.
     fn parse_with_positionals(
         args: &[String],
-        value_flags: &'static [&'static str],
-        switch_flags: &'static [&'static str],
+        value_flags: &[&'static str],
+        switch_flags: &[&'static str],
     ) -> Result<(Self, Vec<String>), String> {
         Self::parse_inner(args, value_flags, switch_flags, true)
     }
 
     fn parse_inner(
         args: &[String],
-        value_flags: &'static [&'static str],
-        switch_flags: &'static [&'static str],
+        value_flags: &[&'static str],
+        switch_flags: &[&'static str],
         allow_positionals: bool,
     ) -> Result<(Self, Vec<String>), String> {
         let mut flags = Flags {
@@ -280,13 +277,24 @@ const SPEC_FLAGS: &[(&str, &str)] = &[
     ("--sample-at", "sample_at"),
     ("--observables", "observables"),
     ("--batch-shift", "batch_shift"),
-    ("--batch-mode", "batch_mode"),
     ("--round-every", "round_every"),
     ("--init", "init"),
     ("--gamma", "gamma"),
     ("--phi", "phi"),
     ("--psi", "psi"),
 ];
+
+/// Value flags of a command that builds its spec with
+/// [`spec_from_flags`]: `--spec`, every [`SPEC_FLAGS`] override, then the
+/// command's own `extras`. `run`, `work`, `merge` and `plan` all declare
+/// their flags through this, so they accept the same spec inputs and
+/// expand the same trial plan from them.
+fn spec_command_flags(extras: &[&'static str]) -> Vec<&'static str> {
+    std::iter::once("--spec")
+        .chain(SPEC_FLAGS.iter().map(|&(flag, _)| flag))
+        .chain(extras.iter().copied())
+        .collect()
+}
 
 /// Apply every present spec flag to `spec`, in flag order.
 fn apply_spec_flags(spec: &mut ExperimentSpec, flags: &Flags) -> Result<(), String> {
@@ -350,19 +358,20 @@ fn print_run_table(artifact: &Artifact, trials: usize) {
 }
 
 /// Write the artifact as requested by `--out` / `--csv` (`--out -` prints
-/// the JSON to stdout).
+/// the JSON to stdout). Files are replaced atomically, so an interrupted
+/// run never leaves a truncated artifact behind.
 fn emit_artifact(artifact: &Artifact, flags: &Flags) -> Result<(), String> {
     if let Some(path) = flags.get("--out") {
         let text = artifact.to_json_string();
         if path == "-" {
             print!("{text}");
         } else {
-            std::fs::write(path, text).map_err(|e| format!("writing {path}: {e}"))?;
+            write_atomic(Path::new(path), &text)?;
             eprintln!("wrote artifact to {path}");
         }
     }
     if let Some(path) = flags.get("--csv") {
-        std::fs::write(path, artifact.to_csv()).map_err(|e| format!("writing {path}: {e}"))?;
+        write_atomic(Path::new(path), &artifact.to_csv())?;
         eprintln!("wrote CSV to {path}");
     }
     Ok(())
@@ -513,40 +522,13 @@ fn cmd_sweep(args: &[String]) -> Result<i32, String> {
     Ok(0)
 }
 
-/// Value-taking flags `ppctl run` accepts: every spec override plus the
-/// run-only I/O flags. Kept as a const so a test can assert it stays a
-/// superset of [`SPEC_FLAGS`] (a spec flag missing here is documented but
-/// rejected by the strict parser).
-const RUN_VALUE_FLAGS: &[&str] = &[
-    "--spec",
-    "--protocol",
-    "--engine",
-    "--n",
-    "--trials",
-    "--seed",
-    "--threads",
-    "--budget",
-    "--at",
-    "--stop",
-    "--sample-at",
-    "--observables",
-    "--batch-shift",
-    "--batch-mode",
-    "--round-every",
-    "--init",
-    "--gamma",
-    "--phi",
-    "--psi",
-    "--out",
-    "--csv",
-    "--replay",
-    "--cache-dir",
-];
+/// `ppctl run`'s own value flags (see [`spec_command_flags`]).
+const RUN_FLAGS: &[&str] = &["--out", "--csv", "--replay", "--cache-dir"];
 
 fn cmd_run(args: &[String]) -> Result<i32, String> {
     let flags = Flags::parse(
         args,
-        RUN_VALUE_FLAGS,
+        &spec_command_flags(RUN_FLAGS),
         &["--compiled", "--cache", "--no-cache"],
     )?;
     let spec = spec_from_flags(&flags)?;
@@ -587,33 +569,8 @@ fn cmd_run(args: &[String]) -> Result<i32, String> {
     Ok(0)
 }
 
-/// Value-taking flags `ppctl work` accepts: every spec override plus the
-/// shard address and I/O flags. A const for the same reason as
-/// [`RUN_VALUE_FLAGS`].
-const WORK_VALUE_FLAGS: &[&str] = &[
-    "--spec",
-    "--protocol",
-    "--engine",
-    "--n",
-    "--trials",
-    "--seed",
-    "--threads",
-    "--budget",
-    "--at",
-    "--stop",
-    "--sample-at",
-    "--observables",
-    "--batch-shift",
-    "--batch-mode",
-    "--round-every",
-    "--init",
-    "--gamma",
-    "--phi",
-    "--psi",
-    "--shard",
-    "--out",
-    "--cache-dir",
-];
+/// `ppctl work`'s own value flags (see [`spec_command_flags`]).
+const WORK_FLAGS: &[&str] = &["--shard", "--out", "--cache-dir"];
 
 /// Parse a `--shard I/K` address.
 fn parse_shard_address(s: &str) -> Result<(usize, usize), String> {
@@ -625,7 +582,7 @@ fn parse_shard_address(s: &str) -> Result<(usize, usize), String> {
 fn cmd_work(args: &[String]) -> Result<i32, String> {
     let flags = Flags::parse(
         args,
-        WORK_VALUE_FLAGS,
+        &spec_command_flags(WORK_FLAGS),
         &["--compiled", "--cache", "--no-cache", "--resume"],
     )?;
     let spec = spec_from_flags(&flags)?;
@@ -664,42 +621,23 @@ fn cmd_work(args: &[String]) -> Result<i32, String> {
     if out == "-" {
         print!("{text}");
     } else {
-        std::fs::write(out, text).map_err(|e| format!("writing {out}: {e}"))?;
+        // Atomic, so a worker killed mid-write leaves the previous file
+        // (or none) for `--resume`, never a truncated one.
+        write_atomic(Path::new(out), &text)?;
         eprintln!("wrote shard output to {out}");
     }
     Ok(0)
 }
 
-/// Value-taking flags `ppctl merge` accepts: the spec inputs (merge must
-/// expand the same plan the workers did) plus artifact output flags.
-const MERGE_VALUE_FLAGS: &[&str] = &[
-    "--spec",
-    "--protocol",
-    "--engine",
-    "--n",
-    "--trials",
-    "--seed",
-    "--threads",
-    "--budget",
-    "--at",
-    "--stop",
-    "--sample-at",
-    "--observables",
-    "--batch-shift",
-    "--batch-mode",
-    "--round-every",
-    "--init",
-    "--gamma",
-    "--phi",
-    "--psi",
-    "--out",
-    "--csv",
-    "--cache-dir",
-];
+/// `ppctl merge`'s own value flags (see [`spec_command_flags`]).
+const MERGE_FLAGS: &[&str] = &["--out", "--csv", "--cache-dir"];
 
 fn cmd_merge(args: &[String]) -> Result<i32, String> {
-    let (flags, files) =
-        Flags::parse_with_positionals(args, MERGE_VALUE_FLAGS, &["--compiled", "--from-cache"])?;
+    let (flags, files) = Flags::parse_with_positionals(
+        args,
+        &spec_command_flags(MERGE_FLAGS),
+        &["--compiled", "--from-cache"],
+    )?;
     let spec = spec_from_flags(&flags)?;
 
     // Any verification failure surfaces as Err → exit 2 via report():
@@ -734,32 +672,9 @@ fn cmd_merge(args: &[String]) -> Result<i32, String> {
     Ok(0)
 }
 
-/// Value-taking flags `ppctl plan` accepts: the spec inputs (plan must
-/// expand the same trial plan `run`/`work`/`merge` do) plus the worker
-/// count to predict a makespan for. A const for the same reason as
-/// [`RUN_VALUE_FLAGS`].
-const PLAN_VALUE_FLAGS: &[&str] = &[
-    "--spec",
-    "--protocol",
-    "--engine",
-    "--n",
-    "--trials",
-    "--seed",
-    "--threads",
-    "--budget",
-    "--at",
-    "--stop",
-    "--sample-at",
-    "--observables",
-    "--batch-shift",
-    "--batch-mode",
-    "--round-every",
-    "--init",
-    "--gamma",
-    "--phi",
-    "--psi",
-    "--shards",
-];
+/// `ppctl plan`'s own value flags (see [`spec_command_flags`]): the
+/// worker count to predict a makespan for.
+const PLAN_FLAGS: &[&str] = &["--shards"];
 
 /// Render integer cost units (model microseconds) as approximate
 /// seconds for the human-facing column.
@@ -768,7 +683,7 @@ fn cost_secs(units: u128) -> String {
 }
 
 fn cmd_plan(args: &[String]) -> Result<i32, String> {
-    let flags = Flags::parse(args, PLAN_VALUE_FLAGS, &["--compiled"])?;
+    let flags = Flags::parse(args, &spec_command_flags(PLAN_FLAGS), &["--compiled"])?;
     let spec = spec_from_flags(&flags)?;
     spec.validate()?;
     let k: usize = flags.parse_value("--shards", 1usize)?;
@@ -963,47 +878,57 @@ mod tests {
         s.iter().map(|x| x.to_string()).collect()
     }
 
-    #[test]
-    fn run_accepts_every_spec_flag() {
-        for (flag, _) in SPEC_FLAGS {
+    // run, work, merge and plan must accept every spec override: a worker,
+    // merge or plan built from a narrower flag set would expand a
+    // *different* trial plan than the run it is supposed to reproduce.
+    fn assert_accepts_every_spec_flag(command: &str, extras: &[&'static str]) {
+        let accepted = spec_command_flags(extras);
+        let expected = SPEC_FLAGS.iter().map(|&(flag, _)| flag);
+        for flag in expected.chain(["--spec"]).chain(extras.iter().copied()) {
             assert!(
-                RUN_VALUE_FLAGS.contains(flag),
-                "{flag} is a spec override but `ppctl run` rejects it"
+                Flags::parse(&args(&[flag, "1"]), &accepted, &[]).is_ok(),
+                "`ppctl {command}` rejects {flag}"
             );
         }
+        let mut distinct = accepted.clone();
+        distinct.sort_unstable();
+        distinct.dedup();
+        assert_eq!(
+            distinct.len(),
+            accepted.len(),
+            "`ppctl {command}` repeats a flag"
+        );
     }
 
-    // work and merge must accept every spec override too: a worker or a
-    // merge built from a narrower flag set would expand a *different*
-    // trial plan than the run it is supposed to reproduce.
+    #[test]
+    fn run_accepts_every_spec_flag() {
+        assert_accepts_every_spec_flag("run", RUN_FLAGS);
+    }
+
     #[test]
     fn work_accepts_every_spec_flag() {
-        for (flag, _) in SPEC_FLAGS {
-            assert!(
-                WORK_VALUE_FLAGS.contains(flag),
-                "{flag} is a spec override but `ppctl work` rejects it"
-            );
-        }
+        assert_accepts_every_spec_flag("work", WORK_FLAGS);
     }
 
     #[test]
     fn merge_accepts_every_spec_flag() {
-        for (flag, _) in SPEC_FLAGS {
-            assert!(
-                MERGE_VALUE_FLAGS.contains(flag),
-                "{flag} is a spec override but `ppctl merge` rejects it"
-            );
-        }
+        assert_accepts_every_spec_flag("merge", MERGE_FLAGS);
     }
 
-    // plan predicts costs for the same expanded plan run/work/merge
-    // execute, so it must accept the same spec overrides.
     #[test]
     fn plan_accepts_every_spec_flag() {
-        for (flag, _) in SPEC_FLAGS {
+        assert_accepts_every_spec_flag("plan", PLAN_FLAGS);
+    }
+
+    // Every override names a key the spec parser knows, so none of them is
+    // documented, accepted, and then refused at apply time.
+    #[test]
+    fn spec_flags_name_known_spec_keys() {
+        for (flag, key) in SPEC_FLAGS {
+            let err = ExperimentSpec::default().apply(key, "").err();
             assert!(
-                PLAN_VALUE_FLAGS.contains(flag),
-                "{flag} is a spec override but `ppctl plan` rejects it"
+                !err.is_some_and(|e| e.contains("unknown spec key")),
+                "{flag} maps onto the unknown spec key '{key}'"
             );
         }
     }

@@ -324,38 +324,3 @@ fn urn_handles_heterogeneous_start() {
     assert!(res.converged);
     assert_eq!(urn.leaders(), 1);
 }
-
-#[test]
-fn approximate_mode_stabilisation_times_ks() {
-    // Sanity gate for `BatchPolicy::ApproximateMultinomial`: the legacy
-    // no-feedback multinomial sampler is *biased* by O(2^-shift) per
-    // block, but at the gate-tested shift of 6 that bias is far below the
-    // resolution of a generous KS test on stabilisation times. Compare
-    // against the exact batched engine (distinct master seeds — we
-    // compare distributions, not trajectories). A pairing bug or a
-    // snapshot taken at the wrong instant would blow well past this gate.
-    let n = 1u64 << 10;
-    let trials = 20;
-    let budget = 100_000 * n;
-    let exact = batched_policy();
-    let approx = BatchPolicy::ApproximateMultinomial {
-        shift: 6,
-        min_population: 256,
-    };
-    let exact_times = run_trials_threads(trials, 5100, 2, |_, seed| {
-        let mut sim = UrnSim::new(Gsu19::for_population(n), n, seed);
-        let res = run_until_stable_with(&mut sim, &exact, budget);
-        assert!(res.converged);
-        res.parallel_time
-    });
-    let approx_times = run_trials_threads(trials, 5200, 2, |_, seed| {
-        let mut sim = UrnSim::new(Gsu19::for_population(n), n, seed);
-        let res = run_until_stable_with(&mut sim, &approx, budget);
-        assert!(res.converged);
-        assert_eq!(sim.leaders(), 1);
-        res.parallel_time
-    });
-    let crit = ks_critical(trials, trials, 0.001);
-    let d = ks_statistic(&approx_times, &exact_times);
-    assert!(d < crit, "approx vs exact batched: D={d:.3} >= {crit:.3}");
-}
