@@ -275,6 +275,12 @@ impl InitConfig {
     }
 }
 
+/// Most trials one spec may plan (configs × trials). The plan holds one
+/// entry per trial, built before any trial runs, so a mistyped trial count
+/// must be a validation error rather than an allocation abort; the largest
+/// committed study plans a few hundred trials.
+const MAX_PLAN_TRIALS: usize = 1 << 20;
+
 /// A declarative experiment: protocols × population grid, with engine,
 /// trials, seed, batching, stopping condition and observables.
 #[derive(Clone, PartialEq, Debug)]
@@ -442,6 +448,16 @@ impl ExperimentSpec {
         }
         if self.trials == 0 {
             return Err("trials must be at least 1".into());
+        }
+        let configs = self.protocols.len().saturating_mul(self.ns.len());
+        if configs
+            .checked_mul(self.trials)
+            .is_none_or(|planned| planned > MAX_PLAN_TRIALS)
+        {
+            return Err(format!(
+                "{configs} config(s) x {} trials exceeds the plan cap of {MAX_PLAN_TRIALS} trials",
+                self.trials
+            ));
         }
         if self.compiled {
             if let Some(p) = self.protocols.iter().find(|p| !p.supports_compiled()) {
@@ -866,6 +882,28 @@ mod tests {
             ..ExperimentSpec::default()
         };
         assert!(spec.validate().unwrap_err().contains("agent"));
+    }
+
+    #[test]
+    fn plan_size_is_capped_before_expansion() {
+        // configs × trials up to the cap is fine; one past it, or a
+        // product that overflows `usize`, is an error naming both factors.
+        let mut spec = ExperimentSpec {
+            protocols: vec![ProtocolKind::Gsu19, ProtocolKind::Slow],
+            ns: vec![256, 512],
+            trials: MAX_PLAN_TRIALS / 4,
+            ..ExperimentSpec::default()
+        };
+        spec.validate().unwrap();
+        spec.trials += 1;
+        let err = spec.validate().unwrap_err();
+        assert!(err.contains("4 config(s)"), "{err}");
+        assert!(
+            err.contains(&format!("{} trials", MAX_PLAN_TRIALS / 4 + 1)),
+            "{err}"
+        );
+        spec.trials = usize::MAX;
+        assert!(spec.validate().unwrap_err().contains("plan cap"));
     }
 
     #[test]

@@ -40,7 +40,8 @@
 //! [`UrnSim::replay_interaction`]). Drivers accept a [`batch::BatchPolicy`]
 //! (`run_until_with`, `run_until_stable_with`, `sample_every_with`); their
 //! stopping times are exact first hits — a predicate hit inside a block is
-//! located by rewinding the block and replaying its recorded trace
+//! located by rewinding the block, re-sampling it with its interaction
+//! trace on and replaying that trace
 //! ([`protocol::Simulator::steps_until`]).
 //!
 //! Orthogonally, protocols whose transition factors through a

@@ -59,6 +59,20 @@ const PAT_NONE: u8 = 3;
 /// this repo — transitions are evaluated directly instead.
 const PAIR_CACHE_MAX_OCC: usize = 256;
 
+/// What [`UrnSim::step_batch`] logs besides applying its sub-batch.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Record {
+    /// Nothing: [`UrnSim::steps_batched`].
+    Nothing,
+    /// The merged deltas, so the block can be rewound: the first pass of
+    /// [`Simulator::steps_until`] over every block.
+    Undo,
+    /// The merged deltas and the interaction trace, so the block can be
+    /// rewound and replayed pair by pair: the re-run of the block whose end
+    /// satisfies a stop predicate, and [`UrnSim::steps_batched_traced`].
+    UndoAndTrace,
+}
+
 /// Reusable buffers for [`UrnSim::step_batch`], kept across batches so the
 /// batched path never allocates in steady state.
 #[derive(Clone, Debug, Default)]
@@ -103,14 +117,20 @@ struct BatchScratch {
     pair_cache: Vec<(u32, u32, u32)>,
     /// Current generation of `pair_cache` (0 = never valid).
     cache_gen: u32,
-    /// Recorded (responder, initiator) state-id pairs — the batch's implicit
-    /// sequential trace, in execution order (filled only when recording).
+    /// Recorded (responder, initiator) state-id pairs — the block's implicit
+    /// sequential trace, in execution order. Filled only under
+    /// [`Record::UndoAndTrace`], so a `steps_until` run whose predicate
+    /// never holds never allocates it.
     trace: Vec<(u32, u32)>,
     /// Net deltas actually applied at each sub-batch merge, for rewinding
-    /// (filled only when recording).
+    /// (filled under [`Record::Undo`] and [`Record::UndoAndTrace`]).
     undo: Vec<(u32, i64)>,
     /// Start index in `undo` of each recorded sub-batch's segment.
     undo_marks: Vec<usize>,
+    /// `UrnSim::occupied_ids` at the start of the current `steps_until`
+    /// block, restored before the block is re-sampled with its trace (the
+    /// samplers' draws depend on the occupancy order).
+    block_occupied: Vec<usize>,
 }
 
 impl BatchScratch {
@@ -350,13 +370,7 @@ impl<P: EnumerableProtocol> UrnSim<P> {
                 left -= 1;
                 continue;
             }
-            let inner = inner_batch_size(self.population);
-            let mut rem = block;
-            while rem > 0 {
-                let b = inner.min(rem);
-                self.step_batch(b, false);
-                rem -= b;
-            }
+            self.run_block(block, Record::Nothing);
             left -= block;
         }
     }
@@ -387,15 +401,21 @@ impl<P: EnumerableProtocol> UrnSim<P> {
             self.scratch.trace.clear();
             self.scratch.undo.clear();
             self.scratch.undo_marks.clear();
-            let inner = inner_batch_size(self.population);
-            let mut rem = block;
-            while rem > 0 {
-                let b = inner.min(rem);
-                self.step_batch(b, true);
-                rem -= b;
-            }
+            self.run_block(block, Record::UndoAndTrace);
             out.extend_from_slice(&self.scratch.trace);
             left -= block;
+        }
+    }
+
+    /// Run one scheduling block of `block` interactions as
+    /// [`inner_batch_size`] exact sub-batches.
+    fn run_block(&mut self, block: u64, record: Record) {
+        let inner = inner_batch_size(self.population);
+        let mut rem = block;
+        while rem > 0 {
+            let b = inner.min(rem);
+            self.step_batch(b, record);
+            rem -= b;
         }
     }
 
@@ -421,7 +441,7 @@ impl<P: EnumerableProtocol> UrnSim<P> {
     /// expected segment count) against `occ²`, and is a deterministic
     /// function of (b, n, occupancy), so same-seed runs always pick the same
     /// path and chunked execution stays bit-reproducible.
-    fn step_batch(&mut self, b: u64, record: bool) {
+    fn step_batch(&mut self, b: u64, record: Record) {
         let bf = b as f64;
         let avg_run = bf / (1.0 + bf * bf / self.population as f64);
         let occ = self.occupied_ids.len() as f64;
@@ -467,8 +487,9 @@ impl<P: EnumerableProtocol> UrnSim<P> {
     /// touched multiset, and hand the scratch buffers back. `dirty` may hold
     /// duplicates; zeroing `delta` on apply makes repeats no-ops, so the
     /// undo log gets at most one entry per state id per sub-batch.
-    fn merge_sub_batch(&mut self, mut sc: BatchScratch, record: bool) {
-        if record {
+    fn merge_sub_batch(&mut self, mut sc: BatchScratch, record: Record) {
+        let undo = record != Record::Nothing;
+        if undo {
             sc.undo_marks.push(sc.undo.len());
         }
         for k in 0..sc.dirty.len() {
@@ -480,7 +501,7 @@ impl<P: EnumerableProtocol> UrnSim<P> {
                 self.urn.add(id, d);
                 let o = self.output_of[id] as usize;
                 self.output_counts[o] = (self.output_counts[o] as i64 + d) as u64;
-                if record {
+                if undo {
                     sc.undo.push((id as u32, d));
                 }
             }
@@ -513,11 +534,13 @@ impl<P: EnumerableProtocol> UrnSim<P> {
     ///    multiset, and the fresh participant (if any) from the pool.
     ///
     /// Net multiplicity changes merge into the Fenwick tree, counts mirror,
-    /// occupancy index and output counters at the end. With `record`, the
-    /// interaction trace and the merged deltas are logged so a caller can
-    /// rewind the batch and replay it pair-by-pair (exact predicate stops).
-    fn step_batch_bucketed(&mut self, b: u64, record: bool) {
+    /// occupancy index and output counters at the end. `record` says
+    /// whether the merged deltas and the interaction trace are logged, so a
+    /// caller can rewind the batch and replay it pair-by-pair (exact
+    /// predicate stops).
+    fn step_batch_bucketed(&mut self, b: u64, record: Record) {
         debug_assert!(b >= 1 && 2 * b <= self.population);
+        let trace = record == Record::UndoAndTrace;
         let mut sc = self.begin_sub_batch();
         let n = self.population;
         let mut untouched = n;
@@ -545,7 +568,7 @@ impl<P: EnumerableProtocol> UrnSim<P> {
                 );
                 untouched -= 2 * run;
                 touched_total += 2 * run;
-                self.pair_and_apply(&mut sc, run, record);
+                self.pair_and_apply(&mut sc, run, trace);
                 done += run;
                 if done == b {
                     break;
@@ -593,7 +616,7 @@ impl<P: EnumerableProtocol> UrnSim<P> {
             sc.dirty.push(in_id as u32);
             sc.touched_insert(rn_id, 1);
             sc.touched_insert(in_id, 1);
-            if record {
+            if trace {
                 sc.trace.push((r_id as u32, i_id as u32));
             }
             done += 1;
@@ -634,8 +657,9 @@ impl<P: EnumerableProtocol> UrnSim<P> {
     /// participants are subtracted from the configuration in bulk at the
     /// composition draw, so collision handling only subtracts the touched
     /// sides. Trace, undo and merge machinery are shared.
-    fn step_batch_shuffled(&mut self, b: u64, record: bool) {
+    fn step_batch_shuffled(&mut self, b: u64, record: Record) {
         debug_assert!(b >= 1 && 2 * b <= self.population);
+        let trace = record == Record::UndoAndTrace;
         let mut sc = self.begin_sub_batch();
         let n = self.population;
 
@@ -764,7 +788,7 @@ impl<P: EnumerableProtocol> UrnSim<P> {
                 sc.dirty.push(in_id as u32);
                 sc.touched_insert(rn_id, 1);
                 sc.touched_insert(in_id, 1);
-                if record {
+                if trace {
                     sc.trace.push((r_id as u32, i_id as u32));
                 }
             }
@@ -815,7 +839,7 @@ impl<P: EnumerableProtocol> UrnSim<P> {
             sc.touched_insert(rn_id, 1);
             sc.touched_insert(in_id, 1);
             t_live += 2;
-            if record {
+            if trace {
                 sc.trace.push((r_id as u32, i_id as u32));
             }
         }
@@ -826,8 +850,9 @@ impl<P: EnumerableProtocol> UrnSim<P> {
 
     /// Pair the current run's responder and initiator halves uniformly and
     /// apply the transition per (responder, initiator) bucket, accumulating
-    /// deltas and the post-update touched multiset in `sc`.
-    fn pair_and_apply(&mut self, sc: &mut BatchScratch, run: u64, record: bool) {
+    /// deltas and the post-update touched multiset in `sc` (and, with
+    /// `trace`, the run's interactions in `sc.trace`).
+    fn pair_and_apply(&mut self, sc: &mut BatchScratch, run: u64, trace: bool) {
         // Removing the drawn agents from the configuration.
         for &(j, c) in &sc.resp_nz {
             let id = sc.occupied[j as usize];
@@ -888,7 +913,7 @@ impl<P: EnumerableProtocol> UrnSim<P> {
                 sc.dirty.push(in_id as u32);
                 sc.touched_insert(rn_id, m);
                 sc.touched_insert(in_id, m);
-                if record {
+                if trace {
                     for _ in 0..m {
                         sc.trace.push((r_id as u32, i_id as u32));
                     }
@@ -994,6 +1019,21 @@ impl<P: EnumerableProtocol> UrnSim<P> {
         self.scratch.undo_marks = marks;
         debug_assert_eq!(self.urn.total(), self.population);
     }
+
+    /// Put back the occupancy order saved at the start of the current
+    /// `steps_until` block. A rewind restores the block's set of occupied
+    /// states but not their order, on which the samplers' draws depend.
+    fn restore_block_occupancy(&mut self) {
+        let saved = &self.scratch.block_occupied;
+        debug_assert!(
+            saved.len() == self.occupied_ids.len() && saved.iter().all(|&id| self.counts[id] > 0),
+            "a rewind restores the block's set of occupied states"
+        );
+        self.occupied_ids.clone_from(saved);
+        for (pos, &id) in self.occupied_ids.iter().enumerate() {
+            self.occupied_pos[id] = pos as u32;
+        }
+    }
 }
 
 impl<P: EnumerableProtocol> Simulator for UrnSim<P> {
@@ -1022,10 +1062,15 @@ impl<P: EnumerableProtocol> Simulator for UrnSim<P> {
 
     /// Batched predicate stop with *exact* first-hit semantics.
     ///
-    /// Blocks are executed with trace recording; the predicate is probed at
-    /// block granularity (cheap), and when it flips the block is rewound and
-    /// replayed pair-by-pair from its recorded trace to find the exact first
-    /// interaction after which the predicate holds. For the monotone /
+    /// Blocks are executed keeping only their undo log (O(occupied) entries
+    /// per sub-batch); the predicate is probed at block granularity (cheap).
+    /// When it holds at a block's end, the block is rewound and re-sampled
+    /// from the same RNG state and occupancy order with its interaction
+    /// trace on — the same draws, so the same trace and end state — then
+    /// rewound again and replayed pair-by-pair to find the exact first
+    /// interaction after which the predicate holds. Only that block's trace
+    /// is ever recorded, and the predicate sees exactly one call per block
+    /// end and per replayed pair. For the monotone /
     /// eventually-stable predicates this repo uses (stable election, census
     /// thresholds) the reported count is therefore exactly the sequential
     /// chain's first-hit time; for a non-monotone predicate it is the first
@@ -1051,23 +1096,28 @@ impl<P: EnumerableProtocol> Simulator for UrnSim<P> {
                 }
                 continue;
             }
-            self.scratch.trace.clear();
+            // What a re-sample of this block needs: the RNG state and the
+            // occupancy order its first sub-batch snapshots.
+            let rng = self.rng.clone();
+            self.scratch.block_occupied.clone_from(&self.occupied_ids);
             self.scratch.undo.clear();
             self.scratch.undo_marks.clear();
-            let inner = inner_batch_size(self.population);
-            let mut rem = block;
-            while rem > 0 {
-                let b = inner.min(rem);
-                self.step_batch(b, true);
-                rem -= b;
-            }
+            self.run_block(block, Record::Undo);
             left -= block;
             if pred(self) {
-                // The predicate flipped somewhere inside this block: rewind
-                // it and replay the recorded trace one interaction at a time
-                // until the predicate first holds. A full replay reproduces
-                // the block-end configuration bit for bit, so the loop is
-                // guaranteed to terminate with the predicate satisfied.
+                // The predicate holds somewhere inside this block. Rewind
+                // it and re-sample it with its trace on: the same draws
+                // give the same trace, end configuration and RNG state.
+                self.rewind_block(block);
+                self.rng = rng;
+                self.restore_block_occupancy();
+                self.scratch.trace.clear();
+                self.run_block(block, Record::UndoAndTrace);
+                // Rewind once more and replay the trace one interaction at
+                // a time until the predicate first holds. A full replay
+                // reproduces the block-end configuration bit for bit, so
+                // the loop is guaranteed to terminate with the predicate
+                // satisfied.
                 self.rewind_block(block);
                 let trace = std::mem::take(&mut self.scratch.trace);
                 let mut hit = false;
@@ -1323,6 +1373,44 @@ mod tests {
         }));
         assert_eq!(sim.interactions(), first_hit);
         assert_eq!(sim.leaders(), target);
+        assert_eq!(sim.nonzero_counts(), replayed.nonzero_counts());
+        assert_eq!(sim.output_counts(), replayed.output_counts());
+    }
+
+    #[test]
+    fn steps_until_pins_predicate_calls_and_the_state_after_a_stop() {
+        // Stateful predicates (`run_until_with_epochs`' epoch poll) see one
+        // call on entry, one per block end and one per replayed pair up to
+        // the hit. The RNG state and occupancy order a stop leaves behind
+        // fix every later draw, so a continuation must reach the same
+        // configuration.
+        let n = 4096u64;
+        let policy = test_policy();
+        let mut sim = UrnSim::new(Slow, n, 53);
+        let mut calls = 0u64;
+        assert!(sim.steps_until(1 << 22, &policy, &mut |s: &UrnSim<Slow>| {
+            calls += 1;
+            s.leaders() <= 40
+        }));
+        assert_eq!(calls, 1595);
+        assert_eq!(sim.interactions(), 384_858);
+        sim.steps_batched(100_000, &policy);
+        assert_eq!(sim.nonzero_counts(), vec![(false, 4061), (true, 35)]);
+        assert!(sim.steps_until(1 << 22, &policy, &mut |s: &UrnSim<Slow>| {
+            s.leaders() <= 20
+        }));
+        assert_eq!(sim.interactions(), 797_876);
+    }
+
+    #[test]
+    fn steps_until_records_no_trace_while_the_predicate_fails() {
+        // Horizon stops run `steps_until` under a never-true predicate. Only
+        // a block whose end satisfies the predicate is re-sampled with its
+        // trace, so such a run never allocates one.
+        let mut sim = UrnSim::new(Slow, 4096, 7);
+        assert!(!sim.steps_until(1 << 20, &test_policy(), &mut |_: &UrnSim<Slow>| false));
+        assert_eq!(sim.interactions(), 1 << 20);
+        assert_eq!(sim.scratch.trace.capacity(), 0);
     }
 
     #[test]

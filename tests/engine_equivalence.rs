@@ -25,7 +25,7 @@ use population_protocols::baselines::SlowLe;
 use population_protocols::core::{Census, Gsu19};
 use population_protocols::ppsim::{
     chi_square_stat, ks_critical, ks_statistic, mean, run_trials_threads, run_until_stable,
-    run_until_stable_with, AgentSim, BatchPolicy, Simulator, UrnSim,
+    run_until_stable_with, AgentSim, BatchPolicy, EnumerableProtocol, Simulator, UrnSim,
 };
 
 /// The default batch fraction, with `min_population` lowered so batching is
@@ -42,7 +42,7 @@ fn batched_policy() -> BatchPolicy {
 /// the configurations agree bit for bit.
 fn assert_trace_replays<P>(make: impl Fn() -> P, n: u64, seed: u64, k: u64, policy: &BatchPolicy)
 where
-    P: population_protocols::ppsim::EnumerableProtocol,
+    P: EnumerableProtocol,
 {
     let mut batched = UrnSim::new(make(), n, seed);
     let mut trace = Vec::new();
@@ -323,4 +323,62 @@ fn urn_handles_heterogeneous_start() {
     let res = run_until_stable(&mut urn, 100_000 * n);
     assert!(res.converged);
     assert_eq!(urn.leaders(), 1);
+}
+
+/// FNV-1a over a configuration's (state id, multiplicity) pairs in state-id
+/// order: a compact pin for a configuration spread over many states.
+fn fingerprint(sim: &UrnSim<Gsu19>) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for (state, count) in sim.nonzero_counts() {
+        for word in [sim.protocol().state_id(state) as u64, count] {
+            h = (h ^ word).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    h
+}
+
+#[test]
+fn batched_stop_is_the_trace_first_hit_gsu19() {
+    // Gsu19 at n = 4096 runs on the shuffled sampler, whose draws depend on
+    // the order of the occupied states (Slow's two states keep the urn unit
+    // tests on the bucketized one). The stop must land on the recorded
+    // trace's first hit with the replayed configuration, call the
+    // predicate a pinned number of times, and leave the RNG state and
+    // occupancy order that a pinned continuation depends on.
+    let n = 4096u64;
+    let k = 1u64 << 18;
+    // Blocks of four 256-interaction sub-batches.
+    let policy = BatchPolicy::Adaptive {
+        shift: 2,
+        min_population: 256,
+    };
+    let hit = |s: &UrnSim<Gsu19>| s.undecided() <= 100;
+
+    let mut traced = UrnSim::new(Gsu19::for_population(n), n, 5);
+    let mut trace = Vec::new();
+    traced.steps_batched_traced(k, &policy, &mut trace);
+    let mut replayed = UrnSim::new(Gsu19::for_population(n), n, 1);
+    let mut first_hit = None;
+    for (j, &(r, i)) in trace.iter().enumerate() {
+        replayed.replay_interaction(r, i);
+        if hit(&replayed) {
+            first_hit = Some(j as u64 + 1);
+            break;
+        }
+    }
+    let first_hit = first_hit.expect("trace long enough to hit");
+
+    let mut sim = UrnSim::new(Gsu19::for_population(n), n, 5);
+    let mut calls = 0u64;
+    assert!(sim.steps_until(k, &policy, &mut |s: &UrnSim<Gsu19>| {
+        calls += 1;
+        hit(s)
+    }));
+    assert_eq!(sim.interactions(), first_hit);
+    assert_eq!(sim.nonzero_counts(), replayed.nonzero_counts());
+    assert_eq!(sim.output_counts(), replayed.output_counts());
+    assert_eq!((first_hit, calls), (188_871, 641));
+    sim.steps_batched(50_000, &policy);
+    assert_eq!(sim.output_counts(), [83, 3933, 80]);
+    assert_eq!(fingerprint(&sim), 0x74bc_1a04_4536_aabe);
 }

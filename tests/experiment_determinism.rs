@@ -24,6 +24,8 @@ const CENSUS_SPEC: &str = include_str!("golden/census.spec");
 const CENSUS_GOLDEN: &str = include_str!("golden/census.json");
 const ROUNDS_SPEC: &str = include_str!("golden/rounds.spec");
 const ROUNDS_GOLDEN: &str = include_str!("golden/rounds.json");
+const BATCHED_SPEC: &str = include_str!("golden/batched.spec");
+const BATCHED_GOLDEN: &str = include_str!("golden/batched.json");
 
 /// Every golden spec: the PR 4 pair plus the round/epoch-observable one.
 const ALL_SPECS: [&str; 3] = [TINY_SPEC, CENSUS_SPEC, ROUNDS_SPEC];
@@ -78,6 +80,7 @@ fn golden_artifacts_regenerate_byte_for_byte() {
         (TINY_SPEC, TINY_GOLDEN, "tiny"),
         (CENSUS_SPEC, CENSUS_GOLDEN, "census"),
         (ROUNDS_SPEC, ROUNDS_GOLDEN, "rounds"),
+        (BATCHED_SPEC, BATCHED_GOLDEN, "batched"),
     ] {
         let artifact = run_experiment(&spec_with_threads(spec_text, 0)).unwrap();
         let regenerated = artifact.to_json_string();
@@ -99,7 +102,7 @@ fn emitted_artifacts_pass_schema_validation() {
         Artifact::validate_json(&doc).expect("artifact matches the ppexp/v1 schema");
     }
     // The committed goldens validate as-is, without regeneration.
-    for golden in [TINY_GOLDEN, CENSUS_GOLDEN, ROUNDS_GOLDEN] {
+    for golden in [TINY_GOLDEN, CENSUS_GOLDEN, ROUNDS_GOLDEN, BATCHED_GOLDEN] {
         let doc = json::parse(golden).expect("golden is valid JSON");
         Artifact::validate_json(&doc).expect("golden matches the ppexp/v1 schema");
     }

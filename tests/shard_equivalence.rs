@@ -239,6 +239,39 @@ fn path_str(p: &std::path::Path) -> &str {
     p.to_str().unwrap()
 }
 
+/// A plan too large to expand (configs × trials past the cap) is a usage
+/// error, exit 2, on every command that expands one, never an allocation
+/// abort.
+#[test]
+fn ppctl_rejects_an_oversized_plan_with_exit_2() {
+    let dir = tmp_dir("oversized");
+    let out = dir.join("out.json");
+    let oversized = [
+        "--protocol",
+        "gsu19",
+        "--n",
+        "1024",
+        "--trials",
+        "100000000000",
+    ];
+    for command in [
+        vec!["plan"],
+        vec!["run", "--out", path_str(&out)],
+        vec!["work", "--shard", "0/1", "--out", path_str(&out)],
+        vec!["merge", "--from-cache", "--cache-dir", path_str(&dir)],
+    ] {
+        let output = ppctl(&[&command[..], &oversized[..]].concat());
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(output.status.code(), Some(2), "{command:?}: {stderr}");
+        assert!(
+            stderr.contains("1 config(s) x 100000000000 trials"),
+            "{command:?}: {stderr}"
+        );
+    }
+    assert!(!out.exists());
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// End-to-end through the binary: 3 `work` processes + `merge` equal the
 /// committed tiny golden byte-for-byte; verification failures exit 2
 /// with precise diagnostics; `--resume` reuses a complete prior file.
