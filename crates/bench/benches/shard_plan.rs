@@ -11,8 +11,8 @@
 //! vendored criterion shim reports min/median/max — quote the medians.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use ppexp::shard::{shard_assignments, trial_plan};
-use ppexp::{shard_slice, ExperimentSpec, ProtocolKind};
+use ppexp::shard::shard_assignments;
+use ppexp::{shard_slice, trial_plan, ExperimentSpec, ProtocolKind};
 
 /// A plan of roughly `target` trials: the protocol zoo (minus `clock`,
 /// which needs a horizon stop) over a doubling n-grid, trials scaled to

@@ -138,18 +138,6 @@ impl Cache {
             collided,
         }
     }
-
-    /// Look up the record of the trial with `seed` under `identity`
-    /// (one-shot form of [`Cache::config`] + [`ConfigCache::load`]).
-    pub fn load(&self, identity: &str, seed: u64) -> Option<TrialRecord> {
-        self.config(identity).load(seed)
-    }
-
-    /// Store a trial record under `identity` (one-shot form of
-    /// [`Cache::config`] + [`ConfigCache::store`]).
-    pub fn store(&self, identity: &str, record: &TrialRecord) -> Result<(), String> {
-        self.config(identity).store(record)
-    }
 }
 
 /// One config's verified slice of a [`Cache`].
@@ -261,11 +249,11 @@ mod tests {
         let spec = ExperimentSpec::default();
         let id = Cache::config_identity(&spec, ProtocolKind::Gsu19, 1 << 12);
         let rec = record(0xDEAD_BEEF);
-        assert!(cache.load(&id, rec.seed).is_none());
-        cache.store(&id, &rec).unwrap();
-        assert_eq!(cache.load(&id, rec.seed), Some(rec.clone()));
+        assert!(cache.config(&id).load(rec.seed).is_none());
+        cache.config(&id).store(&rec).unwrap();
+        assert_eq!(cache.config(&id).load(rec.seed), Some(rec.clone()));
         // A different seed under the same config misses.
-        assert!(cache.load(&id, 1).is_none());
+        assert!(cache.config(&id).load(1).is_none());
         let _ = std::fs::remove_dir_all(cache.dir());
     }
 
@@ -312,13 +300,13 @@ mod tests {
         let spec = ExperimentSpec::default();
         let id = Cache::config_identity(&spec, ProtocolKind::Slow, 64);
         let rec = record(7);
-        cache.store(&id, &rec).unwrap();
+        cache.config(&id).store(&rec).unwrap();
         let path = cache
             .dir()
             .join(format!("{:016x}", Cache::config_hash(&id)))
             .join(format!("{:016x}.json", 7u64));
         std::fs::write(&path, "{ not json").unwrap();
-        assert!(cache.load(&id, 7).is_none());
+        assert!(cache.config(&id).load(7).is_none());
         let _ = std::fs::remove_dir_all(cache.dir());
     }
 
@@ -329,13 +317,13 @@ mod tests {
         let cache = tmp_cache("nested");
         let spec = ExperimentSpec::default();
         let id = Cache::config_identity(&spec, ProtocolKind::Slow, 64);
-        cache.store(&id, &record(9)).unwrap();
+        cache.config(&id).store(&record(9)).unwrap();
         let path = cache
             .dir()
             .join(format!("{:016x}", Cache::config_hash(&id)))
             .join(format!("{:016x}.json", 9u64));
         std::fs::write(&path, "[".repeat(200_000)).unwrap();
-        assert!(cache.load(&id, 9).is_none());
+        assert!(cache.config(&id).load(9).is_none());
         let _ = std::fs::remove_dir_all(cache.dir());
     }
 
@@ -367,7 +355,7 @@ mod tests {
         let spec = ExperimentSpec::default();
         let id = Cache::config_identity(&spec, ProtocolKind::Gsu19, 256);
         let rec = record(11);
-        cache.store(&id, &rec).unwrap();
+        cache.config(&id).store(&rec).unwrap();
         let path = cache
             .dir()
             .join(format!("{:016x}", Cache::config_hash(&id)))
@@ -376,15 +364,15 @@ mod tests {
         for cut in [0, 1, full.len() / 2, full.len() - 1] {
             std::fs::write(&path, &full[..cut]).unwrap();
             assert!(
-                cache.load(&id, 11).is_none(),
+                cache.config(&id).load(11).is_none(),
                 "truncation at {cut}/{} must miss cleanly",
                 full.len()
             );
         }
         // The poisoned entry is recoverable: a fresh store overwrites it
         // and the next load hits again.
-        cache.store(&id, &rec).unwrap();
-        assert_eq!(cache.load(&id, 11), Some(rec));
+        cache.config(&id).store(&rec).unwrap();
+        assert_eq!(cache.config(&id).load(11), Some(rec));
         let _ = std::fs::remove_dir_all(cache.dir());
     }
 
@@ -397,7 +385,7 @@ mod tests {
         let spec = ExperimentSpec::default();
         let id = Cache::config_identity(&spec, ProtocolKind::Gsu19, 512);
         let rec = record(5);
-        cache.store(&id, &rec).unwrap();
+        cache.config(&id).store(&rec).unwrap();
         let config_path = cache
             .dir()
             .join(format!("{:016x}", Cache::config_hash(&id)))
@@ -405,13 +393,16 @@ mod tests {
         let full = std::fs::read_to_string(&config_path).unwrap();
         std::fs::write(&config_path, &full[..full.len() / 2]).unwrap();
         assert!(
-            cache.load(&id, 5).is_none(),
+            cache.config(&id).load(5).is_none(),
             "poisoned identity: clean miss"
         );
-        assert!(cache.store(&id, &rec).is_err(), "store declines, no panic");
+        assert!(
+            cache.config(&id).store(&rec).is_err(),
+            "store declines, no panic"
+        );
         // Restoring the identity brings the stored trial back verbatim.
         std::fs::write(&config_path, &full).unwrap();
-        assert_eq!(cache.load(&id, 5), Some(rec));
+        assert_eq!(cache.config(&id).load(5), Some(rec));
         let _ = std::fs::remove_dir_all(cache.dir());
     }
 

@@ -1,8 +1,13 @@
 //! Plan expansion and pooled execution.
 //!
 //! A spec expands into a deterministic grid of configs (protocol × n)
-//! and a flat plan of trial jobs with pre-derived seeds. *All* configs'
-//! cache-missing jobs flow through **one global worker pool**
+//! and a flat plan of trial jobs with pre-derived seeds ([`trial_plan`]).
+//! Every entry point — [`run_experiment_cached`], [`replay_trial`],
+//! [`crate::shard::run_shard`] (with or without a resumed prior file) and
+//! both merges — is a composition of two functions here: `run_pool`
+//! fills the empty slots of a job list (from the cache, then by running
+//! the rest) and `assemble` aggregates a whole plan's records into an
+//! [`Artifact`]. Fresh trials flow through **one global worker pool**
 //! ([`run_trials_threads`]) in a deterministic longest-expected-cost-
 //! first permutation (the [`crate::cost`] model), so no thread idles at
 //! a per-config barrier while a straggler finishes. Results land in
@@ -15,13 +20,13 @@
 use std::cmp::Reverse;
 
 use ppsim::parallel::{default_threads, run_trials_threads};
-use ppsim::rng::split_seed;
+use ppsim::rng::{split_seed, trial_seeds};
 
 use crate::artifact::{Artifact, ConfigResult, TrialRecord};
 use crate::cache::{Cache, CacheStats, ConfigCache};
+use crate::cost::trial_cost_units;
 use crate::observe::RunShape;
 use crate::registry::{ProtocolKind, Runnable};
-use crate::shard::{trial_plan, PlannedTrial};
 use crate::spec::ExperimentSpec;
 
 /// The expanded config grid of a spec: `protocols × ns`, protocol-major
@@ -33,11 +38,15 @@ pub fn config_grid(spec: &ExperimentSpec) -> Vec<(ProtocolKind, u64)> {
         .collect()
 }
 
+/// The number of configs in the grid of [`config_grid`].
+fn config_count(spec: &ExperimentSpec) -> usize {
+    spec.protocols.len() * spec.ns.len()
+}
+
 /// The worker-thread count a spec resolves to: `spec.threads`, with `0`
 /// meaning auto (the `PPSIM_THREADS` environment variable, falling back
-/// to the machine's parallelism). The one place that policy lives — the
-/// engine, [`crate::shard::run_shard`] and `ppctl` all resolve through
-/// here.
+/// to the machine's parallelism). The one place that policy lives: both
+/// phases of the pool resolve through here.
 pub fn effective_threads(spec: &ExperimentSpec) -> usize {
     if spec.threads == 0 {
         default_threads()
@@ -48,7 +57,7 @@ pub fn effective_threads(spec: &ExperimentSpec) -> usize {
 
 /// The per-trial execution shape a spec declares (engine, batching, stop,
 /// observables) — everything [`Runnable::run`] needs besides the seed.
-pub(crate) fn run_shape(spec: &ExperimentSpec) -> RunShape<'_> {
+fn run_shape(spec: &ExperimentSpec) -> RunShape<'_> {
     RunShape {
         engine: spec.engine,
         policy: spec.batch_policy(),
@@ -57,6 +66,64 @@ pub(crate) fn run_shape(spec: &ExperimentSpec) -> RunShape<'_> {
         observables: &spec.observables,
         round_every: spec.round_every,
     }
+}
+
+/// One planned trial — the unit of the pool and of shard partitioning.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct PlannedTrial {
+    /// Config index in the grid of [`config_grid`].
+    pub config: usize,
+    /// The grid point's protocol.
+    pub protocol: ProtocolKind,
+    /// The grid point's population.
+    pub n: u64,
+    /// Trial index within the config.
+    pub trial: usize,
+    /// Derived trial seed (`split_seed(config_seed, trial)`).
+    pub seed: u64,
+    /// FNV-1a hash of the config's canonical cache identity — the same
+    /// value that names the config's directory in the trial cache.
+    pub config_hash: u64,
+    /// Predicted cost in model microseconds
+    /// ([`crate::cost::trial_cost_units`]) — the weight the partition
+    /// and the in-process pool schedule by. Deterministic, so every
+    /// worker derives the same weighted assignment.
+    pub cost: u64,
+}
+
+/// Expand the full trial plan of a spec in canonical order: config-major
+/// (the grid order of [`config_grid`]), trials ascending — plan index
+/// `config * spec.trials + trial`.
+pub fn trial_plan(spec: &ExperimentSpec) -> Vec<PlannedTrial> {
+    let mut plan = Vec::with_capacity(config_count(spec) * spec.trials);
+    for (config, (protocol, n)) in config_grid(spec).into_iter().enumerate() {
+        let config_hash = Cache::config_hash(&Cache::config_identity(spec, protocol, n));
+        let config_seed = split_seed(spec.seed, config as u64);
+        let cost = trial_cost_units(spec, protocol, n);
+        for (trial, seed) in trial_seeds(config_seed, spec.trials)
+            .into_iter()
+            .enumerate()
+        {
+            plan.push(PlannedTrial {
+                config,
+                protocol,
+                n,
+                trial,
+                seed,
+                config_hash,
+                cost,
+            });
+        }
+    }
+    plan
+}
+
+/// The plan index of the `(config, trial)` address — config-major,
+/// `config * spec.trials + trial` — or `None` when the address lies
+/// outside the plan. The bounds are checked before the arithmetic, so no
+/// address read from a file can overflow it.
+pub(crate) fn plan_index(spec: &ExperimentSpec, config: usize, trial: usize) -> Option<usize> {
+    (config < config_count(spec) && trial < spec.trials).then(|| config * spec.trials + trial)
 }
 
 /// Sort indices into `jobs` by `(cost desc, config, trial)` — the
@@ -80,111 +147,147 @@ pub fn trial_pool_order(spec: &ExperimentSpec) -> Vec<usize> {
     pool_order(&trial_plan(spec))
 }
 
-/// Run a set of planned trials through one global worker pool,
-/// optionally against per-config cache slices (`caches` is indexed by
-/// grid config index and must span the grid). Records come back aligned
-/// with `jobs`; `stats` accumulates hits and misses.
+/// Fill the empty `slots` (aligned with `jobs`) from `cache`.
+///
+/// Opens the cache slice of every config that still has an empty slot,
+/// verifying its identity **once**, then loads over the worker pool
+/// (cache reads are pure and [`ConfigCache`] is `Sync`), so warm runs of
+/// large artifacts scale with threads. A loaded record's stored trial
+/// index reflects the storing spec's grid; this plan's address is
+/// authoritative and overwrites it. Returns the opened slices, indexed
+/// by grid config index, for storing fresh records into.
+pub(crate) fn load_cached(
+    spec: &ExperimentSpec,
+    jobs: &[PlannedTrial],
+    slots: &mut [Option<TrialRecord>],
+    cache: &Cache,
+) -> Vec<Option<ConfigCache>> {
+    let mut slices: Vec<Option<ConfigCache>> = (0..config_count(spec)).map(|_| None).collect();
+    let empty: Vec<usize> = (0..jobs.len()).filter(|&i| slots[i].is_none()).collect();
+    for &i in &empty {
+        let job = &jobs[i];
+        slices[job.config].get_or_insert_with(|| {
+            cache.config(&Cache::config_identity(spec, job.protocol, job.n))
+        });
+    }
+    let loaded = run_trials_threads(empty.len(), 0, effective_threads(spec), |k, _| {
+        let job = &jobs[empty[k]];
+        let slice = slices[job.config].as_ref()?;
+        slice.load(job.seed).map(|record| TrialRecord {
+            trial: job.trial,
+            ..record
+        })
+    });
+    for (&i, record) in empty.iter().zip(loaded) {
+        slots[i] = record;
+    }
+    slices
+}
+
+/// Fill every empty slot of `slots` (aligned with `jobs`), leaving slots
+/// that arrive filled alone; `stats` accumulates cache hits and fresh
+/// runs.
 ///
 /// Three phases, all deterministic in their results:
 ///
-/// 1. **Warm loads** run over the worker pool (cache reads are pure and
-///    [`ConfigCache`] is `Sync`), so warm runs of large artifacts scale
-///    with threads. A loaded record's stored index reflects the storing
-///    spec's grid; this plan's address is authoritative and overwrites
-///    it.
+/// 1. **Warm loads** ([`load_cached`]) when given a cache.
 /// 2. **Misses** execute in longest-expected-cost-first order
-///    ([`pool_order`]) over the same pool — one flat queue across every
-///    config, no per-config barrier — sharing one [`Runnable`] per
-///    config. Each result lands in its canonical `jobs` slot, so the
-///    schedule never reaches the bytes.
+///    ([`pool_order`]) over the worker pool — one flat queue across
+///    every config, no per-config barrier — sharing one [`Runnable`] per
+///    config. Each result lands in its canonical slot, so the schedule
+///    never reaches the bytes.
 /// 3. **Stores** write fresh records back sequentially; failures are
 ///    deduplicated to one warning per config with a count.
 ///
-/// This is the execution kernel shared by [`run_experiment_cached`]
-/// (every trial of every config) and [`crate::shard::run_shard`] (one
-/// shard's slice), so both paths produce bit-identical records by
-/// construction.
+/// The one execution kernel: a run, a shard, a resumed shard and a
+/// replay all fill their slots here, so they produce bit-identical
+/// records by construction.
 pub(crate) fn run_pool(
     spec: &ExperimentSpec,
-    shape: &RunShape,
     jobs: &[PlannedTrial],
-    caches: &[Option<ConfigCache>],
-    threads: usize,
+    slots: &mut [Option<TrialRecord>],
+    cache: Option<&Cache>,
     stats: &mut CacheStats,
-) -> Result<Vec<TrialRecord>, String> {
-    if jobs.is_empty() {
-        return Ok(Vec::new());
-    }
-    let mut records: Vec<Option<TrialRecord>> = if caches.iter().any(Option::is_some) {
-        run_trials_threads(jobs.len(), 0, threads, |i, _| {
-            let job = &jobs[i];
-            caches[job.config].as_ref().and_then(|cache| {
-                cache.load(job.seed).map(|mut record| {
-                    record.trial = job.trial;
-                    record
-                })
-            })
-        })
-    } else {
-        vec![None; jobs.len()]
-    };
-    stats.hits += records.iter().filter(|r| r.is_some()).count();
-
-    // Indices into `jobs` that missed the cache, in pool order.
+) -> Result<(), String> {
+    let empty = slots.iter().filter(|r| r.is_none()).count();
+    let slices = cache
+        .map(|cache| load_cached(spec, jobs, slots, cache))
+        .unwrap_or_default();
+    // Indices into `jobs` still empty, in pool order.
     let missing: Vec<usize> = pool_order(jobs)
         .into_iter()
-        .filter(|&i| records[i].is_none())
+        .filter(|&i| slots[i].is_none())
         .collect();
+    stats.hits += empty - missing.len();
     stats.misses += missing.len();
-
-    if !missing.is_empty() {
-        // One Runnable per config with misses (compiling tables is the
-        // expensive part); the pool workers share them read-only.
-        let mut runnables: Vec<Option<Runnable>> = (0..caches.len()).map(|_| None).collect();
-        for &i in &missing {
-            let job = &jobs[i];
-            if runnables[job.config].is_none() {
-                runnables[job.config] = Some(Runnable::build(job.protocol, job.n, spec)?);
-            }
-        }
-        let fresh = run_trials_threads(missing.len(), 0, threads, |i, _| {
-            let job = &jobs[missing[i]];
-            let runnable = runnables[job.config]
-                .as_ref()
-                .expect("runnable built for every config with misses");
-            TrialRecord {
-                trial: job.trial,
-                seed: job.seed,
-                outcome: runnable.run(job.n, job.seed, shape, &spec.init),
-            }
-        });
-        // `run_trials_threads` returns results in job order: slot i of
-        // `fresh` is pool job i, i.e. `jobs[missing[i]]`. Store-failure
-        // warnings collapse to one line per config (an unwritable cache
-        // dir would otherwise warn once per trial).
-        let mut store_failures: Vec<(usize, usize, String)> = Vec::new();
-        for (&slot, record) in missing.iter().zip(fresh) {
-            let job = &jobs[slot];
-            if let Some(cache) = caches[job.config].as_ref() {
-                if let Err(e) = cache.store(&record) {
-                    match store_failures.iter_mut().find(|(c, _, _)| *c == job.config) {
-                        Some((_, count, _)) => *count += 1,
-                        None => store_failures.push((job.config, 1, e)),
-                    }
-                }
-            }
-            records[slot] = Some(record);
-        }
-        store_failures.sort_unstable_by_key(|&(config, _, _)| config);
-        for (config, count, first) in store_failures {
-            eprintln!("warning: config {config}: {count} trial cache store(s) failed: {first}");
-        }
+    if missing.is_empty() {
+        return Ok(());
     }
 
-    Ok(records
+    // One Runnable per config with misses (compiling tables is the
+    // expensive part); the pool workers share them read-only.
+    let mut runnables: Vec<Option<Runnable>> = (0..config_count(spec)).map(|_| None).collect();
+    for &i in &missing {
+        let job = &jobs[i];
+        if runnables[job.config].is_none() {
+            runnables[job.config] = Some(Runnable::build(job.protocol, job.n, spec)?);
+        }
+    }
+    let shape = run_shape(spec);
+    let fresh = run_trials_threads(missing.len(), 0, effective_threads(spec), |k, _| {
+        let job = &jobs[missing[k]];
+        let runnable = runnables[job.config]
+            .as_ref()
+            .expect("runnable built for every config with misses");
+        TrialRecord {
+            trial: job.trial,
+            seed: job.seed,
+            outcome: runnable.run(job.n, job.seed, &shape, &spec.init),
+        }
+    });
+    // `run_trials_threads` returns results in job order: slot k of
+    // `fresh` is pool job k, i.e. `jobs[missing[k]]`. Store-failure
+    // warnings collapse to one line per config (an unwritable cache dir
+    // would otherwise warn once per trial).
+    let mut store_failures: Vec<(usize, usize, String)> = Vec::new();
+    for (&i, record) in missing.iter().zip(fresh) {
+        let config = jobs[i].config;
+        if let Some(slice) = slices.get(config).and_then(Option::as_ref) {
+            if let Err(e) = slice.store(&record) {
+                match store_failures.iter_mut().find(|(c, _, _)| *c == config) {
+                    Some((_, count, _)) => *count += 1,
+                    None => store_failures.push((config, 1, e)),
+                }
+            }
+        }
+        slots[i] = Some(record);
+    }
+    store_failures.sort_unstable_by_key(|&(config, _, _)| config);
+    for (config, count, first) in store_failures {
+        eprintln!("warning: config {config}: {count} trial cache store(s) failed: {first}");
+    }
+    Ok(())
+}
+
+/// Aggregate a whole plan's records, in canonical plan order, into the
+/// artifact — the one place records become [`ConfigResult`]s. The plan
+/// is config-major, so each config's trials are one contiguous run,
+/// already in trial order.
+pub(crate) fn assemble(spec: &ExperimentSpec, records: Vec<TrialRecord>) -> Artifact {
+    let mut records = records.into_iter();
+    let configs = config_grid(spec)
         .into_iter()
-        .map(|r| r.expect("every trial either cached or freshly run"))
-        .collect())
+        .enumerate()
+        .map(|(index, (protocol, n))| {
+            let trials = records.by_ref().take(spec.trials).collect();
+            let config_seed = split_seed(spec.seed, index as u64);
+            ConfigResult::collect(protocol, n, config_seed, trials, spec.stop)
+        })
+        .collect();
+    Artifact {
+        spec: spec.clone(),
+        configs,
+    }
 }
 
 /// Execute a whole experiment.
@@ -210,76 +313,48 @@ pub fn run_experiment_cached(
     cache: Option<&Cache>,
 ) -> Result<(Artifact, CacheStats), String> {
     spec.validate()?;
-    let threads = effective_threads(spec);
-    let shape = run_shape(spec);
-    let mut stats = CacheStats::default();
-    let grid = config_grid(spec);
     // The whole grid's trials as one flat pool — no per-config barrier;
     // the pool starts the longest predicted trials first so stragglers
     // overlap the short tail instead of serialising after it.
     let plan = trial_plan(spec);
-    // Verify each config's cache identity once, not once per trial.
-    let caches: Vec<Option<ConfigCache>> = grid
-        .iter()
-        .map(|&(protocol, n)| {
-            cache.map(|cache| cache.config(&Cache::config_identity(spec, protocol, n)))
-        })
+    let mut slots = vec![None; plan.len()];
+    let mut stats = CacheStats::default();
+    run_pool(spec, &plan, &mut slots, cache, &mut stats)?;
+    let records = slots
+        .into_iter()
+        .map(|r| r.expect("run_pool fills every slot"))
         .collect();
-    let mut records = run_pool(spec, &shape, &plan, &caches, threads, &mut stats)?.into_iter();
-    // The plan is config-major, so each config's trials are one
-    // contiguous run, already in trial order.
-    let mut configs = Vec::with_capacity(grid.len());
-    for (index, (protocol, n)) in grid.into_iter().enumerate() {
-        let config_seed = split_seed(spec.seed, index as u64);
-        let trials: Vec<TrialRecord> = records.by_ref().take(spec.trials).collect();
-        configs.push(ConfigResult::collect(
-            protocol,
-            n,
-            config_seed,
-            trials,
-            spec.stop,
-        ));
-    }
-    Ok((
-        Artifact {
-            spec: spec.clone(),
-            configs,
-        },
-        stats,
-    ))
+    Ok((assemble(spec, records), stats))
 }
 
 /// Re-run a single trial of a spec, bit-identically.
 ///
 /// `config` indexes the grid of [`config_grid`], `trial` the trial within
-/// it. The derived seed chain is the same as in [`run_experiment`], so the
-/// returned record must equal the artifact's — the determinism suite pins
-/// this.
+/// it. The plan entry, and so the seed, is the one [`run_experiment`]
+/// runs, through the same pool, so the returned record must equal the
+/// artifact's — the determinism suite pins this.
 pub fn replay_trial(
     spec: &ExperimentSpec,
     config: usize,
     trial: usize,
 ) -> Result<TrialRecord, String> {
     spec.validate()?;
-    let grid = config_grid(spec);
-    let &(protocol, n) = grid
-        .get(config)
-        .ok_or_else(|| format!("config {config} out of range (grid has {})", grid.len()))?;
-    if trial >= spec.trials {
-        return Err(format!(
-            "trial {trial} out of range (spec has {} trials)",
+    let index = plan_index(spec, config, trial).ok_or_else(|| {
+        format!(
+            "config {config} trial {trial} is outside the plan ({} config(s) x {} trials)",
+            config_count(spec),
             spec.trials
-        ));
-    }
-    let runnable = Runnable::build(protocol, n, spec)?;
-    let config_seed = split_seed(spec.seed, config as u64);
-    let seed = split_seed(config_seed, trial as u64);
-    let shape = run_shape(spec);
-    Ok(TrialRecord {
-        trial,
-        seed,
-        outcome: runnable.run(n, seed, &shape, &spec.init),
-    })
+        )
+    })?;
+    let mut slot = [None];
+    run_pool(
+        spec,
+        &trial_plan(spec)[index..=index],
+        &mut slot,
+        None,
+        &mut CacheStats::default(),
+    )?;
+    Ok(slot[0].take().expect("run_pool fills every slot"))
 }
 
 #[cfg(test)]

@@ -51,13 +51,13 @@ pub use cache::{Cache, CacheStats, ConfigCache};
 pub use cost::{expected_interactions, expected_stabilization_pt, trial_cost_units};
 pub use engine::{
     config_grid, effective_threads, replay_trial, run_experiment, run_experiment_cached,
-    trial_pool_order,
+    trial_plan, trial_pool_order, PlannedTrial,
 };
 pub use json::Json;
 pub use observe::{ObservableKind, Observables, Schedule};
 pub use registry::{ProtocolKind, TrialOutcome};
 pub use shard::{
-    merge_from_cache, merge_shards, run_shard, shard_slice, spec_hash, trial_plan, MergeError,
-    MissingTrial, PlannedTrial, ShardManifest, ShardOutput, ShardStats, SHARD_SCHEMA,
+    merge_from_cache, merge_shards, run_shard, shard_slice, spec_hash, MergeError, MissingTrial,
+    ShardManifest, ShardOutput, ShardStats, SHARD_SCHEMA,
 };
 pub use spec::{parse_n_grid, EngineKind, ExperimentSpec, InitConfig, StopCondition};

@@ -306,6 +306,34 @@ impl ObsAccum {
             },
         }
     }
+
+    /// Feed one observation point — a round checkpoint or the stop point
+    /// — to the first-hit drag times and, when epochs are observed, the
+    /// epoch events.
+    fn record_progress<S: Simulator>(
+        &mut self,
+        sim: &S,
+        obs: &Observables,
+        census: Option<&Census>,
+    ) {
+        let pt = sim.parallel_time();
+        if let (Some(c), Some(first)) = (census, &mut self.drag_first) {
+            if let Some(d) = c.max_active_drag {
+                for slot in first.iter_mut().take(d as usize + 1) {
+                    slot.get_or_insert(pt);
+                }
+            }
+        }
+        if obs.needs_epochs() {
+            let epoch = sim.current_epoch();
+            if epoch != self.last_epoch {
+                self.last_epoch = epoch;
+                if let Some(v) = epoch {
+                    self.epoch_events.push((pt, v, census.map(|c| c.active)));
+                }
+            }
+        }
+    }
 }
 
 /// Append `(name, value)` unless a metric of that name exists already
@@ -455,23 +483,7 @@ pub(crate) fn drive<S: Simulator>(
                 series.push(pt, v);
             }
         }
-        if let (Some(c), Some(first)) = (&census, &mut accum.drag_first) {
-            if let Some(d) = c.max_active_drag {
-                for slot in first.iter_mut().take(d as usize + 1) {
-                    slot.get_or_insert(pt);
-                }
-            }
-        }
-        if obs.needs_epochs() {
-            let epoch = sim.current_epoch();
-            if epoch != accum.last_epoch {
-                accum.last_epoch = epoch;
-                if let Some(v) = epoch {
-                    let actives = census.as_ref().map(|c| c.active);
-                    accum.epoch_events.push((pt, v, actives));
-                }
-            }
-        }
+        accum.record_progress(sim, obs, census.as_ref());
     };
 
     // The k = 0 boundary: observe the initial configuration too.
@@ -535,27 +547,10 @@ pub(crate) fn drive<S: Simulator>(
     // stopping time. `round_census` traces are *not* extended here — their
     // time axis must stay on the grid shared across trials.
     if accum.drag_first.is_some() || obs.needs_epochs() {
-        let pt = sim.parallel_time();
         let census = (accum.drag_first.is_some() || obs.contains(ObservableKind::EpochCandidates))
             .then(|| probe.census(sim))
             .flatten();
-        if let (Some(c), Some(first)) = (&census, &mut accum.drag_first) {
-            if let Some(d) = c.max_active_drag {
-                for slot in first.iter_mut().take(d as usize + 1) {
-                    slot.get_or_insert(pt);
-                }
-            }
-        }
-        if obs.needs_epochs() {
-            let epoch = sim.current_epoch();
-            if epoch != accum.last_epoch {
-                accum.last_epoch = epoch;
-                if let Some(v) = epoch {
-                    let actives = census.as_ref().map(|c| c.active);
-                    accum.epoch_events.push((pt, v, actives));
-                }
-            }
-        }
+        accum.record_progress(sim, obs, census.as_ref());
     }
 
     // `observed_states` also counts the final configuration (the stop

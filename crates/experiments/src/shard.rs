@@ -43,25 +43,23 @@
 //! out-of-slice or duplicate records are hard errors), checks coverage
 //! (missing `(config, trial)` pairs come back as a precise fill-in list
 //! naming the shard that owns each), sorts records into canonical plan
-//! order and streams them through the same
-//! [`ConfigResult::collect`] the single-process engine uses — byte
-//! identity is shared code, not a parallel implementation.
+//! order and hands them to the same aggregation the single-process
+//! engine uses — byte identity is shared code, not a parallel
+//! implementation.
 //!
-//! Workers are cache-aware: pointed at a shared cache directory (see
-//! `PPEXP_CACHE_DIR`), warm trials are skipped and fresh ones land in the
-//! shared content-addressed layout, so `ppctl merge --from-cache` can
-//! assemble the artifact with no shard files at all.
+//! Workers run their slice through the engine's one execution kernel,
+//! so they are cache-aware and resumable by construction: pointed at a
+//! shared cache directory (see `PPEXP_CACHE_DIR`), warm trials are
+//! skipped and fresh ones land in the shared content-addressed layout,
+//! so `ppctl merge --from-cache` can assemble the artifact with no shard
+//! files at all.
 
 use std::cmp::Reverse;
 
-use ppsim::rng::{split_seed, trial_seeds};
-
-use crate::artifact::{Artifact, ConfigResult, TrialRecord};
-use crate::cache::{Cache, CacheStats, ConfigCache};
-use crate::cost::trial_cost_units;
-use crate::engine::{config_grid, effective_threads, run_pool, run_shape};
+use crate::artifact::{Artifact, TrialRecord};
+use crate::cache::{Cache, CacheStats};
+use crate::engine::{assemble, load_cached, plan_index, run_pool, trial_plan, PlannedTrial};
 use crate::json::{self, Json};
-use crate::registry::ProtocolKind;
 use crate::spec::ExperimentSpec;
 
 /// Schema tag of shard output files.
@@ -73,56 +71,6 @@ pub const SHARD_SCHEMA: &str = "ppexp-shard/v1";
 /// changes the hash and makes old shard files *foreign*.
 pub fn spec_hash(spec: &ExperimentSpec) -> u64 {
     Cache::config_hash(&spec.to_json().emit())
-}
-
-/// One planned trial — the unit of shard partitioning.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct PlannedTrial {
-    /// Config index in the grid of [`config_grid`].
-    pub config: usize,
-    /// The grid point's protocol.
-    pub protocol: ProtocolKind,
-    /// The grid point's population.
-    pub n: u64,
-    /// Trial index within the config.
-    pub trial: usize,
-    /// Derived trial seed (`split_seed(config_seed, trial)`).
-    pub seed: u64,
-    /// FNV-1a hash of the config's canonical cache identity — the same
-    /// value that names the config's directory in the trial cache.
-    pub config_hash: u64,
-    /// Predicted cost in model microseconds
-    /// ([`crate::cost::trial_cost_units`]) — the weight the partition
-    /// and the in-process pool schedule by. Deterministic, so every
-    /// worker derives the same weighted assignment.
-    pub cost: u64,
-}
-
-/// Expand the full trial plan of a spec in canonical order: config-major
-/// (the grid order of [`config_grid`]), trials ascending. Plan index
-/// `config * spec.trials + trial` throughout this module.
-pub fn trial_plan(spec: &ExperimentSpec) -> Vec<PlannedTrial> {
-    let mut plan = Vec::with_capacity(spec.protocols.len() * spec.ns.len() * spec.trials);
-    for (config, (protocol, n)) in config_grid(spec).into_iter().enumerate() {
-        let config_hash = Cache::config_hash(&Cache::config_identity(spec, protocol, n));
-        let config_seed = split_seed(spec.seed, config as u64);
-        let cost = trial_cost_units(spec, protocol, n);
-        for (trial, seed) in trial_seeds(config_seed, spec.trials)
-            .into_iter()
-            .enumerate()
-        {
-            plan.push(PlannedTrial {
-                config,
-                protocol,
-                n,
-                trial,
-                seed,
-                config_hash,
-                cost,
-            });
-        }
-    }
-    plan
 }
 
 /// Mix a trial's `(config hash, trial seed)` address into its 64-bit
@@ -329,8 +277,9 @@ pub struct ShardStats {
 /// — contributes its records, so only the remainder runs. The prior must
 /// belong to the same spec and shard address, and every prior record
 /// must match the plan (address within this slice, seed agreeing with
-/// the derived chain); anything else is a hard error, because silently
-/// dropping or accepting it would change the merged artifact.
+/// the derived chain, no address repeated); anything else is a hard
+/// error, because silently dropping or accepting it would change the
+/// merged artifact.
 pub fn run_shard(
     spec: &ExperimentSpec,
     shard: usize,
@@ -349,8 +298,9 @@ pub fn run_shard(
         ..ShardStats::default()
     };
 
-    // Records carried over from a prior (interrupted) run of this shard.
-    let mut resumed: Vec<Option<TrialRecord>> = vec![None; slice.len()];
+    // Records carried over from a prior (interrupted) run of this shard
+    // take their slots first; the pool fills the rest.
+    let mut slots: Vec<Option<TrialRecord>> = vec![None; slice.len()];
     if let Some(prior) = prior {
         if prior.manifest != manifest {
             return Err(format!(
@@ -365,10 +315,10 @@ pub fn run_shard(
             ));
         }
         for (config, record) in &prior.records {
+            // The slice is in canonical plan order, so sorted by address.
             let slot = slice
-                .iter()
-                .position(|t| t.config == *config && t.trial == record.trial)
-                .ok_or_else(|| {
+                .binary_search_by_key(&(*config, record.trial), |t| (t.config, t.trial))
+                .map_err(|_| {
                     format!(
                         "prior shard file carries config {config} trial {} which is \
                          not in slice {shard}/{of}",
@@ -382,46 +332,21 @@ pub fn run_shard(
                     record.trial, record.seed, slice[slot].seed
                 ));
             }
-            resumed[slot] = Some(record.clone());
-            stats.resumed += 1;
-        }
-    }
-
-    let threads = effective_threads(spec);
-    let shape = run_shape(spec);
-    // Everything not resumed flows through the shared pool kernel as
-    // one flat job set — cost-ordered across the whole slice, no
-    // per-config barrier — so a shard produces bit-identical records by
-    // the same code path as the single-process engine.
-    let jobs: Vec<PlannedTrial> = slice
-        .iter()
-        .zip(&resumed)
-        .filter(|(_, r)| r.is_none())
-        .map(|(t, _)| *t)
-        .collect();
-    // Per-config cache slices, indexed by grid config index as the
-    // kernel expects; identities verify once per config present.
-    let mut caches: Vec<Option<ConfigCache>> = (0..config_grid(spec).len()).map(|_| None).collect();
-    if let Some(cache) = cache {
-        for job in &jobs {
-            if caches[job.config].is_none() {
-                caches[job.config] =
-                    Some(cache.config(&Cache::config_identity(spec, job.protocol, job.n)));
+            if slots[slot].replace(record.clone()).is_some() {
+                return Err(format!(
+                    "prior shard file repeats config {config} trial {} — corrupt file",
+                    record.trial
+                ));
             }
         }
+        stats.resumed = prior.records.len();
     }
-    let mut fresh = run_pool(spec, &shape, &jobs, &caches, threads, &mut stats.cache)?.into_iter();
-    let mut records: Vec<(usize, TrialRecord)> = Vec::with_capacity(slice.len());
-    for (t, prior_record) in slice.iter().zip(resumed) {
-        let record = match prior_record {
-            Some(record) => record,
-            None => fresh
-                .next()
-                .expect("one fresh record per non-resumed trial"),
-        };
-        records.push((t.config, record));
-    }
-
+    run_pool(spec, &slice, &mut slots, cache, &mut stats.cache)?;
+    let records = slice
+        .iter()
+        .zip(slots)
+        .map(|(t, record)| (t.config, record.expect("run_pool fills every slot")))
+        .collect();
     Ok((ShardOutput { manifest, records }, stats))
 }
 
@@ -598,38 +523,25 @@ pub fn merge_shards(
     let mut slots: Vec<Option<TrialRecord>> = vec![None; plan.len()];
     for (source, shard) in shards {
         for (config, record) in &shard.records {
-            let index = config * spec.trials + record.trial;
-            let planned = (*config < config_grid(spec).len() && record.trial < spec.trials)
-                .then(|| &plan[index]);
-            let Some(planned) = planned else {
-                return Err(MergeError::UnplannedRecord {
-                    source: source.clone(),
-                    config: *config,
-                    trial: record.trial,
-                    detail: "address outside the plan".into(),
-                });
+            let unplanned = |detail: String| MergeError::UnplannedRecord {
+                source: source.clone(),
+                config: *config,
+                trial: record.trial,
+                detail,
             };
-            if planned.seed != record.seed {
-                return Err(MergeError::UnplannedRecord {
-                    source: source.clone(),
-                    config: *config,
-                    trial: record.trial,
-                    detail: format!(
-                        "record seed {:016x} but the plan derives {:016x}",
-                        record.seed, planned.seed
-                    ),
-                });
+            let index = plan_index(spec, *config, record.trial)
+                .ok_or_else(|| unplanned("address outside the plan".into()))?;
+            if plan[index].seed != record.seed {
+                return Err(unplanned(format!(
+                    "record seed {:016x} but the plan derives {:016x}",
+                    record.seed, plan[index].seed
+                )));
             }
             if assignment[index] != shard.manifest.shard {
-                return Err(MergeError::UnplannedRecord {
-                    source: source.clone(),
-                    config: *config,
-                    trial: record.trial,
-                    detail: format!(
-                        "owned by shard {}/{of}, found in shard {}",
-                        assignment[index], shard.manifest.shard
-                    ),
-                });
+                return Err(unplanned(format!(
+                    "owned by shard {}/{of}, found in shard {}",
+                    assignment[index], shard.manifest.shard
+                )));
             }
             if slots[index].is_some() {
                 return Err(MergeError::DuplicateRecord {
@@ -640,7 +552,8 @@ pub fn merge_shards(
             slots[index] = Some(record.clone());
         }
     }
-    assemble(spec, &plan, &assignment, of, slots)
+    let records = covered(&plan, &assignment, of, slots)?;
+    Ok(assemble(spec, records))
 }
 
 /// Merge straight from a shared content-addressed cache: every planned
@@ -650,40 +563,22 @@ pub fn merge_shards(
 pub fn merge_from_cache(spec: &ExperimentSpec, cache: &Cache) -> Result<Artifact, MergeError> {
     spec.validate().map_err(MergeError::Spec)?;
     let plan = trial_plan(spec);
-    let assignment = shard_assignments(&plan, 1);
     let mut slots: Vec<Option<TrialRecord>> = vec![None; plan.len()];
-    let mut start = 0;
-    while start < plan.len() {
-        let config = plan[start].config;
-        let end = start
-            + plan[start..]
-                .iter()
-                .take_while(|t| t.config == config)
-                .count();
-        let config_cache = cache.config(&Cache::config_identity(
-            spec,
-            plan[start].protocol,
-            plan[start].n,
-        ));
-        for (index, t) in plan[start..end].iter().enumerate() {
-            if let Some(mut record) = config_cache.load(t.seed) {
-                record.trial = t.trial;
-                slots[start + index] = Some(record);
-            }
-        }
-        start = end;
-    }
-    assemble(spec, &plan, &assignment, 1, slots)
+    load_cached(spec, &plan, &mut slots, cache);
+    // Under k = 1 every trial belongs to shard 0.
+    let records = covered(&plan, &vec![0; plan.len()], 1, slots)?;
+    Ok(assemble(spec, records))
 }
 
-/// Coverage check + canonical-order aggregation shared by both merges.
-fn assemble(
-    spec: &ExperimentSpec,
+/// The coverage check both merges end with: every slot's record, in
+/// canonical plan order, or the fill-in list of the empty ones under the
+/// merge's `of`.
+fn covered(
     plan: &[PlannedTrial],
     assignment: &[usize],
     of: usize,
     slots: Vec<Option<TrialRecord>>,
-) -> Result<Artifact, MergeError> {
+) -> Result<Vec<TrialRecord>, MergeError> {
     let missing: Vec<MissingTrial> = plan
         .iter()
         .zip(assignment)
@@ -699,32 +594,15 @@ fn assemble(
     if !missing.is_empty() {
         return Err(MergeError::Missing { of, missing });
     }
-    let mut slots = slots.into_iter();
-    let mut configs = Vec::new();
-    for (config, (protocol, n)) in config_grid(spec).into_iter().enumerate() {
-        let trials: Vec<TrialRecord> = slots
-            .by_ref()
-            .take(spec.trials)
-            .map(|r| r.expect("coverage checked above"))
-            .collect();
-        configs.push(ConfigResult::collect(
-            protocol,
-            n,
-            split_seed(spec.seed, config as u64),
-            trials,
-            spec.stop,
-        ));
-    }
-    Ok(Artifact {
-        spec: spec.clone(),
-        configs,
-    })
+    Ok(slots.into_iter().flatten().collect())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::registry::ProtocolKind;
     use crate::spec::StopCondition;
+    use ppsim::rng::split_seed;
 
     fn tiny_spec() -> ExperimentSpec {
         ExperimentSpec {
@@ -914,5 +792,37 @@ mod tests {
         let mut foreign = spec.clone();
         foreign.seed = 9;
         assert!(run_shard(&foreign, 0, 2, None, Some(&partial)).is_err());
+
+        // A prior that repeats a record: refused, naming the record.
+        let mut repeated = partial.clone();
+        repeated.records.push(full.records[0].clone());
+        let (config, record) = &full.records[0];
+        let err = run_shard(&spec, 0, 2, None, Some(&repeated)).unwrap_err();
+        assert!(
+            err.contains(&format!("config {config} trial {}", record.trial)),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn merge_rejects_addresses_outside_the_plan_without_overflow() {
+        let spec = tiny_spec();
+        let (s0, _) = run_shard(&spec, 0, 2, None, None).unwrap();
+        let (s1, _) = run_shard(&spec, 1, 2, None, None).unwrap();
+        // Addresses whose plan index `config * trials + trial` overflows.
+        for (config, trial) in [(i64::MAX as usize, 0), (1, usize::MAX)] {
+            let mut crafted = s1.clone();
+            crafted.records[0].0 = config;
+            crafted.records[0].1.trial = trial;
+            let parsed = ShardOutput::parse(&crafted.to_json_string()).unwrap();
+            for shard in [crafted, parsed] {
+                let err = merge_shards(&spec, &[("s0".into(), s0.clone()), ("c".into(), shard)])
+                    .unwrap_err();
+                assert!(
+                    matches!(err, MergeError::UnplannedRecord { .. }),
+                    "config {config} trial {trial}: {err}"
+                );
+            }
+        }
     }
 }

@@ -38,8 +38,8 @@
 //! distributed as the same number of sequential steps — bit for bit under
 //! the shared interaction-trace decoding ([`UrnSim::steps_batched_traced`] /
 //! [`UrnSim::replay_interaction`]). Drivers accept a [`batch::BatchPolicy`]
-//! (`run_until_with`, `run_until_stable_with`, `sample_every_with`); their
-//! stopping times are exact first hits — a predicate hit inside a block is
+//! (`run_until_with`, `run_until_stable_with`); their stopping times
+//! are exact first hits — a predicate hit inside a block is
 //! located by rewinding the block, re-sampling it with its interaction
 //! trace on and replaying that trace
 //! ([`protocol::Simulator::steps_until`]).
@@ -101,7 +101,7 @@ pub use protocol::{EnumerableProtocol, Output, Protocol, Simulator};
 pub use rng::{split_seed, trial_seeds};
 pub use runner::{
     run_until, run_until_stable, run_until_stable_with, run_until_with, run_until_with_epochs,
-    sample_every, sample_every_with, EpochObserver, RunResult,
+    EpochObserver, RunResult,
 };
 pub use stats::{
     bootstrap_mean_ci, chi_square_stat, geometric_mean, ks_critical, ks_statistic, linear_fit,
@@ -119,7 +119,7 @@ pub mod prelude {
     pub use crate::protocol::{EnumerableProtocol, Output, Protocol, Simulator};
     pub use crate::runner::{
         run_until, run_until_stable, run_until_stable_with, run_until_with, run_until_with_epochs,
-        sample_every, sample_every_with, EpochObserver, RunResult,
+        EpochObserver, RunResult,
     };
     pub use crate::stats::Summary;
     pub use crate::urn::UrnSim;

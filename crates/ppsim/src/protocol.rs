@@ -110,18 +110,6 @@ pub trait Simulator {
         }
     }
 
-    /// Execute exactly `k` interactions, batching internally where the
-    /// engine supports it.
-    ///
-    /// The default ignores the policy and runs `k` sequential steps;
-    /// [`crate::UrnSim`] overrides this with its exact batch sampler
-    /// (see [`crate::batch`]). Drivers call this so that any engine can be
-    /// driven under any [`BatchPolicy`].
-    fn steps_bulk(&mut self, k: u64, policy: &crate::batch::BatchPolicy) {
-        let _ = policy;
-        self.steps(k);
-    }
-
     /// Execute interactions until `pred` holds or `k` interactions have run,
     /// batching internally where the engine supports it. Returns `true` iff
     /// the predicate fired (including when it already holds on entry, where

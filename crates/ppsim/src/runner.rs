@@ -1,10 +1,10 @@
 //! Drivers: run a simulation until stabilisation (or a budget), optionally
-//! sampling observables along the way.
+//! observing epoch transitions along the way.
 //!
 //! Every driver comes in two flavours: the classic form (`run_until`,
-//! `run_until_stable`, `sample_every`) checks its predicate after every
-//! single interaction — the exact sequential reference — and a `_with` form
-//! that takes a [`BatchPolicy`] and lets the engine execute whole batches
+//! `run_until_stable`) checks its predicate after every single
+//! interaction — the exact sequential reference — and a `_with` form that
+//! takes a [`BatchPolicy`] and lets the engine execute whole batches
 //! between checks. Stopping times are **exact first hits in both flavours**:
 //! the `_with` drivers delegate to [`Simulator::steps_until`], whose batched
 //! implementation probes the predicate at block boundaries but, on a hit,
@@ -145,55 +145,6 @@ pub fn run_until_stable<S: Simulator>(sim: &mut S, max_interactions: u64) -> Run
     run_until_stable_with(sim, &BatchPolicy::PerStep, max_interactions)
 }
 
-/// Run for exactly `total_interactions`, invoking `observe` every
-/// `every_interactions` (and once at the start and once at the end), letting
-/// the engine batch according to `policy` *within* each observation window.
-///
-/// Observation points are exact — a batch never crosses an observation
-/// boundary, the engine simply splits its last batch of each window.
-pub fn sample_every_with<S: Simulator>(
-    sim: &mut S,
-    policy: &BatchPolicy,
-    total_interactions: u64,
-    every_interactions: u64,
-    mut observe: impl FnMut(&S),
-) -> usize {
-    assert!(every_interactions > 0, "sampling interval must be positive");
-    let mut samples = 0;
-    observe(sim);
-    samples += 1;
-    let mut next = sim.interactions() + every_interactions;
-    let end = sim.interactions() + total_interactions;
-    while sim.interactions() < end {
-        let chunk = (next.min(end)) - sim.interactions();
-        sim.steps_bulk(chunk, policy);
-        observe(sim);
-        samples += 1;
-        next += every_interactions;
-    }
-    samples
-}
-
-/// Run for exactly `total_interactions`, invoking `observe` every
-/// `every_interactions` (and once at the start and once at the end).
-///
-/// Returns the number of observations made. Used by the figure benches to
-/// record trajectories such as "active leader candidates per round".
-pub fn sample_every<S: Simulator>(
-    sim: &mut S,
-    total_interactions: u64,
-    every_interactions: u64,
-    observe: impl FnMut(&S),
-) -> usize {
-    sample_every_with(
-        sim,
-        &BatchPolicy::PerStep,
-        total_interactions,
-        every_interactions,
-        observe,
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -259,31 +210,6 @@ mod tests {
         let res2 = run_until_stable(&mut sim, 1_000);
         assert!(res2.converged);
         assert_eq!(res2.interactions, res.interactions);
-    }
-
-    #[test]
-    fn sample_every_counts_observations() {
-        let mut sim = AgentSim::new(Slow, 16, 2);
-        let mut seen = Vec::new();
-        let k = sample_every(&mut sim, 100, 10, |s| seen.push(s.interactions()));
-        assert_eq!(k, 11); // t = 0, 10, ..., 100
-        assert_eq!(seen.first(), Some(&0));
-        assert_eq!(seen.last(), Some(&100));
-    }
-
-    #[test]
-    fn sample_every_with_non_dividing_interval() {
-        let mut sim = AgentSim::new(Slow, 16, 2);
-        let mut seen = Vec::new();
-        sample_every(&mut sim, 25, 10, |s| seen.push(s.interactions()));
-        assert_eq!(seen, vec![0, 10, 20, 25]);
-    }
-
-    #[test]
-    #[should_panic(expected = "positive")]
-    fn zero_interval_rejected() {
-        let mut sim = AgentSim::new(Slow, 16, 2);
-        sample_every(&mut sim, 10, 0, |_| {});
     }
 
     #[test]

@@ -1055,11 +1055,6 @@ impl<P: EnumerableProtocol> Simulator for UrnSim<P> {
         self.finish_pair(r_id, i_id);
     }
 
-    /// Batched bulk execution: delegates to [`UrnSim::steps_batched`].
-    fn steps_bulk(&mut self, k: u64, policy: &BatchPolicy) {
-        self.steps_batched(k, policy);
-    }
-
     /// Batched predicate stop with *exact* first-hit semantics.
     ///
     /// Blocks are executed keeping only their undo log (O(occupied) entries

@@ -336,6 +336,13 @@ fn cache_at(flags: &Flags) -> Cache {
     )
 }
 
+/// The cache `run` and `work` use: `--cache` opts into it, and
+/// `--no-cache` wins when both are given (so a cached alias can be
+/// overridden).
+fn cache_flag(flags: &Flags) -> Option<Cache> {
+    (flags.has("--cache") && !flags.has("--no-cache")).then(|| cache_at(flags))
+}
+
 /// The per-config summary table `run` prints, shared with `merge` (whose
 /// output is the same artifact, just assembled from shards).
 fn print_run_table(artifact: &Artifact, trials: usize) {
@@ -545,11 +552,9 @@ fn cmd_run(args: &[String]) -> Result<i32, String> {
         return Ok(0);
     }
 
-    // --cache opts into the content-addressed trial cache; --no-cache
-    // wins when both are given (so a cached alias can be overridden).
-    let artifact = if flags.has("--cache") && !flags.has("--no-cache") {
-        let cache = cache_at(&flags);
-        let (artifact, stats) = run_experiment_cached(&spec, Some(&cache))?;
+    let cache = cache_flag(&flags);
+    let (artifact, stats) = run_experiment_cached(&spec, cache.as_ref())?;
+    if let Some(cache) = &cache {
         eprintln!(
             "cache: {} hit{}, {} miss{} ({})",
             stats.hits,
@@ -558,10 +563,7 @@ fn cmd_run(args: &[String]) -> Result<i32, String> {
             if stats.misses == 1 { "" } else { "es" },
             cache.dir().display()
         );
-        artifact
-    } else {
-        run_experiment(&spec)?
-    };
+    }
     if flags.get("--out") != Some("-") {
         print_run_table(&artifact, spec.trials);
     }
@@ -607,15 +609,15 @@ fn cmd_work(args: &[String]) -> Result<i32, String> {
         None
     };
 
-    let cache = (flags.has("--cache") && !flags.has("--no-cache")).then(|| cache_at(&flags));
+    let cache = cache_flag(&flags);
     let (output, stats) = run_shard(&spec, shard, of, cache.as_ref(), prior.as_ref())?;
-    let fresh = stats.planned - stats.resumed - stats.cache.hits;
     eprintln!(
-        "shard {shard}/{of}: {} trial{} ({} resumed, {} cached, {fresh} fresh)",
+        "shard {shard}/{of}: {} trial{} ({} resumed, {} cached, {} fresh)",
         stats.planned,
         if stats.planned == 1 { "" } else { "s" },
         stats.resumed,
         stats.cache.hits,
+        stats.cache.misses,
     );
     let text = output.to_json_string();
     if out == "-" {

@@ -15,15 +15,19 @@
 //!    spec, including mixes of cache-warm, cache-cold and uncached
 //!    workers at different thread counts, and `merge --from-cache`.
 //! 3. **Verification** — foreign specs, duplicate shards, smuggled or
-//!    duplicated records, corrupted files and incomplete coverage are
-//!    refused (exit 2 through the CLI), with the missing-coverage error
-//!    naming the exact `--shard i/k` re-runs that would fill it in.
+//!    duplicated records, out-of-plan addresses, corrupted files and
+//!    incomplete coverage are refused (exit 2 through the CLI), with the
+//!    missing-coverage error naming the exact `--shard i/k` re-runs that
+//!    would fill it in.
 //! 4. **Resume** — `ppctl work --resume` reuses every valid record of an
-//!    interrupted shard file and recomputes only the remainder.
+//!    interrupted shard file, takes what it can from a warm cache and
+//!    recomputes only the remainder; a prior file that repeats a record
+//!    is refused.
 
 use population_protocols::ppexp::{
-    merge_from_cache, merge_shards, run_experiment, run_shard, shard_slice, trial_plan,
-    trial_pool_order, Cache, ExperimentSpec, MergeError, PlannedTrial, ProtocolKind, ShardOutput,
+    merge_from_cache, merge_shards, run_experiment, run_experiment_cached, run_shard, shard_slice,
+    trial_plan, trial_pool_order, Cache, ExperimentSpec, MergeError, PlannedTrial, ProtocolKind,
+    ShardOutput,
 };
 use proptest::prelude::*;
 use std::process::Command;
@@ -224,6 +228,48 @@ fn cache_warm_shard_mix_merges_byte_identically() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// One shard filled from all three sources at once: a prior shard file
+/// (`--resume`) holds trial 2 of every config, a warm cache trial 0, and
+/// trial 1 runs fresh. The counters add up to the slice and the merged
+/// artifact is the single-process one.
+#[test]
+fn resumed_cached_and_fresh_records_fill_one_shard() {
+    let dir = tmp_dir("three-sources");
+    let cache = Cache::at(dir.join("cache"));
+    let spec = spec_with_threads(TINY_SPEC, 2);
+    // A trials = 1 copy derives the same trial-0 seeds and config
+    // identities, so it warms exactly trial 0 of every config.
+    let mut first_trials = spec.clone();
+    first_trials.trials = 1;
+    run_experiment_cached(&first_trials, Some(&cache)).unwrap();
+    let (full, _) = run_shard(&spec, 0, 1, None, None).unwrap();
+    let prior = ShardOutput {
+        manifest: full.manifest,
+        records: full
+            .records
+            .iter()
+            .filter(|(_, record)| record.trial == 2)
+            .cloned()
+            .collect(),
+    };
+
+    let (out, stats) = run_shard(&spec, 0, 1, Some(&cache), Some(&prior)).unwrap();
+    assert_eq!(
+        (stats.resumed, stats.cache.hits, stats.cache.misses),
+        (4, 4, 4)
+    );
+    assert_eq!(
+        stats.resumed + stats.cache.hits + stats.cache.misses,
+        stats.planned
+    );
+    let merged = merge_shards(&spec, &[("shard0".into(), out)]).unwrap();
+    assert_eq!(
+        merged.to_json_string(),
+        run_experiment(&spec).unwrap().to_json_string()
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 // ---------------------------------------------------------------------------
 // The CLI: ppctl work / ppctl merge
 // ---------------------------------------------------------------------------
@@ -393,5 +439,69 @@ fn ppctl_work_and_merge_round_trip_the_tiny_golden() {
     assert!(stderr.contains(&format!("{slice_len} resumed")), "{stderr}");
     assert!(stderr.contains("0 fresh"), "{stderr}");
     assert_eq!(std::fs::read_to_string(&shard_files[0]).unwrap(), before);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Crafted shard files are refused with exit 2 and a message naming the
+/// record, never a panic: a prior file handed to `work --resume` that
+/// repeats a record, and a file handed to `merge` with a config index far
+/// outside the plan (the product `config * trials` would overflow).
+#[test]
+fn ppctl_refuses_crafted_shard_files_with_exit_2() {
+    let dir = tmp_dir("crafted");
+    let spec = "tests/golden/tiny.spec";
+    let files: Vec<std::path::PathBuf> =
+        (0..2).map(|i| dir.join(format!("shard{i}.json"))).collect();
+    for (i, file) in files.iter().enumerate() {
+        let out = ppctl(&[
+            "work",
+            "--spec",
+            spec,
+            "--shard",
+            &format!("{i}/2"),
+            "--out",
+            path_str(file),
+        ]);
+        assert!(out.status.success(), "work {i}/2: {out:?}");
+    }
+    let read = |file: &std::path::Path| {
+        ShardOutput::parse(&std::fs::read_to_string(file).unwrap()).unwrap()
+    };
+    let refused = |out: std::process::Output, needle: &str| {
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{stderr}");
+        assert!(!stderr.contains("panicked"), "{stderr}");
+        assert!(stderr.contains(needle), "{stderr}");
+    };
+
+    let repeated = dir.join("repeated.json");
+    let mut prior = read(&files[0]);
+    let (config, record) = prior.records[0].clone();
+    prior.records.push((config, record.clone()));
+    std::fs::write(&repeated, prior.to_json_string()).unwrap();
+    let out = ppctl(&[
+        "work",
+        "--spec",
+        spec,
+        "--shard",
+        "0/2",
+        "--out",
+        path_str(&repeated),
+        "--resume",
+    ]);
+    refused(out, &format!("config {config} trial {}", record.trial));
+
+    let huge = dir.join("huge.json");
+    let mut crafted = read(&files[1]);
+    crafted.records[0].0 = i64::MAX as usize;
+    std::fs::write(&huge, crafted.to_json_string()).unwrap();
+    let out = ppctl(&[
+        "merge",
+        "--spec",
+        spec,
+        path_str(&files[0]),
+        path_str(&huge),
+    ]);
+    refused(out, &format!("config {}", i64::MAX));
     let _ = std::fs::remove_dir_all(&dir);
 }
