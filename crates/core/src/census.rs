@@ -1,7 +1,9 @@
 //! Configuration census: aggregate observables used by the experiments
 //! (figure trajectories, lemma validations). Computed from any simulator
-//! via [`ppsim::Simulator::for_each_state`]; O(population) on `AgentSim`,
-//! O(states) on `UrnSim`.
+//! via [`ppsim::Simulator::for_each_state`] — O(population) on `AgentSim`,
+//! O(occupied states) on `UrnSim` — or with [`Census::of_counts`] from a
+//! configuration already folded into (state, multiplicity) pairs, in
+//! O(pairs).
 
 use ppsim::Simulator;
 
@@ -58,20 +60,42 @@ impl Census {
         params: &Params,
         decode: impl Fn(S::State) -> AgentState,
     ) -> Self {
-        let mut c = Census {
+        let mut c = Census::empty(params);
+        sim.for_each_state(&mut |s, k| c.add(decode(s), k));
+        c
+    }
+
+    /// Take a census of a configuration given as (state, multiplicity)
+    /// pairs. A state may occur in several pairs; the order of the pairs
+    /// does not matter.
+    pub fn of_counts(params: &Params, counts: impl IntoIterator<Item = (AgentState, u64)>) -> Self {
+        let mut c = Census::empty(params);
+        for (s, k) in counts {
+            c.add(s, k);
+        }
+        c
+    }
+
+    /// The census of an empty configuration.
+    fn empty(params: &Params) -> Self {
+        Census {
             coin_levels: vec![0; params.phi as usize + 1],
             inhibitor_drags: vec![0; params.psi as usize + 1],
             inhibitor_high: vec![0; params.psi as usize + 1],
             ..Census::default()
-        };
-        sim.for_each_state(&mut |s, k| match decode(s).role {
-            Role::Zero => c.zero += k,
-            Role::X => c.x += k,
-            Role::D => c.d += k,
+        }
+    }
+
+    /// Count `k` more agents in state `s`.
+    fn add(&mut self, s: AgentState, k: u64) {
+        match s.role {
+            Role::Zero => self.zero += k,
+            Role::X => self.x += k,
+            Role::D => self.d += k,
             Role::C { level, advancing } => {
-                c.coin_levels[level as usize] += k;
+                self.coin_levels[level as usize] += k;
                 if advancing {
-                    c.coins_advancing += k;
+                    self.coins_advancing += k;
                 }
             }
             Role::I {
@@ -80,32 +104,31 @@ impl Census {
                 high,
                 ..
             } => {
-                c.inhibitor_drags[drag as usize] += k;
+                self.inhibitor_drags[drag as usize] += k;
                 if high {
-                    c.inhibitor_high[drag as usize] += k;
+                    self.inhibitor_high[drag as usize] += k;
                 }
                 if advancing {
-                    c.inhibitors_advancing += k;
+                    self.inhibitors_advancing += k;
                 }
             }
             Role::L {
                 mode, cnt, drag, ..
             } => {
                 match mode {
-                    LeaderMode::A => c.active += k,
-                    LeaderMode::P => c.passive += k,
-                    LeaderMode::W => c.withdrawn += k,
+                    LeaderMode::A => self.active += k,
+                    LeaderMode::P => self.passive += k,
+                    LeaderMode::W => self.withdrawn += k,
                 }
                 if mode != LeaderMode::W {
-                    c.max_alive_drag = Some(c.max_alive_drag.map_or(drag, |m| m.max(drag)));
+                    self.max_alive_drag = Some(self.max_alive_drag.map_or(drag, |m| m.max(drag)));
                 }
                 if mode == LeaderMode::A {
-                    c.max_active_drag = Some(c.max_active_drag.map_or(drag, |m| m.max(drag)));
+                    self.max_active_drag = Some(self.max_active_drag.map_or(drag, |m| m.max(drag)));
                 }
-                c.max_cnt = Some(c.max_cnt.map_or(cnt, |m| m.max(cnt)));
+                self.max_cnt = Some(self.max_cnt.map_or(cnt, |m| m.max(cnt)));
             }
-        });
-        c
+        }
     }
 
     /// Total coins (any level).
@@ -148,7 +171,7 @@ impl Census {
 mod tests {
     use super::*;
     use crate::protocol::Gsu19;
-    use ppsim::AgentSim;
+    use ppsim::{AgentSim, EnumerableProtocol};
 
     #[test]
     fn census_of_initial_configuration() {
@@ -160,6 +183,64 @@ mod tests {
         assert_eq!(c.total(), 1 << 10);
         assert_eq!(c.alive(), 0);
         assert_eq!(c.max_alive_drag, None);
+    }
+
+    /// Fold a configuration into its distinct (state, multiplicity)
+    /// pairs, by state id.
+    fn fold<P: EnumerableProtocol>(proto: &P, states: &[P::State]) -> Vec<(P::State, u64)> {
+        let mut counts = vec![0u64; proto.num_states()];
+        for &s in states {
+            counts[proto.state_id(s)] += 1;
+        }
+        (0..counts.len())
+            .filter(|&id| counts[id] > 0)
+            .map(|id| (proto.state_from_id(id), counts[id]))
+            .collect()
+    }
+
+    #[test]
+    fn census_of_counts_matches_a_census_of_the_simulator() {
+        use ppsim::{Simulator, UrnSim};
+        let n = 1u64 << 10;
+        let proto = Gsu19::for_population(n);
+        let params = *proto.params();
+
+        // Mid-run, every role is present.
+        let mut plain = AgentSim::new(proto, n as usize, 5);
+        plain.steps(40 * n);
+        let reference = Census::of(&plain, &params);
+        assert!(
+            reference.coins() > 0 && reference.inhibitors() > 0 && reference.alive() > 0,
+            "{reference:?}"
+        );
+        assert_eq!(
+            Census::of_counts(&params, fold(&proto, plain.states())),
+            reference
+        );
+        // One pair per agent: repeated states add up.
+        assert_eq!(
+            Census::of_counts(&params, plain.states().iter().map(|&s| (s, 1))),
+            reference
+        );
+
+        // Compiled: pairs of packed ids, decoded one per pair.
+        let compiled = proto.compiled();
+        let mut packed = AgentSim::new(compiled.clone(), n as usize, 5);
+        packed.steps(40 * n);
+        let decoded = fold(&compiled, packed.states())
+            .into_iter()
+            .map(|(s, k)| (compiled.decode_state(s), k));
+        assert_eq!(
+            Census::of_counts(&params, decoded),
+            Census::of_with(&packed, &params, |s| compiled.decode_state(s))
+        );
+
+        let mut urn = UrnSim::new(proto, n, 5);
+        urn.steps(40 * n);
+        assert_eq!(
+            Census::of_counts(&params, urn.nonzero_counts()),
+            Census::of(&urn, &params)
+        );
     }
 
     #[test]

@@ -28,14 +28,23 @@
 //!   clock round is ≈ 5·log₂ n parallel time at the calibrated Γ, so the
 //!   default `round_every = 1` samples a few times per round);
 //! * **epochs** — measured at protocol-reported epoch transitions, polled
-//!   through the [`ppsim::Simulator::current_epoch`] hook at round-grid
-//!   granularity (GSU19 reports its fast-elimination countdown, the
-//!   clock component its round counter; see `Protocol::epoch_of`).
+//!   at round-grid granularity as the population maximum of
+//!   `Protocol::epoch_of` (what [`ppsim::Simulator::current_epoch`]
+//!   reports; GSU19 reports its fast-elimination countdown, the clock
+//!   component its round counter).
 //!
 //! Scalar results stream into the artifact's Welford/P² aggregates like
 //! any other metric; `round_census` produces per-trial trace series on a
 //! grid shared across trials, which is what makes the artifact-level
 //! mean-trace aggregation sound.
+//!
+//! Cost: each round checkpoint, and the stop point of a trial with round or
+//! epoch observables, makes one pass over the configuration, folding it
+//! into its distinct (state, multiplicity) pairs; the census, the epoch
+//! and the distinct-state set are then computed per distinct state. The
+//! stop-scheduled census metrics and the `sample_at` rows (a few per
+//! trial) and census-based stop predicates (one consumer each) read the
+//! simulator directly.
 
 use std::collections::BTreeSet;
 
@@ -251,11 +260,66 @@ pub(crate) struct RunShape<'a> {
 pub(crate) trait Probe<S: Simulator> {
     /// Census of the current configuration, if the protocol supports one.
     fn census(&self, sim: &S) -> Option<Census>;
+    /// Census of a configuration given as (state, multiplicity) pairs, if
+    /// the protocol supports one.
+    fn census_of(&self, counts: &[(S::State, u64)]) -> Option<Census>;
     /// The GSU19 parameters, if the protocol has them.
     fn params(&self) -> Option<&Params>;
-    /// Dense state id of a state (`EnumerableProtocol::state_id`), for
-    /// the `observed_states` distinct-state count.
+    /// Dense state id of a state (`EnumerableProtocol::state_id`): the key
+    /// of a [`Snapshot`] and of the `observed_states` distinct-state count.
     fn state_id(&self, s: S::State) -> usize;
+    /// The epoch a state reports (`Protocol::epoch_of`).
+    fn epoch_of(&self, s: S::State) -> Option<u32>;
+}
+
+/// An observation point's view of the configuration: its distinct states
+/// with their multiplicities, folded in one pass over
+/// [`Simulator::for_each_state`] (one entry per agent on `AgentSim`, one
+/// per occupied state on `UrnSim`). Every consumer then works per distinct
+/// state instead of walking the population again.
+struct Snapshot<St> {
+    /// Position in `counts` of each state id folded at this point,
+    /// `u32::MAX` for the others. Grown on demand and reset through `ids`,
+    /// so a point costs O(entries), not O(state space).
+    slot: Vec<u32>,
+    /// Dense ids of the distinct states, in first-seen order.
+    ids: Vec<usize>,
+    /// (state, multiplicity) of each id in `ids`, in the same order.
+    counts: Vec<(St, u64)>,
+}
+
+impl<St: Copy> Snapshot<St> {
+    fn new() -> Self {
+        Self {
+            slot: Vec::new(),
+            ids: Vec::new(),
+            counts: Vec::new(),
+        }
+    }
+
+    /// Fold the current configuration of `sim`, replacing the last one.
+    fn take<S: Simulator<State = St>>(&mut self, sim: &S, probe: &impl Probe<S>) {
+        let Snapshot { slot, ids, counts } = self;
+        for &id in ids.iter() {
+            slot[id] = u32::MAX;
+        }
+        ids.clear();
+        counts.clear();
+        sim.for_each_state(&mut |s, k| {
+            let id = probe.state_id(s);
+            if id >= slot.len() {
+                slot.resize(id + 1, u32::MAX);
+            }
+            match slot[id] {
+                u32::MAX => {
+                    slot[id] = counts.len() as u32;
+                    ids.push(id);
+                    counts.push((s, k));
+                }
+                at => counts[at as usize].1 += k,
+            }
+        });
+    }
 }
 
 /// Seed stream tag for synthetic initial configurations, so the init
@@ -307,17 +371,46 @@ impl ObsAccum {
         }
     }
 
-    /// Feed one observation point — a round checkpoint or the stop point
-    /// — to the first-hit drag times and, when epochs are observed, the
-    /// epoch events.
-    fn record_progress<S: Simulator>(
+    /// Observe the configuration at one point — a round checkpoint
+    /// (`on_grid`) or the stop point — from one [`Snapshot`] of it: the
+    /// distinct-state set, the `round_census` traces (grid points only:
+    /// their time axis is shared across trials), the first-hit drag times
+    /// and, when epochs are observed, the epoch events.
+    fn observe<S: Simulator>(
         &mut self,
         sim: &S,
+        probe: &impl Probe<S>,
         obs: &Observables,
-        census: Option<&Census>,
+        snapshot: &mut Snapshot<S::State>,
+        on_grid: bool,
     ) {
         let pt = sim.parallel_time();
-        if let (Some(c), Some(first)) = (census, &mut self.drag_first) {
+        snapshot.take(sim, probe);
+        if let Some(seen) = &mut self.seen_states {
+            seen.extend(snapshot.ids.iter().copied());
+        }
+        let traces = on_grid && !self.round_traces.is_empty();
+        let census =
+            (traces || self.drag_first.is_some() || obs.contains(ObservableKind::EpochCandidates))
+                .then(|| probe.census_of(&snapshot.counts))
+                .flatten();
+        if let (Some(c), true) = (&census, traces) {
+            let params = probe.params().expect("census implies params");
+            let junta = c.coins_at_least(params.phi) as f64;
+            let drag = c.max_active_drag.map_or(-1.0, f64::from);
+            for (series, v) in self.round_traces.iter_mut().zip([
+                c.active as f64,
+                c.passive as f64,
+                c.withdrawn as f64,
+                c.coins() as f64,
+                junta,
+                c.uninitialised() as f64,
+                drag,
+            ]) {
+                series.push(pt, v);
+            }
+        }
+        if let (Some(c), Some(first)) = (&census, &mut self.drag_first) {
             if let Some(d) = c.max_active_drag {
                 for slot in first.iter_mut().take(d as usize + 1) {
                     slot.get_or_insert(pt);
@@ -325,7 +418,12 @@ impl ObsAccum {
             }
         }
         if obs.needs_epochs() {
-            let epoch = sim.current_epoch();
+            let epoch = snapshot
+                .counts
+                .iter()
+                .map(|&(s, _)| probe.epoch_of(s))
+                .max()
+                .flatten();
             if epoch != self.last_epoch {
                 self.last_epoch = epoch;
                 if let Some(v) = epoch {
@@ -421,9 +519,9 @@ fn census_stop_hit(stop: &StopCondition, census: &Census, sim_stable: bool) -> b
 /// engines check after every interaction. (Before the exact batch engine,
 /// census-based stops were quantised to the round grid; no mode quantises
 /// any more.) Round-scheduled observables still sample on the round grid;
-/// the stop point additionally feeds the first-hit (`drag_times`) and
-/// epoch-event accumulators — but not the `round_census` traces, whose
-/// time axis must stay on the shared grid.
+/// the stop point is observed too — the first-hit (`drag_times`),
+/// epoch-event and `observed_states` accumulators — but not the
+/// `round_census` traces, whose time axis must stay on the shared grid.
 pub(crate) fn drive<S: Simulator>(
     sim: &mut S,
     shape: &RunShape,
@@ -441,9 +539,11 @@ pub(crate) fn drive<S: Simulator>(
     let mut stopped = false;
 
     // The stopping predicate handed to `steps_until`. Census-based stops
-    // probe the census on every check — O(occupied states) on the urn
-    // engines, O(n) on `AgentSim` (which is why large-n census-stop specs
-    // should run on an urn engine).
+    // take a census at every check: after every interaction on `agent`
+    // and `urn` (and on `urn-batched` below its batching cutoff), else at
+    // every block end and every replayed pair. A census walks all n agents
+    // on `AgentSim` but only the occupied states on `UrnSim`, which is why
+    // large-n census-stop specs belong on an urn engine.
     let mut stop_pred = |s: &S| -> bool {
         match shape.stop {
             StopCondition::Stabilize { .. } => s.is_stably_elected(),
@@ -454,41 +554,13 @@ pub(crate) fn drive<S: Simulator>(
         }
     };
 
-    // Checkpoint processing: round-scheduled observables and epoch polling.
-    let checkpoint = |sim: &S, accum: &mut ObsAccum| {
-        let pt = sim.parallel_time();
-        if let Some(seen) = &mut accum.seen_states {
-            sim.for_each_state(&mut |s, _| {
-                seen.insert(probe.state_id(s));
-            });
-        }
-        let census = (!accum.round_traces.is_empty()
-            || accum.drag_first.is_some()
-            || obs.contains(ObservableKind::EpochCandidates))
-        .then(|| probe.census(sim))
-        .flatten();
-        if let (Some(c), false) = (&census, accum.round_traces.is_empty()) {
-            let params = probe.params().expect("census implies params");
-            let junta = c.coins_at_least(params.phi) as f64;
-            let drag = c.max_active_drag.map_or(-1.0, f64::from);
-            for (series, v) in accum.round_traces.iter_mut().zip([
-                c.active as f64,
-                c.passive as f64,
-                c.withdrawn as f64,
-                c.coins() as f64,
-                junta,
-                c.uninitialised() as f64,
-                drag,
-            ]) {
-                series.push(pt, v);
-            }
-        }
-        accum.record_progress(sim, obs, census.as_ref());
-    };
+    // Reused by every observation point of the trial; allocates only when
+    // round or epoch observables are on.
+    let mut snapshot = Snapshot::new();
 
     // The k = 0 boundary: observe the initial configuration too.
     if rounds_on {
-        checkpoint(sim, &mut accum);
+        accum.observe(sim, probe, obs, &mut snapshot, true);
     }
     if stop_pred(sim) {
         stopped = true;
@@ -512,7 +584,7 @@ pub(crate) fn drive<S: Simulator>(
         }
 
         if rounds_on && sim.interactions() == next_round {
-            checkpoint(sim, &mut accum);
+            accum.observe(sim, probe, obs, &mut snapshot, true);
         }
         if sim.interactions() == next_sample {
             let mut row = vec![
@@ -541,24 +613,14 @@ pub(crate) fn drive<S: Simulator>(
         _ => stopped,
     };
 
-    // The stop (or budget-exhaustion) point feeds the first-hit and epoch
-    // accumulators too: exact stops land between round boundaries, and a
-    // `drag:` stop must report `drag_ge{level}_pt` equal to its own exact
-    // stopping time. `round_census` traces are *not* extended here — their
-    // time axis must stay on the grid shared across trials.
-    if accum.drag_first.is_some() || obs.needs_epochs() {
-        let census = (accum.drag_first.is_some() || obs.contains(ObservableKind::EpochCandidates))
-            .then(|| probe.census(sim))
-            .flatten();
-        accum.record_progress(sim, obs, census.as_ref());
-    }
-
-    // `observed_states` also counts the final configuration (the stop
-    // point rarely lands on a round boundary).
-    if let Some(seen) = &mut accum.seen_states {
-        sim.for_each_state(&mut |s, _| {
-            seen.insert(probe.state_id(s));
-        });
+    // The stop (or budget-exhaustion) point is observed too, off the grid:
+    // exact stops land between round boundaries, a `drag:` stop must
+    // report `drag_ge{level}_pt` equal to its own exact stopping time, and
+    // `observed_states` counts the final configuration. `round_census`
+    // traces are *not* extended here — their time axis must stay on the
+    // grid shared across trials.
+    if rounds_on {
+        accum.observe(sim, probe, obs, &mut snapshot, false);
     }
 
     // Stop-point metrics: the always-on core set, then each selected

@@ -164,11 +164,17 @@ where
     fn census(&self, _sim: &S) -> Option<Census> {
         None
     }
+    fn census_of(&self, _counts: &[(S::State, u64)]) -> Option<Census> {
+        None
+    }
     fn params(&self) -> Option<&Params> {
         None
     }
     fn state_id(&self, s: S::State) -> usize {
         self.0.state_id(s)
+    }
+    fn epoch_of(&self, s: S::State) -> Option<u32> {
+        self.0.epoch_of(s)
     }
 }
 
@@ -224,11 +230,20 @@ impl<P: GsuDecode, S: Simulator<State = P::State>> Probe<S> for CensusProbe<P> {
             self.proto.decode_gsu(s)
         }))
     }
+    fn census_of(&self, counts: &[(S::State, u64)]) -> Option<Census> {
+        Some(Census::of_counts(
+            &self.params,
+            counts.iter().map(|&(s, k)| (self.proto.decode_gsu(s), k)),
+        ))
+    }
     fn params(&self) -> Option<&Params> {
         Some(&self.params)
     }
     fn state_id(&self, s: S::State) -> usize {
         self.proto.state_id(s)
+    }
+    fn epoch_of(&self, s: S::State) -> Option<u32> {
+        self.proto.epoch_of(s)
     }
 }
 
@@ -415,7 +430,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::observe::Observables;
+    use crate::observe::{ObservableKind, Observables};
     use crate::spec::StopCondition;
     use ppsim::BatchPolicy;
 
@@ -652,16 +667,45 @@ mod tests {
 
     #[test]
     fn compiled_census_decodes_states() {
-        let obs = Observables::parse("census").unwrap();
-        let sh = shape(StopCondition::Horizon { at_pt: 2.0 }, &obs, &[]);
-        let n = 256u64;
+        // Compiled and plain trajectories are bit-identical, so every
+        // observable must read the same through packed ids as through codec
+        // ids — fed one entry per agent (`agent`) or one per occupied state
+        // (`urn-batched`).
+        let census = Observables::parse("census").unwrap();
+        let all = Observables::of(ObservableKind::ALL.to_vec());
+        let stabilize = StopCondition::Stabilize { budget_pt: 40000.0 };
         let mut spec = gsu_spec();
-        let plain = Runnable::build(ProtocolKind::Gsu19, n, &spec).unwrap();
-        spec.compiled = true;
-        let compiled = Runnable::build(ProtocolKind::Gsu19, n, &spec).unwrap();
-        let a = plain.run(n, 9, &sh, &InitConfig::Fresh);
-        let b = compiled.run(n, 9, &sh, &InitConfig::Fresh);
-        assert_eq!(a.metrics, b.metrics);
+        for (engine, n, stop, obs, round_every) in [
+            (
+                EngineKind::Agent,
+                256u64,
+                StopCondition::Horizon { at_pt: 2.0 },
+                &census,
+                1.0,
+            ),
+            (EngineKind::Agent, 256, stabilize, &all, 0.5),
+            (EngineKind::Agent, 512, stabilize, &all, 0.5),
+            (EngineKind::UrnBatched, 4096, stabilize, &all, 0.5),
+        ] {
+            spec.engine = engine;
+            let sh = RunShape {
+                engine,
+                policy: spec.batch_policy(),
+                round_every,
+                ..shape(stop, obs, &[])
+            };
+            spec.compiled = false;
+            let plain = Runnable::build(ProtocolKind::Gsu19, n, &spec).unwrap();
+            spec.compiled = true;
+            let compiled = Runnable::build(ProtocolKind::Gsu19, n, &spec).unwrap();
+            let a = plain.run(n, 9, &sh, &InitConfig::Fresh);
+            assert!(a.converged, "{engine:?} n = {n}");
+            assert_eq!(
+                a,
+                compiled.run(n, 9, &sh, &InitConfig::Fresh),
+                "{engine:?} n = {n}"
+            );
+        }
     }
 
     #[test]

@@ -174,8 +174,8 @@ pub trait Simulator {
     /// epoch the configuration has *entered*). `None` when no agent
     /// reports one.
     ///
-    /// O(population) on `AgentSim`, O(states) on `UrnSim` — intended for
-    /// checkpoint-granularity polling (see
+    /// O(population) on `AgentSim`, O(occupied states) on `UrnSim` —
+    /// intended for checkpoint-granularity polling (see
     /// [`crate::runner::run_until_with_epochs`]), not the hot loop. The
     /// default (for simulators without protocol access) reports `None`.
     fn current_epoch(&self) -> Option<u32> {
@@ -184,9 +184,12 @@ pub trait Simulator {
 
     /// Visit every (state, multiplicity) pair of the current configuration.
     ///
-    /// `AgentSim` aggregates on the fly; `UrnSim` iterates its count table.
-    /// Intended for periodic inspection (figures, lemma checks), not for the
-    /// hot loop.
+    /// `AgentSim` emits one pair per agent, with multiplicity 1, so a state
+    /// recurs once per agent holding it: O(population). `UrnSim` emits one
+    /// pair per occupied state: O(occupied states). The order is
+    /// unspecified, so consumers must be order-free and add up repeated
+    /// states. Intended for periodic inspection (figures, lemma checks,
+    /// census stops), not for the hot loop.
     fn for_each_state(&self, f: &mut dyn FnMut(Self::State, u64));
 
     /// Count agents satisfying a predicate (inspection helper).

@@ -1139,24 +1139,23 @@ impl<P: EnumerableProtocol> Simulator for UrnSim<P> {
         self.output_counts
     }
 
+    /// O(occupied states), however large the state space.
     fn current_epoch(&self) -> Option<u32> {
         let mut best = None;
-        for (id, &c) in self.counts.iter().enumerate() {
-            if c > 0 {
-                let e = self.protocol.epoch_of(self.state_of[id]);
-                if e > best {
-                    best = e;
-                }
+        for &id in &self.occupied_ids {
+            let e = self.protocol.epoch_of(self.state_of[id]);
+            if e > best {
+                best = e;
             }
         }
         best
     }
 
+    /// One call per occupied state, in occupancy order: O(occupied states),
+    /// however large the state space.
     fn for_each_state(&self, f: &mut dyn FnMut(Self::State, u64)) {
-        for (id, &c) in self.counts.iter().enumerate() {
-            if c > 0 {
-                f(self.state_of[id], c);
-            }
+        for &id in &self.occupied_ids {
+            f(self.state_of[id], self.counts[id]);
         }
     }
 }
@@ -1199,6 +1198,70 @@ mod tests {
         fn state_from_id(&self, id: usize) -> bool {
             id == 1
         }
+    }
+
+    /// A 16-state cycle: a responder that meets its own state moves one
+    /// step on, so states fill and empty as the population drifts round.
+    struct Cycle;
+    impl Protocol for Cycle {
+        type State = u8;
+        fn initial_state(&self) -> u8 {
+            0
+        }
+        fn transition(&self, r: u8, i: u8) -> (u8, u8) {
+            if r == i {
+                ((r + 1) % 16, i)
+            } else {
+                (r, i)
+            }
+        }
+        fn output(&self, s: u8) -> Output {
+            if s == 0 {
+                Output::Leader
+            } else {
+                Output::Follower
+            }
+        }
+        fn epoch_of(&self, s: u8) -> Option<u32> {
+            (s % 2 == 1).then_some(u32::from(s))
+        }
+    }
+    impl EnumerableProtocol for Cycle {
+        fn num_states(&self) -> usize {
+            16
+        }
+        fn state_id(&self, s: u8) -> usize {
+            s as usize
+        }
+        fn state_from_id(&self, id: usize) -> u8 {
+            id as u8
+        }
+    }
+
+    /// `for_each_state` visits each state of `nonzero_counts` exactly
+    /// once, with its count, and `current_epoch` is their largest epoch.
+    fn assert_visits_each_occupied_state_once(sim: &UrnSim<Cycle>) {
+        let mut visited = Vec::new();
+        sim.for_each_state(&mut |s, k| visited.push((s, k)));
+        visited.sort();
+        assert_eq!(visited, sim.nonzero_counts());
+        let epoch = visited.iter().map(|&(s, _)| Cycle.epoch_of(s)).max();
+        assert_eq!(sim.current_epoch(), epoch.flatten());
+    }
+
+    #[test]
+    fn for_each_state_visits_each_occupied_state_once_across_rewinds() {
+        let policy = test_policy();
+        let mut sim = UrnSim::new(Cycle, 4096, 61);
+        assert!(sim.steps_until(1 << 22, &policy, &mut |s: &UrnSim<Cycle>| {
+            assert_visits_each_occupied_state_once(s);
+            s.count_of_id(15) >= 64
+        }));
+        // The stop fell inside a block, which was rewound and replayed.
+        assert_ne!(sim.interactions() % policy.batch_size(4096), 0);
+        assert_visits_each_occupied_state_once(&sim);
+        sim.steps_batched(100_000, &policy);
+        assert_visits_each_occupied_state_once(&sim);
     }
 
     #[test]

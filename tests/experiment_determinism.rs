@@ -26,6 +26,8 @@ const ROUNDS_SPEC: &str = include_str!("golden/rounds.spec");
 const ROUNDS_GOLDEN: &str = include_str!("golden/rounds.json");
 const BATCHED_SPEC: &str = include_str!("golden/batched.spec");
 const BATCHED_GOLDEN: &str = include_str!("golden/batched.json");
+const OBSERVED_SPEC: &str = include_str!("golden/observed.spec");
+const OBSERVED_GOLDEN: &str = include_str!("golden/observed.json");
 
 /// Every golden spec: the PR 4 pair plus the round/epoch-observable one.
 const ALL_SPECS: [&str; 3] = [TINY_SPEC, CENSUS_SPEC, ROUNDS_SPEC];
@@ -81,6 +83,7 @@ fn golden_artifacts_regenerate_byte_for_byte() {
         (CENSUS_SPEC, CENSUS_GOLDEN, "census"),
         (ROUNDS_SPEC, ROUNDS_GOLDEN, "rounds"),
         (BATCHED_SPEC, BATCHED_GOLDEN, "batched"),
+        (OBSERVED_SPEC, OBSERVED_GOLDEN, "observed"),
     ] {
         let artifact = run_experiment(&spec_with_threads(spec_text, 0)).unwrap();
         let regenerated = artifact.to_json_string();
@@ -102,7 +105,13 @@ fn emitted_artifacts_pass_schema_validation() {
         Artifact::validate_json(&doc).expect("artifact matches the ppexp/v1 schema");
     }
     // The committed goldens validate as-is, without regeneration.
-    for golden in [TINY_GOLDEN, CENSUS_GOLDEN, ROUNDS_GOLDEN, BATCHED_GOLDEN] {
+    for golden in [
+        TINY_GOLDEN,
+        CENSUS_GOLDEN,
+        ROUNDS_GOLDEN,
+        BATCHED_GOLDEN,
+        OBSERVED_GOLDEN,
+    ] {
         let doc = json::parse(golden).expect("golden is valid JSON");
         Artifact::validate_json(&doc).expect("golden matches the ppexp/v1 schema");
     }

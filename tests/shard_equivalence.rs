@@ -38,6 +38,8 @@ const CENSUS_SPEC: &str = include_str!("golden/census.spec");
 const CENSUS_GOLDEN: &str = include_str!("golden/census.json");
 const ROUNDS_SPEC: &str = include_str!("golden/rounds.spec");
 const ROUNDS_GOLDEN: &str = include_str!("golden/rounds.json");
+const OBSERVED_SPEC: &str = include_str!("golden/observed.spec");
+const OBSERVED_GOLDEN: &str = include_str!("golden/observed.json");
 
 fn spec_with_threads(text: &str, threads: usize) -> ExperimentSpec {
     let mut spec = ExperimentSpec::parse(text).expect("golden spec parses");
@@ -161,6 +163,7 @@ fn merged_shards_reproduce_every_golden_byte_for_byte() {
         (TINY_SPEC, TINY_GOLDEN, "tiny"),
         (CENSUS_SPEC, CENSUS_GOLDEN, "census"),
         (ROUNDS_SPEC, ROUNDS_GOLDEN, "rounds"),
+        (OBSERVED_SPEC, OBSERVED_GOLDEN, "observed"),
     ] {
         let spec = spec_with_threads(spec_text, 0);
         let shards: Vec<(String, ShardOutput)> = (0..3)
