@@ -78,21 +78,10 @@ fn urn_batched_compiled_vs_dynamic(c: &mut Criterion) {
     g.finish();
 }
 
-/// One-off: table construction cost (not a per-interaction number).
-fn compile_time(c: &mut Criterion) {
-    let mut g = c.benchmark_group("compile_time");
-    g.sample_size(3);
-    let n = 1u64 << 20;
-    g.bench_function(BenchmarkId::new("gsu19", "2^20"), |b| {
-        b.iter(|| CompiledProtocol::new(Gsu19::for_population(n)).table_entries());
-    });
-    g.finish();
-}
-
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
     targets = agent_compiled_vs_dynamic, urn_compiled_vs_dynamic,
-        urn_batched_compiled_vs_dynamic, compile_time
+        urn_batched_compiled_vs_dynamic
 }
 criterion_main!(benches);

@@ -59,7 +59,9 @@ impl Gsu19 {
     /// [`ppsim::compiled`]): the clock update, junta checks and role rules
     /// are replayed from `u32` lookup tables, which makes the
     /// [`ppsim::AgentSim`] hot loop several times faster and cuts the
-    /// per-bucket cost of the batched urn path.
+    /// per-bucket cost of the batched urn path. Only the small phase and
+    /// output tables are built here; each role entry is probed the first
+    /// time an interaction looks it up.
     pub fn compiled(self) -> CompiledProtocol<Gsu19> {
         CompiledProtocol::new(self)
     }
@@ -356,7 +358,6 @@ mod tests {
     fn compiled_transition_matches_dynamic_on_sampled_pairs() {
         let proto = Gsu19::for_population(1 << 10);
         let c = proto.compiled();
-        assert!(c.is_fully_compiled(), "default budget must cover Gsu19");
         let s = proto.num_states();
         let (mut r, mut i) = (0usize, 1usize);
         for _ in 0..20_000 {

@@ -224,8 +224,8 @@ pub(crate) fn run_pool(
         return Ok(());
     }
 
-    // One Runnable per config with misses (compiling tables is the
-    // expensive part); the pool workers share them read-only.
+    // One Runnable per config with misses, shared by the pool workers; a
+    // compiled protocol's role entries fill as its trials look them up.
     let mut runnables: Vec<Option<Runnable>> = (0..config_count(spec)).map(|_| None).collect();
     for &i in &missing {
         let job = &jobs[i];

@@ -11,6 +11,7 @@
 use baselines::{gsu_direct_withdrawal, gsu_no_backup, gsu_no_drag, Bkko18, Gs18, SlowLe};
 use components::clock_protocol::ClockProtocol;
 use core_protocol::{gamma_for, synthetic, AgentState, Census, Gsu19, Params};
+use ppsim::compiled::table_dims;
 use ppsim::rng::split_seed;
 use ppsim::trace::Series;
 use ppsim::{AgentSim, CompiledProtocol, EnumerableProtocol, Simulator, UrnSim};
@@ -269,9 +270,40 @@ fn gsu_params(kind: ProtocolKind, n: u64, spec: &ExperimentSpec) -> Params {
     p
 }
 
-/// A protocol instantiated for one population, ready to run trials —
-/// compiled protocols are built once per config and shared across trials
-/// through cheap clones.
+/// Check that `kind`'s compiled tables at population `n`, under the
+/// spec's parameter overrides, fit the table packing and entry ceiling
+/// ([`table_dims`]). `CompiledProtocol::new` asserts the same check, so
+/// the validator calls this first to turn an oversized override into a
+/// usage error.
+pub(crate) fn check_compiled_dims(
+    kind: ProtocolKind,
+    n: u64,
+    spec: &ExperimentSpec,
+) -> Result<(), String> {
+    let (checked, gamma) = match kind {
+        k if k.is_gsu_family() => {
+            let p = Gsu19::new(gsu_params(k, n, spec));
+            (table_dims(&p), p.params().gamma)
+        }
+        ProtocolKind::Gs18 => {
+            let p = Gs18::for_population(n);
+            (table_dims(&p), p.params().gamma)
+        }
+        _ => return Ok(()),
+    };
+    checked.map(|_| ()).map_err(|e| {
+        format!(
+            "compiled = true: '{}' at n = {n} (Γ = {gamma}) cannot be compiled: {e}; \
+             run it with compiled = false",
+            kind.name()
+        )
+    })
+}
+
+/// A protocol instantiated for one population, ready to run trials.
+/// Clones of a compiled protocol share its tables, so the trials of one
+/// config, on any thread, fill one set of role entries as they first
+/// look them up.
 pub(crate) enum Runnable {
     Gsu19(Gsu19),
     Gs18(Gs18),

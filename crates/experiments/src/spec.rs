@@ -12,7 +12,7 @@ use ppsim::BatchPolicy;
 
 use crate::json::Json;
 use crate::observe::Observables;
-use crate::registry::ProtocolKind;
+use crate::registry::{check_compiled_dims, ProtocolKind};
 
 /// Execution engine selector (mirrors `ppctl --engine`).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -446,6 +446,16 @@ impl ExperimentSpec {
         if let Some(&n) = self.ns.iter().find(|&&n| n < 2) {
             return Err(format!("population {n} too small (need n >= 2)"));
         }
+        // GSU19's parameters (`Params::for_population` asserts) size the
+        // gsu19 family and gs18, and the compiled-table check below.
+        if let Some(&n) = self.ns.iter().find(|&&n| n < 16) {
+            if let Some(p) = self.protocols.iter().find(|p| p.supports_compiled()) {
+                return Err(format!(
+                    "population {n} too small for '{}' (need n >= 16)",
+                    p.name()
+                ));
+            }
+        }
         if self.trials == 0 {
             return Err("trials must be at least 1".into());
         }
@@ -524,6 +534,15 @@ impl ExperimentSpec {
                     "phi/psi overrides out of range (phi {} / psi {}, max 32)",
                     self.phi, self.psi
                 ));
+            }
+        }
+        if self.compiled {
+            // After the override range checks: the tables are sized from
+            // the overridden parameters.
+            for &protocol in &self.protocols {
+                for &n in &self.ns {
+                    check_compiled_dims(protocol, n, self)?;
+                }
             }
         }
         if self.protocols.contains(&ProtocolKind::Clock)
@@ -777,6 +796,29 @@ mod tests {
             ..ExperimentSpec::default()
         };
         assert!(spec.validate().unwrap_err().contains("compiled"));
+
+        // GSU19's parameters need n >= 16; the slow protocol does not.
+        let mut spec = ExperimentSpec {
+            protocols: vec![ProtocolKind::Slow, ProtocolKind::Gs18],
+            ns: vec![8],
+            ..ExperimentSpec::default()
+        };
+        assert!(spec
+            .validate()
+            .unwrap_err()
+            .contains("'gs18' (need n >= 16)"));
+        spec.protocols.pop();
+        spec.validate().unwrap();
+
+        // Compiled tables past the entry ceiling (B = 6 685 buckets).
+        let spec = ExperimentSpec {
+            compiled: true,
+            phi: 12,
+            psi: 12,
+            ..ExperimentSpec::default()
+        };
+        let err = spec.validate().unwrap_err();
+        assert!(err.contains("B = 6685") && err.contains("limit"), "{err}");
 
         let spec = ExperimentSpec {
             protocols: vec![ProtocolKind::Slow],

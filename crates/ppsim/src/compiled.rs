@@ -15,29 +15,37 @@
 //!   phase update (passed zero / early half / late half / neither).
 //!
 //! [`CompiledProtocol`] exploits this: it probes the dynamic transition
-//! once per `(phase class, phase, phase)` triple and once per
-//! `(bucket, bucket, tick class)` triple, bakes the answers into dense
-//! `u32` lookup tables, and replays them at memory speed. States are dense
-//! `u32` ids (`bucket << pb | phase`), so the compiled protocol drops into
+//! once per `(phase class, phase, phase)` triple when it is built, and
+//! once per `(bucket, bucket, tick class)` triple the first time an
+//! interaction looks that role entry up, and replays the answers from
+//! dense lookup tables at memory speed. States are dense `u32` ids
+//! (`bucket << pb | phase`), so the compiled protocol drops into
 //! [`crate::AgentSim`], [`crate::UrnSim`] and the batched sampling path
 //! unchanged — with no codec work left in the hot loop.
 //!
-//! The role-pair table holds `tick_class_count()` entries per
-//! (responder bucket, initiator bucket) pair. Pairs are compiled in
-//! enumeration order until a configurable entry budget is exhausted
-//! ([`CompiledProtocol::with_budget`]); any pair beyond the budget falls
-//! back to the dynamic transition (decode → `P::transition` → encode), so
-//! correctness never depends on the budget. The factorisation contract
-//! itself is *checked, not trusted*: table construction `debug_assert`s
-//! the contract at every probed representative, and the repository's
-//! equivalence suite (`tests/compiled_equivalence.rs`) compares compiled
-//! and dynamic transitions exhaustively at small parameters and by seeded
-//! sampling at paper scale.
+//! The role tables hold `tick_class_count()` entries per (responder
+//! bucket, initiator bucket) pair: B²·T in all, 2.7 M for GSU19 at
+//! n = 2^10, of which a stabilisation trial visits about 0.1%. They are
+//! allocated zeroed, 0 meaning "not probed yet", so pages that no lookup
+//! touches never become resident and building a compiled protocol costs
+//! only its small phase and output tables. A lookup that finds an empty
+//! entry probes it and stores the answer. Every thread computes the same
+//! answer for an entry, so trials on several threads share one set of
+//! tables, and the order in which they fill it cannot change a
+//! trajectory.
+//!
+//! [`table_dims`] checks a protocol's dimensions against the table
+//! packing and a ceiling on table entries before anything is allocated.
+//! The factorisation contract itself is *checked, not trusted*: every
+//! probe `debug_assert`s the contract at its representative, and the
+//! repository's equivalence suite (`tests/compiled_equivalence.rs`)
+//! compares compiled and dynamic transitions exhaustively at small
+//! parameters and by seeded sampling at paper scale.
 
+use std::sync::atomic::{AtomicU16, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use crate::protocol::{EnumerableProtocol, Output, Protocol};
-
 /// A protocol whose transition function factors through a (bucket, phase)
 /// state split — the contract [`CompiledProtocol`] compiles against.
 ///
@@ -76,11 +84,97 @@ pub trait FactoredProtocol: EnumerableProtocol {
     fn tick_class(&self, old_phase: usize, new_phase: usize) -> usize;
 }
 
-/// Shared immutable compiled tables (cheap to clone across trials).
+/// Largest phase table, and largest role table, in entries, that
+/// [`table_dims`] accepts: 2^26. The phase table is built eagerly
+/// (4 bytes an entry); the two role tables and the inert bitmap reserve
+/// about 4 bytes of address space an entry but fill lazily. Default
+/// parameters fit with room to spare: GSU19 at n = 2^30 has B = 1 225
+/// buckets (6.0 M entries per role table), and a clock of Γ ≤ 128
+/// phases needs at most 2^15 phase entries.
+const MAX_TABLE_ENTRIES: usize = 1 << 26;
+
+/// The packed table layout of a factored protocol, from [`table_dims`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct TableDims {
+    /// Bucket count `B`.
+    pub buckets: usize,
+    /// Phase bits: ids pack as `bucket << pb | phase`.
+    pub pb: u32,
+    /// Tick-class bits: role-table entries per bucket pair = `1 << tb`.
+    pub tb: u32,
+    /// Phase-table entries, `classes << 2 pb`.
+    pub phase_entries: usize,
+    /// Entries of each role table, `B² << tb`.
+    pub role_entries: usize,
+}
+
+/// Check the dimensions of a factored protocol — `num_states`,
+/// `phase_count`, `phase_class_count` and `tick_class_count` — against
+/// the table packing and the table-entry ceiling, and lay its tables out.
+/// Reads nothing but those four numbers.
+///
+/// [`CompiledProtocol::new`] asserts through this; callers that take the
+/// dimensions from user input call it first to report a usage error.
+pub fn table_dims<P: FactoredProtocol>(inner: &P) -> Result<TableDims, String> {
+    let states = inner.num_states();
+    let phases = inner.phase_count();
+    let classes = inner.phase_class_count().max(1);
+    let ticks = inner.tick_class_count().max(1);
+    if phases == 0 {
+        return Err("phase_count must be positive".into());
+    }
+    if !states.is_multiple_of(phases) {
+        return Err(format!(
+            "num_states ({states}) must factor as buckets × phases ({phases})"
+        ));
+    }
+    let buckets = states / phases;
+    if buckets >= 1 << 15 || phases > 1 << 16 || ticks > 1 << 16 {
+        return Err(format!(
+            "factored dimensions exceed the table packing (B = {buckets} must be < 2^15, \
+             P = {phases} and T = {ticks} must be ≤ 2^16)"
+        ));
+    }
+    let bits = |k: usize| usize::BITS - (k - 1).leading_zeros();
+    let (pb, tb) = (bits(phases), bits(ticks));
+    // `classes` is not bounded by the packing check: saturate, and let
+    // the ceiling reject the result.
+    let phase_entries = classes.saturating_mul(1 << (2 * pb));
+    let role_entries = (buckets * buckets).saturating_mul(1 << tb);
+    if phase_entries > MAX_TABLE_ENTRIES {
+        return Err(format!(
+            "the phase table for P = {phases} phases × {classes} phase classes needs \
+             {phase_entries} entries (B = {buckets}; limit {MAX_TABLE_ENTRIES})"
+        ));
+    }
+    if role_entries > MAX_TABLE_ENTRIES {
+        return Err(format!(
+            "the role tables for B = {buckets} buckets × {ticks} tick classes need \
+             {role_entries} entries each (P = {phases}; limit {MAX_TABLE_ENTRIES})"
+        ));
+    }
+    Ok(TableDims {
+        buckets,
+        pb,
+        tb,
+        phase_entries,
+        role_entries,
+    })
+}
+
+/// Shared compiled tables (cheap to clone across trials).
 ///
 /// All tables use power-of-two strides so the hot-loop indexing is pure
 /// shifts and masks: the phase table is padded to `1 << pb` per phase
 /// dimension, the role tables to `1 << tb` entries per pair.
+///
+/// The phase and output tables are built with the protocol. The role
+/// tables and the inert bitmap start zeroed and fill on first lookup
+/// ([`CompiledProtocol::fill`]): a role entry is empty while its
+/// `role_resp` word is 0. A fill stores `role_init` and the inert bit
+/// with relaxed ordering and then `role_resp` with `Release`; lookups
+/// read `role_resp` with `Acquire`, so a filled entry's `role_init` is
+/// visible. Every filler stores the same values, so races are benign.
 ///
 /// The role table is split to keep the *randomly accessed* bytes small:
 /// the responder's new bucket is a dense `u16` table (the per-step load),
@@ -92,25 +186,30 @@ struct Tables {
     /// `(new_phase | tick_class << 16)` indexed by
     /// `class_row[bucket] | old_phase << pb | initiator_phase`.
     phase: Vec<u32>,
-    /// Responder's new bucket (low 15 bits) indexed by
-    /// `(responder_bucket * B + initiator_bucket) << tb | tick_class`;
-    /// the top bit ([`INIT_CHANGED`]) signals that the initiator's bucket
-    /// changes too and `role_init` must be consulted.
-    role_resp: Vec<u16>,
+    /// Responder's new bucket plus one (low 15 bits; 0 = not filled yet)
+    /// indexed by `(responder_bucket * B + initiator_bucket) << tb |
+    /// tick_class`; the top bit ([`INIT_CHANGED`]) signals that the
+    /// initiator's bucket changes too and `role_init` must be consulted.
+    role_resp: Box<[AtomicU16]>,
     /// Initiator's new bucket, same indexing as `role_resp`; only read
     /// when the [`INIT_CHANGED`] flag is set.
-    role_init: Vec<u16>,
+    role_init: Box<[AtomicU16]>,
     /// Per-(pair, tick) inert bitmap, one bit per `role_resp` entry
     /// (same indexing, bit `idx & 63` of word `idx >> 6`): set when the
-    /// entry changes neither bucket. In the late-simulation regime most
-    /// steps hit inert entries (deactivated agents, stopped coins,
+    /// filled entry changes neither bucket. In the late-simulation regime
+    /// most steps hit inert entries (deactivated agents, stopped coins,
     /// withdrawn leaders outside the round boundary), so the role lookup
     /// resolves from a few hot cache lines — and the branch predicts
     /// well — without touching the big tables. One cache line covers 128
     /// role pairs. (A coarser per-pair bitmap checked *before* the tick
     /// was measured slower: it splits the hot loop into two poorly
     /// predicted branches.)
-    inert: Vec<u64>,
+    inert: Box<[AtomicU64]>,
+    /// Representative `(old phase, initiator phase)` per (phase class,
+    /// tick class), indexed by `class << tb | tick`: the phases a fill
+    /// probes the dynamic transition at. `None` when the class's phase
+    /// updates never produce that tick class.
+    tick_rep: Vec<Option<(u32, u32)>>,
     /// Pre-shifted phase-table base per bucket:
     /// `phase_class(bucket) << (2 * pb)`.
     class_row: Vec<u32>,
@@ -140,14 +239,12 @@ pub struct CompiledProtocol<P: FactoredProtocol> {
     pmask: u32,
     /// Tick-class bits: role-table entries per pair = `1 << tb`.
     tb: u32,
-    /// Pairs `0..compiled_pairs` have role-table entries; the rest take
-    /// the dynamic fallback.
-    compiled_pairs: usize,
     tables: Arc<Tables>,
     initial_id: u32,
 }
 
 impl<P: FactoredProtocol + Clone> Clone for CompiledProtocol<P> {
+    /// Clones share the tables, filled entries included.
     fn clone(&self) -> Self {
         Self {
             inner: self.inner.clone(),
@@ -158,61 +255,21 @@ impl<P: FactoredProtocol + Clone> Clone for CompiledProtocol<P> {
 }
 
 impl<P: FactoredProtocol> CompiledProtocol<P> {
-    /// Default role-table budget, in entries (4 bytes each): 2^24 entries
-    /// = 64 MiB, enough to fully compile GSU19 at every population this
-    /// repository simulates (B ≈ 1.5k buckets ⇒ ~9M entries at n = 2^30).
-    pub const DEFAULT_TABLE_BUDGET: usize = 1 << 24;
-
-    /// Compile `inner` with the default table budget.
+    /// Compile `inner`: build its phase and output tables and reserve its
+    /// role tables, which fill as interactions look their entries up.
     ///
     /// # Panics
-    /// Panics if the factored dimensions are inconsistent
-    /// (`num_states` not a multiple of `phase_count`) or too large to pack
-    /// (`bucket_count` or `phase_count` above 2^16, or packed ids beyond
-    /// `u32`).
+    /// Panics if [`table_dims`] rejects the factored dimensions
+    /// (`num_states` not a multiple of `phase_count`, dimensions beyond
+    /// the table packing, or tables beyond the entry ceiling).
     pub fn new(inner: P) -> Self {
-        Self::with_budget(inner, Self::DEFAULT_TABLE_BUDGET)
-    }
-
-    /// Compile `inner`, bounding the role table to at most
-    /// `table_budget_entries` entries. Role pairs beyond the budget fall
-    /// back to the dynamic transition; `table_budget_entries = 0` compiles
-    /// the phase table only.
-    pub fn with_budget(inner: P, table_budget_entries: usize) -> Self {
+        let dims = table_dims(&inner).unwrap_or_else(|e| panic!("{e}"));
         let phases = inner.phase_count();
-        let states = inner.num_states();
-        assert!(phases >= 1, "phase_count must be positive");
-        assert_eq!(
-            states % phases,
-            0,
-            "num_states ({states}) must factor as buckets × phases ({phases})"
-        );
-        let buckets = states / phases;
+        let TableDims {
+            buckets, pb, tb, ..
+        } = dims;
         let classes = inner.phase_class_count().max(1);
         let ticks = inner.tick_class_count().max(1);
-        assert!(
-            buckets < 1 << 15 && phases <= 1 << 16 && ticks <= 1 << 16,
-            "factored dimensions exceed the table packing (B={buckets} must be < 2^15, \
-             P={phases} and T={ticks} must be ≤ 2^16)"
-        );
-        let pb = if phases > 1 {
-            usize::BITS - (phases - 1).leading_zeros()
-        } else {
-            0
-        };
-        let tb = if ticks > 1 {
-            usize::BITS - (ticks - 1).leading_zeros()
-        } else {
-            0
-        };
-        assert!(
-            (buckets as u64) << pb <= 1 << 32,
-            "packed state ids exceed u32 (B={buckets}, pb={pb})"
-        );
-        assert!(
-            (classes as u64) << (2 * pb) <= 1 << 32,
-            "phase table exceeds u32 indexing (classes={classes}, P={phases})"
-        );
 
         // Per-bucket phase class, pre-shifted into a phase-table base,
         // plus one representative bucket per class.
@@ -224,15 +281,14 @@ impl<P: FactoredProtocol> CompiledProtocol<P> {
             class_row.push((c << (2 * pb)) as u32);
             rep_bucket[c].get_or_insert(b);
         }
-        let pidx = |c: usize, rp: usize, ip: usize| (c << (2 * pb)) | (rp << pb) | ip;
 
         // Phase table: probe one representative responder bucket per class
         // against an arbitrary initiator bucket (the contract makes the
         // phase update independent of both buckets given the class).
         // Collect a representative (old phase, initiator phase) pair per
         // realisable (class, tick class) while we are at it.
-        let mut phase = vec![0u32; classes << (2 * pb)];
-        let mut tick_rep: Vec<Option<(usize, usize)>> = vec![None; classes * ticks];
+        let mut phase = vec![0u32; dims.phase_entries];
+        let mut tick_rep = vec![None; classes << tb];
         for (c, rep) in rep_bucket.iter().enumerate() {
             let Some(rb) = *rep else { continue };
             for rp in 0..phases {
@@ -243,51 +299,26 @@ impl<P: FactoredProtocol> CompiledProtocol<P> {
                     let np = inner.state_id(rn) % phases;
                     let t = inner.tick_class(rp, np);
                     debug_assert!(t < ticks, "tick_class out of range");
-                    phase[pidx(c, rp, ip)] = (np as u32) | ((t as u32) << 16);
-                    tick_rep[c * ticks + t].get_or_insert((rp, ip));
+                    phase[(c << (2 * pb)) | (rp << pb) | ip] = (np as u32) | ((t as u32) << 16);
+                    tick_rep[(c << tb) | t].get_or_insert((rp as u32, ip as u32));
                 }
             }
         }
 
-        // Role-pair tables, in pair-enumeration order up to the budget.
-        let total_pairs = buckets * buckets;
-        let compiled_pairs = total_pairs.min(table_budget_entries >> tb);
-        let mut role_resp = vec![0u16; compiled_pairs << tb];
-        let mut role_init = vec![0u16; compiled_pairs << tb];
-        let mut inert = vec![0u64; (compiled_pairs << tb).div_ceil(64)];
-        for pair in 0..compiled_pairs {
-            let (rb, ib) = (pair / buckets, pair % buckets);
-            let c = (class_row[rb] as usize) >> (2 * pb);
-            for t in 0..ticks {
-                let (rb2, ib2) = match tick_rep[c * ticks + t] {
-                    // Tick class never realised for this phase class: the
-                    // entry is unreachable; store the identity.
-                    None => (rb, ib),
-                    Some((rp, ip)) => {
-                        let r = inner.state_from_id(rb * phases + rp);
-                        let i = inner.state_from_id(ib * phases + ip);
-                        let (rn, inew) = inner.transition(r, i);
-                        let (rn_id, in_id) = (inner.state_id(rn), inner.state_id(inew));
-                        // Contract checks at the probed representative:
-                        // initiator keeps its phase, responder phase
-                        // matches the phase table.
-                        debug_assert_eq!(in_id % phases, ip, "initiator phase changed");
-                        debug_assert_eq!(
-                            rn_id % phases,
-                            (phase[pidx(c, rp, ip)] & 0xFFFF) as usize,
-                            "responder phase depends on buckets beyond the phase class"
-                        );
-                        (rn_id / phases, in_id / phases)
-                    }
-                };
-                let idx = (pair << tb) | t;
-                role_resp[idx] = rb2 as u16 | if ib2 != ib { INIT_CHANGED } else { 0 };
-                role_init[idx] = ib2 as u16;
-                if rb2 == rb && ib2 == ib {
-                    inert[idx >> 6] |= 1 << (idx & 63);
-                }
-            }
-        }
+        // Role tables: zeroed, so every entry starts empty and pages that
+        // no lookup touches are never written.
+        // SAFETY: all-zero bytes are a valid `AtomicU16`, which has the
+        // same size and bit validity as `u16`.
+        let role_resp =
+            unsafe { Box::<[AtomicU16]>::new_zeroed_slice(dims.role_entries).assume_init() };
+        // SAFETY: as for `role_resp`.
+        let role_init =
+            unsafe { Box::<[AtomicU16]>::new_zeroed_slice(dims.role_entries).assume_init() };
+        // SAFETY: all-zero bytes are a valid `AtomicU64`, which has the
+        // same size and bit validity as `u64`.
+        let inert = unsafe {
+            Box::<[AtomicU64]>::new_zeroed_slice(dims.role_entries.div_ceil(64)).assume_init()
+        };
 
         // Output per packed id; padding phases (≥ P) alias phase 0 so the
         // table is total (those ids never occur, but `UrnSim::new`
@@ -309,12 +340,12 @@ impl<P: FactoredProtocol> CompiledProtocol<P> {
             pb,
             pmask: if pb == 0 { 0 } else { (1u32 << pb) - 1 },
             tb,
-            compiled_pairs,
             tables: Arc::new(Tables {
                 phase,
                 role_resp,
                 role_init,
                 inert,
+                tick_rep,
                 class_row,
                 output,
             }),
@@ -327,19 +358,7 @@ impl<P: FactoredProtocol> CompiledProtocol<P> {
         &self.inner
     }
 
-    /// Number of (responder bucket, initiator bucket) pairs served by the
-    /// compiled role table; the remaining `bucket_count()² −
-    /// compiled_pairs()` pairs take the dynamic fallback.
-    pub fn compiled_pairs(&self) -> usize {
-        self.compiled_pairs
-    }
-
-    /// Whether every role pair is table-served (no dynamic fallback).
-    pub fn is_fully_compiled(&self) -> bool {
-        self.compiled_pairs == (self.buckets as usize) * (self.buckets as usize)
-    }
-
-    /// Total compiled table entries (phase + the two role tables).
+    /// Total table entries (phase + the two role tables), filled or not.
     pub fn table_entries(&self) -> usize {
         self.tables.phase.len() + self.tables.role_resp.len() + self.tables.role_init.len()
     }
@@ -361,6 +380,47 @@ impl<P: FactoredProtocol> CompiledProtocol<P> {
         let id = self.inner.state_id(s);
         (((id / self.phases as usize) as u32) << self.pb) | (id % self.phases as usize) as u32
     }
+
+    /// Fill role entry `idx` — responder bucket `rb`, initiator bucket
+    /// `ib`, tick class `tick` — by probing the dynamic transition at the
+    /// tick class's representative phases, and return its `role_resp`
+    /// word. Concurrent fills of one entry store identical values.
+    #[cold]
+    #[inline(never)]
+    fn fill(&self, rb: usize, ib: usize, tick: usize, idx: usize) -> u16 {
+        let t = &*self.tables;
+        let class_base = t.class_row[rb] as usize;
+        let (rb2, ib2) = match t.tick_rep[((class_base >> (2 * self.pb)) << self.tb) | tick] {
+            // Tick class never realised for this phase class: only padding
+            // ids reach the entry; store the identity.
+            None => (rb, ib),
+            Some((rp, ip)) => {
+                let (p, rp, ip) = (self.phases as usize, rp as usize, ip as usize);
+                let r = self.inner.state_from_id(rb * p + rp);
+                let i = self.inner.state_from_id(ib * p + ip);
+                let (rn, inew) = self.inner.transition(r, i);
+                let (rn_id, in_id) = (self.inner.state_id(rn), self.inner.state_id(inew));
+                // Contract checks at the probed representative: initiator
+                // keeps its phase, responder phase matches the phase table.
+                debug_assert_eq!(in_id % p, ip, "initiator phase changed");
+                debug_assert_eq!(
+                    rn_id % p,
+                    (t.phase[class_base | (rp << self.pb) | ip] & 0xFFFF) as usize,
+                    "responder phase depends on buckets beyond the phase class"
+                );
+                (rn_id / p, in_id / p)
+            }
+        };
+        let re = (rb2 as u16 + 1) | if ib2 != ib { INIT_CHANGED } else { 0 };
+        t.role_init[idx].store(ib2 as u16, Ordering::Relaxed);
+        if rb2 == rb && ib2 == ib {
+            t.inert[idx >> 6].fetch_or(1 << (idx & 63), Ordering::Relaxed);
+        }
+        // Release: a lookup that reads this word with `Acquire` also sees
+        // the `role_init` store above.
+        t.role_resp[idx].store(re, Ordering::Release);
+        re
+    }
 }
 
 impl<P: FactoredProtocol> Protocol for CompiledProtocol<P> {
@@ -376,40 +436,30 @@ impl<P: FactoredProtocol> Protocol for CompiledProtocol<P> {
         let rp = r & self.pmask;
         let ib = i >> self.pb;
         let ip = i & self.pmask;
-        let pair = rb as usize * self.buckets as usize + ib as usize;
-        if pair < self.compiled_pairs {
-            let t = &*self.tables;
-            let pe = t.phase[(t.class_row[rb as usize] | (rp << self.pb) | ip) as usize];
-            let np = pe & 0xFFFF;
-            let tick = (pe >> 16) as usize;
-            let idx = (pair << self.tb) | tick;
-            // Inert fast path: neither bucket changes, and the bitmap's
-            // working set is a few hot cache lines.
-            if t.inert[idx >> 6] & (1 << (idx & 63)) != 0 {
-                return ((rb << self.pb) | np, i);
-            }
-            let re = t.role_resp[idx];
-            let rb2 = (re & !INIT_CHANGED) as u32;
-            // The initiator's bucket changes only for a handful of pair
-            // kinds; keep its table out of the hot cache footprint.
-            let ib2 = if re & INIT_CHANGED != 0 {
-                t.role_init[idx] as u32
-            } else {
-                ib
-            };
-            ((rb2 << self.pb) | np, (ib2 << self.pb) | ip)
-        } else {
-            let p = self.phases as usize;
-            let (rn, inew) = self.inner.transition(
-                self.inner.state_from_id(rb as usize * p + rp as usize),
-                self.inner.state_from_id(ib as usize * p + ip as usize),
-            );
-            let (rn_id, in_id) = (self.inner.state_id(rn), self.inner.state_id(inew));
-            (
-                (((rn_id / p) as u32) << self.pb) | (rn_id % p) as u32,
-                (((in_id / p) as u32) << self.pb) | (in_id % p) as u32,
-            )
+        let t = &*self.tables;
+        let pe = t.phase[(t.class_row[rb as usize] | (rp << self.pb) | ip) as usize];
+        let np = pe & 0xFFFF;
+        let tick = (pe >> 16) as usize;
+        let idx = ((rb as usize * self.buckets as usize + ib as usize) << self.tb) | tick;
+        // Inert fast path: neither bucket changes, and the bitmap's
+        // working set is a few hot cache lines.
+        if t.inert[idx >> 6].load(Ordering::Relaxed) & (1 << (idx & 63)) != 0 {
+            return ((rb << self.pb) | np, i);
         }
+        // Acquire pairs with the fill's Release store (see `Tables`).
+        let mut re = t.role_resp[idx].load(Ordering::Acquire);
+        if re == 0 {
+            re = self.fill(rb as usize, ib as usize, tick, idx);
+        }
+        let rb2 = (re & !INIT_CHANGED) as u32 - 1;
+        // The initiator's bucket changes only for a handful of pair
+        // kinds; keep its table out of the hot cache footprint.
+        let ib2 = if re & INIT_CHANGED != 0 {
+            t.role_init[idx].load(Ordering::Relaxed) as u32
+        } else {
+            ib
+        };
+        ((rb2 << self.pb) | np, (ib2 << self.pb) | ip)
     }
 
     #[inline]
@@ -538,7 +588,6 @@ mod tests {
     fn compiled_matches_dynamic_exhaustively() {
         let p = game();
         let c = CompiledProtocol::new(p);
-        assert!(c.is_fully_compiled());
         for r in 0..p.num_states() {
             for i in 0..p.num_states() {
                 let rs = p.state_from_id(r);
@@ -548,39 +597,6 @@ mod tests {
                 assert_eq!(c.decode_state(cn_r), dn_r, "responder at ({rs:?}, {is:?})");
                 assert_eq!(c.decode_state(cn_i), dn_i, "initiator at ({rs:?}, {is:?})");
                 assert_eq!(c.output(cn_r), p.output(dn_r));
-            }
-        }
-    }
-
-    #[test]
-    fn budget_fallback_is_equivalent() {
-        let p = game();
-        // Budget for 4 of the 9 pairs: the rest take the dynamic path.
-        let c = CompiledProtocol::with_budget(p, 8);
-        assert_eq!(c.compiled_pairs(), 4);
-        assert!(!c.is_fully_compiled());
-        let full = CompiledProtocol::new(p);
-        for r in 0..p.num_states() {
-            for i in 0..p.num_states() {
-                let rc = c.encode_state(p.state_from_id(r));
-                let ic = c.encode_state(p.state_from_id(i));
-                assert_eq!(c.transition(rc, ic), full.transition(rc, ic));
-            }
-        }
-    }
-
-    #[test]
-    fn zero_budget_is_fully_dynamic_and_equivalent() {
-        let p = game();
-        let c = CompiledProtocol::with_budget(p, 0);
-        assert_eq!(c.compiled_pairs(), 0);
-        for r in 0..p.num_states() {
-            for i in 0..p.num_states() {
-                let rs = p.state_from_id(r);
-                let is = p.state_from_id(i);
-                let (dn_r, dn_i) = p.transition(rs, is);
-                let (cn_r, cn_i) = c.transition(c.encode_state(rs), c.encode_state(is));
-                assert_eq!((c.decode_state(cn_r), c.decode_state(cn_i)), (dn_r, dn_i));
             }
         }
     }
@@ -637,51 +653,174 @@ mod tests {
         assert_eq!(c.bucket_count(), 3);
     }
 
+    /// Raw role-table words: responder entries, initiator entries and
+    /// the inert bitmap.
+    fn raw_entries(c: &CompiledProtocol<TokenGame>) -> (Vec<u16>, Vec<u16>, Vec<u64>) {
+        let t = &*c.tables;
+        (
+            t.role_resp
+                .iter()
+                .map(|e| e.load(Ordering::Relaxed))
+                .collect(),
+            t.role_init
+                .iter()
+                .map(|e| e.load(Ordering::Relaxed))
+                .collect(),
+            t.inert.iter().map(|w| w.load(Ordering::Relaxed)).collect(),
+        )
+    }
+
+    fn filled_entries(c: &CompiledProtocol<TokenGame>) -> usize {
+        raw_entries(c).0.iter().filter(|&&e| e != 0).count()
+    }
+
+    #[test]
+    fn fresh_tables_have_no_filled_role_entry() {
+        let c = CompiledProtocol::new(game());
+        let (resp, init, inert) = raw_entries(&c);
+        // 9 bucket pairs × 2 tick classes.
+        assert_eq!(resp.len(), 18);
+        assert!(resp.iter().chain(&init).all(|&e| e == 0));
+        assert!(inert.iter().all(|&w| w == 0));
+    }
+
+    #[test]
+    fn fill_order_does_not_change_the_entries() {
+        let p = game();
+        let forward = CompiledProtocol::new(p);
+        let reverse = CompiledProtocol::new(p);
+        let ids: Vec<u32> = (0..p.num_states())
+            .map(|id| forward.encode_state(p.state_from_id(id)))
+            .collect();
+        let pairs: Vec<(u32, u32)> = ids
+            .iter()
+            .flat_map(|&r| ids.iter().map(move |&i| (r, i)))
+            .collect();
+        let ahead: Vec<_> = pairs
+            .iter()
+            .map(|&(r, i)| forward.transition(r, i))
+            .collect();
+        let mut back: Vec<_> = pairs
+            .iter()
+            .rev()
+            .map(|&(r, i)| reverse.transition(r, i))
+            .collect();
+        back.reverse();
+        assert_eq!(ahead, back);
+        assert_eq!(raw_entries(&forward), raw_entries(&reverse));
+        // Every (pair, tick class) entry is reachable in this game.
+        assert_eq!(filled_entries(&forward), 18);
+    }
+
+    #[test]
+    fn seeded_agent_run_fills_a_pinned_number_of_entries() {
+        let p = game();
+        let c = CompiledProtocol::new(p);
+        // Every bucket at spread phases, so both tick classes occur.
+        let start: Vec<_> = (0..64).map(|k| (k % 3, (k * 5) % p.phases)).collect();
+        let packed = start.iter().map(|&s| c.encode_state(s)).collect();
+        let mut sim = AgentSim::with_states(c.clone(), packed, 7);
+        let mut dynamic = AgentSim::with_states(p, start, 7);
+        sim.steps(40);
+        dynamic.steps(40);
+        let decoded: Vec<_> = sim.states().iter().map(|&s| c.decode_state(s)).collect();
+        assert_eq!(decoded, dynamic.states());
+        // Clones share the tables: the run filled `c`'s entries, 12 of 18.
+        assert_eq!(filled_entries(&c), 12);
+    }
+
+    /// A protocol of given dimensions whose transitions are never probed.
+    #[derive(Clone, Copy)]
+    struct Shape {
+        states: usize,
+        phases: usize,
+    }
+
+    impl Protocol for Shape {
+        type State = usize;
+        fn initial_state(&self) -> usize {
+            0
+        }
+        fn transition(&self, r: usize, i: usize) -> (usize, usize) {
+            (r, i)
+        }
+        fn output(&self, _: usize) -> Output {
+            Output::Follower
+        }
+    }
+
+    impl EnumerableProtocol for Shape {
+        fn num_states(&self) -> usize {
+            self.states
+        }
+        fn state_id(&self, s: usize) -> usize {
+            s
+        }
+        fn state_from_id(&self, id: usize) -> usize {
+            id
+        }
+    }
+
+    impl FactoredProtocol for Shape {
+        fn phase_count(&self) -> usize {
+            self.phases
+        }
+        fn phase_class_count(&self) -> usize {
+            2
+        }
+        fn phase_class(&self, _: usize) -> usize {
+            0
+        }
+        fn tick_class_count(&self) -> usize {
+            4
+        }
+        fn tick_class(&self, _: usize, _: usize) -> usize {
+            0
+        }
+    }
+
+    fn dims_of(buckets: usize, phases: usize) -> Result<TableDims, String> {
+        table_dims(&Shape {
+            states: buckets * phases,
+            phases,
+        })
+    }
+
+    #[test]
+    fn table_dims_enforce_packing_and_entry_ceiling() {
+        // GSU19 at n = 2^30: B = 1 225 buckets, Γ = 128 phases.
+        let d = dims_of(1_225, 128).unwrap();
+        assert_eq!((d.buckets, d.pb, d.tb), (1_225, 7, 2));
+        assert_eq!(
+            (d.phase_entries, d.role_entries),
+            (2 << 14, 1_225 * 1_225 * 4)
+        );
+        // Beyond the u16 bucket packing.
+        let e = dims_of(40_725, 32).unwrap_err();
+        assert!(e.contains("B = 40725"), "{e}");
+        // Packable, but the role tables exceed the entry ceiling.
+        let e = dims_of(5_000, 32).unwrap_err();
+        assert!(
+            e.contains("B = 5000") && e.contains("limit 67108864"),
+            "{e}"
+        );
+        // The phase table exceeds the ceiling: 2 << 30 and 2 << 32 entries.
+        for phases in [32_768, 40_000] {
+            let e = dims_of(100, phases).unwrap_err();
+            assert!(
+                e.contains(&format!("P = {phases}")) && e.contains("limit"),
+                "{e}"
+            );
+        }
+        assert!(dims_of(0, 0).is_err());
+    }
+
     #[test]
     #[should_panic(expected = "factor")]
     fn inconsistent_phase_count_rejected() {
-        #[derive(Clone, Copy)]
-        struct Bad;
-        impl Protocol for Bad {
-            type State = u8;
-            fn initial_state(&self) -> u8 {
-                0
-            }
-            fn transition(&self, r: u8, i: u8) -> (u8, u8) {
-                (r, i)
-            }
-            fn output(&self, _: u8) -> Output {
-                Output::Follower
-            }
-        }
-        impl EnumerableProtocol for Bad {
-            fn num_states(&self) -> usize {
-                7
-            }
-            fn state_id(&self, s: u8) -> usize {
-                s as usize
-            }
-            fn state_from_id(&self, id: usize) -> u8 {
-                id as u8
-            }
-        }
-        impl FactoredProtocol for Bad {
-            fn phase_count(&self) -> usize {
-                3
-            }
-            fn phase_class_count(&self) -> usize {
-                1
-            }
-            fn phase_class(&self, _: usize) -> usize {
-                0
-            }
-            fn tick_class_count(&self) -> usize {
-                1
-            }
-            fn tick_class(&self, _: usize, _: usize) -> usize {
-                0
-            }
-        }
-        let _ = CompiledProtocol::new(Bad);
+        let _ = CompiledProtocol::new(Shape {
+            states: 7,
+            phases: 3,
+        });
     }
 }

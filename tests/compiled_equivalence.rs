@@ -12,10 +12,15 @@
 //!   the codec order, a compiled engine consumes its RNG exactly like the
 //!   dynamic one — trajectories must be *bit-identical* under decoding,
 //!   on `AgentSim`, sequential `UrnSim` and the batched path alike;
-//! * across the **table-budget fallback** (partially compiled tables mix
-//!   lookups with dynamic calls and must agree with both).
+//! * under **concurrent filling**: role entries fill on first lookup, so
+//!   trials sharing one fresh table on several threads fill it in a
+//!   different order on every run — and must still each match the same
+//!   trial on a table of its own and on the dynamic protocol.
 //!
 //! The CI stress job runs this suite in release mode.
+
+use std::process::Command;
+use std::sync::Barrier;
 
 use population_protocols::core::{Census, Gsu19, Params};
 use population_protocols::ppsim::{
@@ -41,7 +46,6 @@ fn tiny_params() -> Params {
 /// Exhaustive |S|² comparison of one protocol instance.
 fn assert_exhaustive_equivalence(proto: Gsu19) {
     let c = CompiledProtocol::new(proto);
-    assert!(c.is_fully_compiled());
     let s = proto.num_states();
     let states: Vec<_> = (0..s).map(|id| proto.state_from_id(id)).collect();
     let packed: Vec<u32> = states.iter().map(|&st| c.encode_state(st)).collect();
@@ -99,7 +103,6 @@ fn sampled_equivalence_paper_scale() {
     // (larger Φ/Ψ/Γ, deeper counter ranges).
     let proto = Gsu19::for_population(1 << 20);
     let c = CompiledProtocol::new(proto);
-    assert!(c.is_fully_compiled(), "default budget must cover 2^20");
     let s = proto.num_states();
     let mut x = 0x243F_6A88_85A3_08D3u64; // fixed seed: deterministic in CI
     let mut draw = move || {
@@ -115,27 +118,6 @@ fn sampled_equivalence_paper_scale() {
         let (cr, ci) = c.transition(c.encode_state(rs), c.encode_state(is));
         assert_eq!(c.decode_state(cr), dr, "responder at ({rs:?}, {is:?})");
         assert_eq!(c.decode_state(ci), di, "initiator at ({rs:?}, {is:?})");
-    }
-}
-
-#[test]
-fn budget_fallback_equivalence() {
-    // A partially compiled protocol (a third of the role pairs in
-    // tables, the rest dynamic) must agree with the fully compiled one
-    // everywhere — correctness may not depend on the budget.
-    let proto = Gsu19::new(tiny_params());
-    let full = CompiledProtocol::new(proto);
-    let budget = full.bucket_count() * full.bucket_count() * 4 / 3;
-    let partial = CompiledProtocol::with_budget(proto, budget);
-    assert!(partial.compiled_pairs() > 0);
-    assert!(!partial.is_fully_compiled());
-    let s = proto.num_states();
-    for r in (0..s).step_by(3) {
-        for i in (0..s).step_by(5) {
-            let rp = full.encode_state(proto.state_from_id(r));
-            let ip = full.encode_state(proto.state_from_id(i));
-            assert_eq!(partial.transition(rp, ip), full.transition(rp, ip));
-        }
     }
 }
 
@@ -215,6 +197,40 @@ fn compiled_batched_trajectory_is_bit_identical() {
 }
 
 #[test]
+fn concurrent_fill_matches_private_tables_and_dynamic() {
+    // 16 stabilize trials on 4 threads share one fresh table; a barrier
+    // starts the first four together, so they fill it concurrently from
+    // empty. Each must end in the same states as the same trial alone on
+    // a fresh table of its own, and as the same trial run dynamically.
+    let n = 1u64 << 10;
+    let budget = 100_000 * n;
+    let proto = Gsu19::for_population(n);
+    let shared = CompiledProtocol::new(proto);
+    let start = Barrier::new(4);
+    let compiled_run = |c: &CompiledProtocol<Gsu19>, seed: u64| {
+        let mut sim = AgentSim::new(c.clone(), n as usize, seed);
+        assert!(run_until_stable(&mut sim, budget).converged);
+        sim.states()
+            .iter()
+            .map(|&s| c.decode_state(s))
+            .collect::<Vec<_>>()
+    };
+    let together = run_trials_threads(16, 9300, 4, |trial, seed| {
+        if trial < 4 {
+            start.wait();
+        }
+        (seed, compiled_run(&shared, seed))
+    });
+    for (seed, states) in together {
+        let alone = compiled_run(&CompiledProtocol::new(proto), seed);
+        assert_eq!(states, alone, "seed {seed}: shared table vs own table");
+        let mut dynamic = AgentSim::new(proto, n as usize, seed);
+        assert!(run_until_stable(&mut dynamic, budget).converged);
+        assert_eq!(states, dynamic.states(), "seed {seed}: compiled vs dynamic");
+    }
+}
+
+#[test]
 fn compiled_election_census_and_stability() {
     // End to end on the compiled path: elect, decode a census, stay
     // stable.
@@ -268,4 +284,51 @@ fn compiled_batched_urn_vs_dynamic_agent_ks() {
         d < crit,
         "compiled batched urn vs dynamic agent: D={d:.3} ≥ {crit:.3}"
     );
+}
+
+/// Compiled tables beyond the bucket packing or the table-entry ceiling
+/// are a usage error on every command that validates a spec: exit 2 with
+/// a message naming B, Γ and the limit, never a panic or a runaway
+/// allocation.
+#[test]
+fn ppctl_rejects_oversized_compiled_tables_with_exit_2() {
+    let dir = std::env::temp_dir().join(format!("pp-compiled-dims-{}", std::process::id()));
+    let out = dir.join("out.json");
+    let (dir_arg, out_arg) = (dir.to_str().unwrap(), out.to_str().unwrap());
+    let base = [
+        "--protocol",
+        "gsu19",
+        "--compiled",
+        "--n",
+        "1024",
+        "--at",
+        "0.001",
+    ];
+    let cases: [(&[&str], [&str; 2]); 2] = [
+        // B = 40 725 buckets: beyond the u16 bucket packing.
+        (&["--phi", "32", "--psi", "32"], ["B = 40725", "2^15"]),
+        // A 2^33-entry phase table: beyond the entry ceiling.
+        (&["--gamma", "40000"], ["Γ = 40000", "limit 67108864"]),
+    ];
+    for (overrides, needles) in cases {
+        for command in [
+            vec!["plan"],
+            vec!["run", "--out", out_arg],
+            vec!["work", "--shard", "0/1", "--out", out_arg],
+            vec!["merge", "--from-cache", "--cache-dir", dir_arg],
+        ] {
+            let output = Command::new(env!("CARGO_BIN_EXE_ppctl"))
+                .args(&command)
+                .args(base)
+                .args(overrides)
+                .output()
+                .expect("ppctl spawns");
+            let stderr = String::from_utf8_lossy(&output.stderr);
+            let case = format!("{command:?} {overrides:?}: {stderr}");
+            assert_eq!(output.status.code(), Some(2), "{case}");
+            assert!(!stderr.contains("panicked"), "{case}");
+            assert!(needles.iter().all(|s| stderr.contains(s)), "{case}");
+        }
+    }
+    assert!(!out.exists());
 }
