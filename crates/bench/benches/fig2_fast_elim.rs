@@ -8,11 +8,11 @@
 //! We track the number of *active* leader candidates at every epoch
 //! transition of the fast-elimination countdown — the `epoch_candidates`
 //! registry observable, fired whenever the leaders' `cnt` decrements
-//! (`Protocol::epoch_of` / `Simulator::current_epoch`) — and compare the
-//! per-round survival factor with the coin bias `q` used in that round
-//! (Lemma 6.1: the expected reduction factor is `q` as long as heads
-//! still occur; once `A·q ≲ log n` rounds go void and the count plateaus
-//! at `O(log n)`).
+//! (`Protocol::epoch_of`, maximised over the population at each round
+//! checkpoint) — and compare the per-round survival factor with the coin
+//! bias `q` used in that round (Lemma 6.1: the expected reduction factor
+//! is `q` as long as heads still occur; once `A·q ≲ log n` rounds go void
+//! and the count plateaus at `O(log n)`).
 //!
 //! Two panels:
 //! * **cascade only** (rule (11) disabled, `gsu19-no-backup`) — the pure

@@ -170,14 +170,14 @@ impl Protocol for ClockProtocol {
     }
 
     /// Epochs are the per-agent round counter (mod [`ROUND_MOD`]). The
-    /// population maximum reported by [`ppsim::Simulator::current_epoch`]
-    /// tracks the round frontier while the counters climb, but **stalls
-    /// across wraps**: near a wrap the window spans e.g. {14, 15, 0} and
-    /// the numeric max stays 15 until the last agent leaves 15, after
-    /// which the value jumps to wherever the frontier got. One reported
-    /// transition can therefore span several rounds — consumers must
-    /// weight the gap between events by `(new − old) mod ROUND_MOD`
-    /// (the `epoch_times` observable emits the values for exactly this).
+    /// population maximum of `epoch_of` tracks the round frontier while
+    /// the counters climb, but **stalls across wraps**: near a wrap the
+    /// window spans e.g. {14, 15, 0} and the numeric max stays 15 until
+    /// the last agent leaves 15, after which the value jumps to wherever
+    /// the frontier got. One reported transition can therefore span
+    /// several rounds — consumers must weight the gap between events by
+    /// `(new − old) mod ROUND_MOD` (the `epoch_times` observable emits the
+    /// values for exactly this).
     fn epoch_of(&self, s: ClockState) -> Option<u32> {
         Some(s.rounds as u32)
     }

@@ -169,9 +169,8 @@ impl Protocol for Gsu19 {
     /// epoch, `cnt_init` = the final elimination epoch). Non-leader states
     /// carry no epoch information. The countdown is lockstep across the
     /// leader sub-population (pinned by `countdown_reaches_zero_in_lockstep`
-    /// in `tests/epochs.rs`), so the population maximum that
-    /// [`ppsim::Simulator::current_epoch`] reports is the epoch the
-    /// configuration has entered.
+    /// in `tests/epochs.rs`), so the population maximum of `epoch_of` is
+    /// the epoch the configuration has entered.
     fn epoch_of(&self, s: AgentState) -> Option<u32> {
         match s.role {
             Role::L { cnt, .. } => Some(self.params.cnt_init().saturating_sub(cnt) as u32),

@@ -17,9 +17,8 @@
 //!   byte-identical bytes at any thread count and [`replay_trial`]
 //!   reproduces any single trial bit-identically.
 //!
-//! `ppctl run` is the CLI front end; `ppctl sweep`, the `crossover`
-//! probe, the figure benches and the examples are thin presets over this
-//! crate.
+//! `ppctl run` is the CLI front end; `ppctl sweep`, the figure benches
+//! and the examples are thin presets over this crate.
 //!
 //! ```
 //! use ppexp::{run_experiment, ExperimentSpec};
@@ -42,7 +41,6 @@ pub mod json;
 pub mod observe;
 pub mod registry;
 pub mod shard;
-pub mod sorted;
 pub mod spec;
 
 pub use aggregate::{survival_curve, OnlineStats, P2Quantile};

@@ -27,11 +27,10 @@
 //!   `k · round_every · n · log₂ n` interactions (`k = 0, 1, 2, …`; one
 //!   clock round is ≈ 5·log₂ n parallel time at the calibrated Γ, so the
 //!   default `round_every = 1` samples a few times per round);
-//! * **epochs** — measured at protocol-reported epoch transitions, polled
-//!   at round-grid granularity as the population maximum of
-//!   `Protocol::epoch_of` (what [`ppsim::Simulator::current_epoch`]
-//!   reports; GSU19 reports its fast-elimination countdown, the clock
-//!   component its round counter).
+//! * **epochs** — measured at protocol-reported epoch transitions, read
+//!   at round-grid granularity from the checkpoint's configuration pass
+//!   as the population maximum of `Protocol::epoch_of` (GSU19 reports its
+//!   fast-elimination countdown, the clock component its round counter).
 //!
 //! Scalar results stream into the artifact's Welford/P² aggregates like
 //! any other metric; `round_census` produces per-trial trace series on a

@@ -4,9 +4,9 @@
 //! can be compiled, and how to drive one trial of it on any engine.
 //!
 //! This replaces the protocol `match` arms that used to be duplicated
-//! across `ppctl`, `crossover` and the examples — adding a protocol means
-//! extending [`ProtocolKind`] and [`Runnable`] here, and every consumer
-//! (CLI, presets, benches) picks it up.
+//! across `ppctl`, the benches and the examples — adding a protocol means
+//! extending [`ProtocolKind`] and the private `Runnable` here, and every
+//! consumer (CLI, presets, benches) picks it up.
 
 use baselines::{gsu_direct_withdrawal, gsu_no_backup, gsu_no_drag, Bkko18, Gs18, SlowLe};
 use components::clock_protocol::ClockProtocol;

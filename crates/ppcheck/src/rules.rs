@@ -5,7 +5,7 @@
 //!
 //! | id                    | scope                          | invariant |
 //! |-----------------------|--------------------------------|-----------|
-//! | `hash-collections`    | `experiments`, `bench`         | d1: no `HashMap`/`HashSet` in artifact-producing crates unless routed through the `ppexp::sorted` adapter |
+//! | `hash-collections`    | `experiments`, `bench`         | d1: no `HashMap`/`HashSet` in artifact-producing crates |
 //! | `wall-clock-entropy`  | `ppsim`, `experiments` src     | d2: no `SystemTime`/`Instant`/`thread_rng`/`from_entropy` in anything that feeds an artifact |
 //! | `float-format`        | `experiments` src (not json)   | d3: artifact floats only via the canonical `ppexp::json` emitter |
 //! | `undocumented-unsafe` | whole workspace                | s1: every `unsafe` block / `unsafe impl` carries `// SAFETY:` |
@@ -33,11 +33,6 @@ pub const RULE_IDS: [&str; 6] = [
     "cache-unwrap",
     "pragma",
 ];
-
-/// The sorted-iteration adapter file: the one place in the artifact
-/// crates where the hash collections may appear, because its whole job is
-/// to hide their iteration order (d1's "routed through a sorted adapter").
-const SORTED_ADAPTER: &str = "crates/experiments/src/sorted.rs";
 
 /// The canonical float emitter: the one place artifact floats may be
 /// formatted (d3).
@@ -177,7 +172,7 @@ fn in_crate(path: &str, prefix: &str) -> bool {
 /// d1 — `hash-collections`.
 fn check_hash_collections(path: &str, code: &[&Tok], test_from: usize, out: &mut Vec<Finding>) {
     let artifact_crate = in_crate(path, "crates/experiments/") || in_crate(path, "crates/bench/");
-    if !artifact_crate || path == SORTED_ADAPTER {
+    if !artifact_crate {
         return;
     }
     for t in code {
@@ -191,8 +186,7 @@ fn check_hash_collections(path: &str, code: &[&Tok], test_from: usize, out: &mut
                 line: t.line,
                 message: format!(
                     "`{}` in an artifact-producing crate: iteration order depends on \
-                     hasher state; use BTreeMap/BTreeSet or route iteration through \
-                     ppexp::sorted",
+                     hasher state; use BTreeMap/BTreeSet",
                     t.text
                 ),
                 suppressed: None,
@@ -370,8 +364,11 @@ mod tests {
         // ppsim may use hash collections (no artifact bytes flow from it
         // without passing through ppexp's deterministic emitters)…
         assert!(scan_source("crates/ppsim/src/agent_sim.rs", src).is_empty());
-        // …and the sorted adapter is the designated home for them.
-        assert!(scan_source(SORTED_ADAPTER, src).is_empty());
+        // …but no file of the artifact crates is exempt.
+        assert_eq!(
+            scan_source("crates/experiments/src/sorted.rs", src).len(),
+            1
+        );
     }
 
     #[test]

@@ -161,17 +161,6 @@ impl<P: Protocol, V: Perturbation> Simulator for AdversarialSim<P, V> {
         self.output_counts
     }
 
-    fn current_epoch(&self) -> Option<u32> {
-        let mut best = None;
-        for &s in &self.states {
-            let e = self.protocol.epoch_of(s);
-            if e > best {
-                best = e;
-            }
-        }
-        best
-    }
-
     fn for_each_state(&self, f: &mut dyn FnMut(Self::State, u64)) {
         for &s in &self.states {
             f(s, 1);

@@ -4,8 +4,6 @@
 //! state loads, one transition evaluation and (when states change) an O(1)
 //! update of the output counters.
 
-use std::collections::HashMap;
-
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -78,19 +76,6 @@ impl<P: Protocol> AgentSim<P> {
     /// The protocol instance driving this simulation.
     pub fn protocol(&self) -> &P {
         &self.protocol
-    }
-
-    /// Aggregate the configuration into a `state -> multiplicity` map.
-    /// Intended for inspection; O(n).
-    pub fn histogram(&self) -> HashMap<P::State, u64>
-    where
-        P::State: Eq + std::hash::Hash,
-    {
-        let mut h = HashMap::new();
-        for &s in &self.states {
-            *h.entry(s).or_insert(0) += 1;
-        }
-        h
     }
 
     #[inline]
@@ -190,21 +175,9 @@ impl<P: Protocol> Simulator for AgentSim<P> {
         self.output_counts
     }
 
-    fn current_epoch(&self) -> Option<u32> {
-        let mut best = None;
-        for &s in &self.states {
-            let e = self.protocol.epoch_of(s);
-            if e > best {
-                best = e;
-            }
-        }
-        best
-    }
-
     fn for_each_state(&self, f: &mut dyn FnMut(Self::State, u64)) {
         // Aggregation without requiring Hash on State: walk the array and
-        // emit multiplicity 1 per agent. Callers that need true histograms
-        // on hashable states can use `histogram()`.
+        // emit multiplicity 1 per agent.
         for &s in &self.states {
             f(s, 1);
         }
@@ -341,15 +314,6 @@ mod tests {
         let mut sim = AgentSim::new(Slow, 2, 5);
         sim.step();
         assert_eq!(sim.leaders(), 1);
-    }
-
-    #[test]
-    fn histogram_sums_to_population() {
-        let mut sim = AgentSim::new(Slow, 33, 4);
-        sim.steps(1000);
-        let h = sim.histogram();
-        let total: u64 = h.values().sum();
-        assert_eq!(total, 33);
     }
 
     #[test]

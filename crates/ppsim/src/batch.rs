@@ -1,9 +1,10 @@
 //! Batched interaction sampling — the exact collision-resampling urn trick.
 //!
-//! The sequential urn path ([`crate::UrnSim::step`]) pays two Fenwick `find`s
-//! and four `add`s per interaction. Between observation points, whole batches
-//! of interactions can instead be sampled at once. A batch of `b` interactions
-//! is decomposed into **collision-free runs** separated by **collisions**:
+//! The sequential urn path ([`crate::Simulator::step`] on [`crate::UrnSim`])
+//! pays two Fenwick `find`s and four `add`s per interaction. Between
+//! observation points, whole batches of interactions can instead be sampled
+//! at once. A batch of `b` interactions is decomposed into **collision-free
+//! runs** separated by **collisions**:
 //!
 //! * A collision-free run is a maximal prefix of interactions in which every
 //!   participant is *fresh* (has not interacted earlier in the batch). Its
@@ -35,7 +36,7 @@ use rand::Rng;
 /// Above this expected value the samplers switch from the exact inverse-CDF
 /// walk (cost O(mean)) to an O(1) sampler: the binomial to a normal
 /// approximation, the hypergeometric to the exact HRUA rejection sampler
-/// ([`hypergeometric_hrua`] — *not* an approximation; the acceptance test
+/// (`hypergeometric_hrua` — *not* an approximation; the acceptance test
 /// evaluates the exact pmf). Public so the boundary can be pinned by
 /// regression tests: the exact batched engine consumes one conditional draw
 /// per occupied bucket per run, straddling this crossover constantly.
@@ -199,7 +200,7 @@ fn ln_choose(n: u64, k: u64) -> f64 {
 /// suite catches exactly this.
 ///
 /// Strategy: symmetry reductions so the walk runs on the small tail, then an
-/// exact inverse-CDF walk over the PMF (seeded via [`hypergeometric_p0`],
+/// exact inverse-CDF walk over the PMF (seeded via `hypergeometric_p0`,
 /// advanced by the ratio recurrence) when the mean is small, and the exact
 /// HRUA rejection sampler otherwise. Unlike [`binomial`] there is **no
 /// normal-approximation branch**: every parameter regime is sampled from the
@@ -396,7 +397,7 @@ const RUN_WALK_LIMIT: u64 = 64;
 /// with `u = untouched`. This function inverts that CDF with a single
 /// uniform draw (exact up to f64 rounding — the same convention as the
 /// inverse-CDF walks of [`binomial`] and [`hypergeometric`]): a
-/// multiply-compare walk for the first [`RUN_WALK_LIMIT`] steps, then a
+/// multiply-compare walk for the first `RUN_WALK_LIMIT` steps, then a
 /// binary search on the closed form `ln P(L ≥ j) = ln Γ(u+1) − ln Γ(u−2j+1)
 /// − j·ln(n(n−1))` so astronomically long runs (small batches in huge
 /// populations) cost O(log run) instead of O(run).

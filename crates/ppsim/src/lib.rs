@@ -37,12 +37,11 @@
 //! individually-resampled collision interactions, so a batch is *exactly*
 //! distributed as the same number of sequential steps — bit for bit under
 //! the shared interaction-trace decoding ([`UrnSim::steps_batched_traced`] /
-//! [`UrnSim::replay_interaction`]). Drivers accept a [`batch::BatchPolicy`]
-//! (`run_until_with`, `run_until_stable_with`); their stopping times
-//! are exact first hits — a predicate hit inside a block is
-//! located by rewinding the block, re-sampling it with its interaction
-//! trace on and replaying that trace
-//! ([`protocol::Simulator::steps_until`]).
+//! [`UrnSim::replay_interaction`]). [`Simulator::steps_until`] and
+//! [`run_until_stable_with`] accept a [`batch::BatchPolicy`]; their
+//! stopping times are exact first hits — a predicate hit inside a block
+//! is located by rewinding the block, re-sampling it with its interaction
+//! trace on and replaying that trace.
 //!
 //! Orthogonally, protocols whose transition factors through a
 //! (role bucket, clock phase) state split can be **compiled** into dense
@@ -99,13 +98,10 @@ pub use fenwick::Fenwick;
 pub use parallel::{default_threads, run_trials, run_trials_threads};
 pub use protocol::{EnumerableProtocol, Output, Protocol, Simulator};
 pub use rng::{split_seed, trial_seeds};
-pub use runner::{
-    run_until, run_until_stable, run_until_stable_with, run_until_with, run_until_with_epochs,
-    EpochObserver, RunResult,
-};
+pub use runner::{run_until, run_until_stable, run_until_stable_with, RunResult};
 pub use stats::{
-    bootstrap_mean_ci, chi_square_stat, geometric_mean, ks_critical, ks_statistic, linear_fit,
-    mean, mean_ci95, median, quantile, std_dev, Histogram, Summary,
+    chi_square_stat, ks_critical, ks_statistic, linear_fit, mean, mean_ci95, median, quantile,
+    std_dev, Summary,
 };
 pub use trace::Series;
 pub use urn::UrnSim;
@@ -117,10 +113,7 @@ pub mod prelude {
     pub use crate::compiled::{CompiledProtocol, FactoredProtocol};
     pub use crate::parallel::run_trials;
     pub use crate::protocol::{EnumerableProtocol, Output, Protocol, Simulator};
-    pub use crate::runner::{
-        run_until, run_until_stable, run_until_stable_with, run_until_with, run_until_with_epochs,
-        EpochObserver, RunResult,
-    };
+    pub use crate::runner::{run_until, run_until_stable, run_until_stable_with, RunResult};
     pub use crate::stats::Summary;
     pub use crate::urn::UrnSim;
 }

@@ -57,9 +57,9 @@ pub trait Protocol {
     /// GSU19 fast-elimination countdown (each decrement of the leaders'
     /// `cnt` starts a new epoch) or a phase clock's round counter. States
     /// that carry no epoch information report `None` (the default, and the
-    /// blanket answer for protocols without epochs). Drivers aggregate per
-    /// state via [`Simulator::current_epoch`] and fire
-    /// [`crate::runner::EpochObserver`] hooks on transitions.
+    /// blanket answer for protocols without epochs). The population's
+    /// epoch is the maximum over its agents (epochs spread by epidemic),
+    /// which `ppexp::observe` reads at its checkpoints.
     fn epoch_of(&self, state: Self::State) -> Option<u32> {
         let _ = state;
         None
@@ -168,20 +168,6 @@ pub trait Simulator {
         self.leaders() == 1 && self.undecided() == 0
     }
 
-    /// The epoch the simulation is currently in, as reported by the
-    /// protocol: the maximum [`Protocol::epoch_of`] over the population
-    /// (the frontier — epochs spread by epidemic, so the maximum is the
-    /// epoch the configuration has *entered*). `None` when no agent
-    /// reports one.
-    ///
-    /// O(population) on `AgentSim`, O(occupied states) on `UrnSim` —
-    /// intended for checkpoint-granularity polling (see
-    /// [`crate::runner::run_until_with_epochs`]), not the hot loop. The
-    /// default (for simulators without protocol access) reports `None`.
-    fn current_epoch(&self) -> Option<u32> {
-        None
-    }
-
     /// Visit every (state, multiplicity) pair of the current configuration.
     ///
     /// `AgentSim` emits one pair per agent, with multiplicity 1, so a state
@@ -191,17 +177,6 @@ pub trait Simulator {
     /// states. Intended for periodic inspection (figures, lemma checks,
     /// census stops), not for the hot loop.
     fn for_each_state(&self, f: &mut dyn FnMut(Self::State, u64));
-
-    /// Count agents satisfying a predicate (inspection helper).
-    fn count_matching(&self, pred: &mut dyn FnMut(Self::State) -> bool) -> u64 {
-        let mut total = 0;
-        self.for_each_state(&mut |s, k| {
-            if pred(s) {
-                total += k;
-            }
-        });
-        total
-    }
 }
 
 #[cfg(test)]

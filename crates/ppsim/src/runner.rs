@@ -1,18 +1,13 @@
-//! Drivers: run a simulation until stabilisation (or a budget), optionally
-//! observing epoch transitions along the way.
+//! Drivers: run a simulation until a predicate holds or a budget runs out.
 //!
-//! Every driver comes in two flavours: the classic form (`run_until`,
-//! `run_until_stable`) checks its predicate after every single
-//! interaction — the exact sequential reference — and a `_with` form that
-//! takes a [`BatchPolicy`] and lets the engine execute whole batches
-//! between checks. Stopping times are **exact first hits in both flavours**:
-//! the `_with` drivers delegate to [`Simulator::steps_until`], whose batched
-//! implementation probes the predicate at block boundaries but, on a hit,
-//! rewinds the block and replays its recorded interaction trace to the
-//! exact first interaction satisfying the predicate. No mode quantises
-//! stopping times to batch boundaries any more — the legacy approximate
-//! batch engine that did (overshoot up to one batch) was replaced by the
-//! exact collision-resampling engine in `ppsim::batch`.
+//! [`run_until`] and [`run_until_stable`] check their predicate after every
+//! interaction; [`run_until_stable_with`] takes a [`BatchPolicy`] and lets
+//! the engine execute whole batches between checks. Stopping times are
+//! **exact first hits** either way: every driver delegates to
+//! [`Simulator::steps_until`], whose batched implementation probes the
+//! predicate at block boundaries but, on a hit, rewinds the block and
+//! replays its recorded interaction trace to the exact first interaction
+//! satisfying the predicate.
 
 use crate::batch::BatchPolicy;
 use crate::protocol::Simulator;
@@ -28,111 +23,40 @@ pub struct RunResult {
     pub parallel_time: f64,
 }
 
-/// Run until `pred(sim)` holds or `max_interactions` have been executed,
-/// scheduling interactions between predicate checks according to `policy`.
-///
-/// The reported stopping time is the **exact first hit** under every
-/// policy: [`BatchPolicy::PerStep`] evaluates the predicate after every
-/// interaction (the engines keep the relevant counters incrementally, so
-/// this is O(1) per step), and batching policies delegate to the engine's
-/// [`Simulator::steps_until`], which reconstructs the exact hit inside the
-/// stopping block from its recorded interaction trace. The run never
-/// exceeds the budget.
-pub fn run_until_with<S: Simulator>(
-    sim: &mut S,
-    policy: &BatchPolicy,
-    max_interactions: u64,
-    mut pred: impl FnMut(&S) -> bool,
-) -> RunResult {
-    let converged = sim.steps_until(max_interactions, policy, &mut pred);
-    RunResult {
-        converged,
-        interactions: sim.interactions(),
-        parallel_time: sim.parallel_time(),
-    }
-}
-
-/// Hook fired at protocol-reported epoch transitions.
-///
-/// Implement this to observe coarse protocol progress (GSU19's
-/// fast-elimination countdown, a phase clock's rounds) without owning the
-/// drive loop; [`run_until_with_epochs`] polls
-/// [`Simulator::current_epoch`] at its predicate checks and calls
-/// [`EpochObserver::on_epoch`] whenever the reported value climbs to a new
-/// maximum (including the first `Some`). Epochs are monotone for every
-/// protocol in this repository, so this fires once per entered epoch.
-/// Transition times are quantised to the driver's check granularity — one
-/// scheduling block under a batching policy (several epochs may be entered
-/// within one block, in which case only the frontier value is reported),
-/// one interaction under [`BatchPolicy::PerStep`]. Only the *stopping*
-/// time itself is exact under batching (see [`Simulator::steps_until`]).
-///
-/// A closure `FnMut(&S, u32)` is an observer.
-pub trait EpochObserver<S: Simulator> {
-    /// Called when the simulation's reported epoch changes to `epoch`.
-    fn on_epoch(&mut self, sim: &S, epoch: u32);
-}
-
-impl<S: Simulator, F: FnMut(&S, u32)> EpochObserver<S> for F {
-    fn on_epoch(&mut self, sim: &S, epoch: u32) {
-        self(sim, epoch)
-    }
-}
-
-/// Run until `pred(sim)` holds or `max_interactions` have been executed,
-/// firing `observer` at every protocol-reported epoch transition.
-///
-/// Identical scheduling (and therefore an identical trajectory) to
-/// [`run_until_with`] — the epoch poll is a read-only observation at each
-/// predicate check, so adding an observer never changes the run. The
-/// observer fires only when the epoch exceeds the highest value reported so
-/// far; this keeps the exact-stop rewind/replay of the batched engine
-/// (which revisits configurations the block probe already saw) from
-/// re-reporting transitions.
-pub fn run_until_with_epochs<S: Simulator>(
-    sim: &mut S,
-    policy: &BatchPolicy,
-    max_interactions: u64,
-    mut pred: impl FnMut(&S) -> bool,
-    observer: &mut impl EpochObserver<S>,
-) -> RunResult {
-    let mut max_fired = sim.current_epoch();
-    if let Some(e) = max_fired {
-        observer.on_epoch(sim, e);
-    }
-    run_until_with(sim, policy, max_interactions, |s| {
-        if let Some(e) = s.current_epoch() {
-            if max_fired.is_none_or(|m| e > m) {
-                max_fired = Some(e);
-                observer.on_epoch(s, e);
-            }
+impl RunResult {
+    fn of<S: Simulator>(sim: &S, converged: bool) -> Self {
+        Self {
+            converged,
+            interactions: sim.interactions(),
+            parallel_time: sim.parallel_time(),
         }
-        pred(s)
-    })
+    }
 }
 
 /// Run until `pred(sim)` holds or `max_interactions` have been executed.
 ///
-/// Per-step form of [`run_until_with`]: the predicate is evaluated after
-/// every interaction, so the reported stopping time is the exact first hit.
+/// The predicate is evaluated after every interaction, so the reported
+/// stopping time is the exact first hit. The run never exceeds the budget.
 pub fn run_until<S: Simulator>(
     sim: &mut S,
     max_interactions: u64,
-    pred: impl FnMut(&S) -> bool,
+    mut pred: impl FnMut(&S) -> bool,
 ) -> RunResult {
-    run_until_with(sim, &BatchPolicy::PerStep, max_interactions, pred)
+    let converged = sim.steps_until(max_interactions, &BatchPolicy::PerStep, &mut pred);
+    RunResult::of(sim, converged)
 }
 
 /// Run until the configuration is stably elected (exactly one leader, no
 /// undecided agents) or the interaction budget is exhausted, scheduling
-/// according to `policy` (see [`run_until_with`]; the reported
-/// stabilisation time is the exact first hit under every policy).
+/// according to `policy`. The reported stabilisation time is the exact
+/// first hit under every policy (see [`Simulator::steps_until`]).
 pub fn run_until_stable_with<S: Simulator>(
     sim: &mut S,
     policy: &BatchPolicy,
     max_interactions: u64,
 ) -> RunResult {
-    run_until_with(sim, policy, max_interactions, |s| s.is_stably_elected())
+    let converged = sim.steps_until(max_interactions, policy, &mut |s| s.is_stably_elected());
+    RunResult::of(sim, converged)
 }
 
 /// Run until the configuration is stably elected (exactly one leader, no
@@ -227,75 +151,11 @@ mod tests {
         assert_eq!(block, 64);
         let target = 1_000u64; // deliberately not a multiple of the block
         let mut sim = crate::UrnSim::new(Slow, n, 3);
-        let res = run_until_with(&mut sim, &policy, 1 << 20, |s| s.interactions() >= target);
-        assert!(res.converged);
-        assert_eq!(res.interactions, target, "stop overshot the first hit");
-    }
-
-    /// Protocol whose states count pairwise meetings up to 3 and report
-    /// that count as their epoch — a deterministic epoch ladder.
-    struct Ladder;
-    impl Protocol for Ladder {
-        type State = u8;
-        fn initial_state(&self) -> u8 {
-            0
-        }
-        fn transition(&self, r: u8, i: u8) -> (u8, u8) {
-            let top = r.max(i).min(3);
-            ((top + 1).min(3), top)
-        }
-        fn output(&self, _: u8) -> Output {
-            Output::Follower
-        }
-        fn epoch_of(&self, s: u8) -> Option<u32> {
-            if s == 0 {
-                None
-            } else {
-                Some(s as u32)
-            }
-        }
-    }
-
-    #[test]
-    fn epoch_observer_sees_every_transition_once() {
-        let mut sim = AgentSim::new(Ladder, 16, 3);
-        assert_eq!(sim.current_epoch(), None);
-        let mut seen: Vec<u32> = Vec::new();
-        let res = run_until_with_epochs(
-            &mut sim,
-            &BatchPolicy::PerStep,
-            10_000,
-            |s: &AgentSim<Ladder>| s.current_epoch() == Some(3),
-            &mut |_: &AgentSim<Ladder>, e: u32| seen.push(e),
-        );
-        assert!(res.converged);
-        // Per-step checks see the frontier climb one epoch at a time.
-        assert_eq!(seen, vec![1, 2, 3]);
-    }
-
-    #[test]
-    fn epoch_observer_does_not_change_the_trajectory() {
-        let mut plain = AgentSim::new(Ladder, 32, 7);
-        let mut observed = AgentSim::new(Ladder, 32, 7);
-        let a = run_until(&mut plain, 500, |_| false);
-        let mut fired = 0usize;
-        let b = run_until_with_epochs(
-            &mut observed,
-            &BatchPolicy::PerStep,
-            500,
-            |_: &AgentSim<Ladder>| false,
-            &mut |_: &AgentSim<Ladder>, _| fired += 1,
-        );
-        assert_eq!(a, b);
-        assert_eq!(plain.states(), observed.states());
-        assert!(fired > 0);
-    }
-
-    #[test]
-    fn protocols_without_epochs_report_none() {
-        let mut sim = AgentSim::new(Slow, 16, 1);
-        sim.steps(100);
-        assert_eq!(sim.current_epoch(), None);
+        let converged = sim.steps_until(1 << 20, &policy, &mut |s: &crate::UrnSim<Slow>| {
+            s.interactions() >= target
+        });
+        assert!(converged);
+        assert_eq!(sim.interactions(), target, "stop overshot the first hit");
     }
 
     #[test]

@@ -114,7 +114,6 @@ impl std::fmt::Display for Summary {
 pub fn linear_fit(xs: &[f64], ys: &[f64]) -> (f64, f64, f64) {
     assert_eq!(xs.len(), ys.len(), "mismatched fit inputs");
     assert!(xs.len() >= 2, "need at least two points to fit");
-    let n = xs.len() as f64;
     let mx = mean(xs);
     let my = mean(ys);
     let mut sxy = 0.0;
@@ -139,90 +138,7 @@ pub fn linear_fit(xs: &[f64], ys: &[f64]) -> (f64, f64, f64) {
         }
         1.0 - ss_res / syy
     };
-    let _ = n;
     (slope, intercept, r2)
-}
-
-/// Simple equal-width histogram over a sample.
-#[derive(Clone, Debug, PartialEq)]
-pub struct Histogram {
-    /// Left edge of the first bin.
-    pub lo: f64,
-    /// Bin width.
-    pub width: f64,
-    /// Counts per bin.
-    pub counts: Vec<u64>,
-}
-
-impl Histogram {
-    /// Histogram with `bins` equal-width bins spanning the sample range.
-    /// Returns an empty histogram for an empty sample.
-    ///
-    /// # Panics
-    /// Panics if `bins == 0`.
-    pub fn of(xs: &[f64], bins: usize) -> Self {
-        assert!(bins > 0, "need at least one bin");
-        if xs.is_empty() {
-            return Self {
-                lo: 0.0,
-                width: 0.0,
-                counts: vec![0; bins],
-            };
-        }
-        let lo = xs.iter().cloned().fold(f64::INFINITY, f64::min);
-        let hi = xs.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-        let width = ((hi - lo) / bins as f64).max(f64::MIN_POSITIVE);
-        let mut counts = vec![0u64; bins];
-        for &x in xs {
-            let b = (((x - lo) / width) as usize).min(bins - 1);
-            counts[b] += 1;
-        }
-        Self { lo, width, counts }
-    }
-
-    /// Total number of samples.
-    pub fn total(&self) -> u64 {
-        self.counts.iter().sum()
-    }
-
-    /// Index of the fullest bin (the mode's bin).
-    pub fn mode_bin(&self) -> usize {
-        self.counts
-            .iter()
-            .enumerate()
-            .max_by_key(|&(_, c)| *c)
-            .map(|(i, _)| i)
-            .unwrap_or(0)
-    }
-}
-
-/// Percentile-bootstrap confidence interval for the mean: resample with
-/// replacement `resamples` times using a deterministic SplitMix64 stream
-/// seeded by `seed`, and return the `(lo, hi)` quantiles of the resampled
-/// means at confidence `1 − alpha`.
-///
-/// Convergence times of population protocols are skewed (heavy right
-/// tails), where the normal-approximation CI of [`mean_ci95`] undercovers;
-/// the bootstrap does not assume symmetry.
-pub fn bootstrap_mean_ci(xs: &[f64], resamples: usize, alpha: f64, seed: u64) -> (f64, f64) {
-    if xs.len() < 2 {
-        let m = mean(xs);
-        return (m, m);
-    }
-    let mut state = seed;
-    let mut means = Vec::with_capacity(resamples);
-    for _ in 0..resamples {
-        let mut sum = 0.0;
-        for _ in 0..xs.len() {
-            let r = crate::rng::splitmix64(&mut state);
-            sum += xs[(r % xs.len() as u64) as usize];
-        }
-        means.push(sum / xs.len() as f64);
-    }
-    (
-        quantile(&means, alpha / 2.0),
-        quantile(&means, 1.0 - alpha / 2.0),
-    )
 }
 
 /// Two-sample Kolmogorov–Smirnov statistic: the largest vertical distance
@@ -307,32 +223,6 @@ pub fn chi_square_stat(a: &[u64], b: &[u64]) -> (f64, usize) {
         stat += (oa as f64 - ea).powi(2) / ea + (ob as f64 - eb).powi(2) / eb;
     }
     (stat, dof.saturating_sub(1))
-}
-
-/// Geometric mean of strictly positive samples; `NaN` on empty input.
-pub fn geometric_mean(xs: &[f64]) -> f64 {
-    if xs.is_empty() {
-        return f64::NAN;
-    }
-    let log_sum: f64 = xs.iter().map(|&x| x.ln()).sum();
-    (log_sum / xs.len() as f64).exp()
-}
-
-/// Base-2 logarithm of `n` as f64; convenience for scaling tables.
-pub fn log2(n: f64) -> f64 {
-    n.log2()
-}
-
-/// `log2(n) * log2(log2(n))` — the paper's headline time bound shape.
-pub fn log_loglog(n: f64) -> f64 {
-    let l = n.log2();
-    l * l.log2().max(1.0)
-}
-
-/// `log2(n)^2` — the GS18 baseline shape.
-pub fn log_squared(n: f64) -> f64 {
-    let l = n.log2();
-    l * l
 }
 
 #[cfg(test)]
@@ -423,84 +313,9 @@ mod tests {
     }
 
     #[test]
-    fn scaling_shapes() {
-        assert!((log2(1024.0) - 10.0).abs() < 1e-12);
-        assert!((log_squared(1024.0) - 100.0).abs() < 1e-12);
-        // log2(1024)=10, log2(10)≈3.32
-        assert!((log_loglog(1024.0) - 10.0 * 10.0f64.log2()).abs() < 1e-9);
-    }
-
-    #[test]
     #[should_panic(expected = "mismatched")]
     fn fit_rejects_mismatched_lengths() {
         linear_fit(&[1.0, 2.0], &[1.0]);
-    }
-
-    #[test]
-    fn histogram_bins_and_totals() {
-        let xs = [0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0];
-        let h = Histogram::of(&xs, 5);
-        assert_eq!(h.total(), 10);
-        assert_eq!(h.counts, vec![2, 2, 2, 2, 2]);
-        assert_eq!(h.lo, 0.0);
-    }
-
-    #[test]
-    fn histogram_max_value_lands_in_last_bin() {
-        let xs = [0.0, 10.0];
-        let h = Histogram::of(&xs, 4);
-        assert_eq!(h.counts[0], 1);
-        assert_eq!(h.counts[3], 1);
-    }
-
-    #[test]
-    fn histogram_of_empty_sample() {
-        let h = Histogram::of(&[], 3);
-        assert_eq!(h.total(), 0);
-        assert_eq!(h.counts.len(), 3);
-    }
-
-    #[test]
-    fn histogram_mode_bin() {
-        let xs = [1.0, 5.0, 5.1, 5.2, 9.0];
-        let h = Histogram::of(&xs, 4);
-        assert_eq!(h.mode_bin(), 2); // the 5.x cluster
-    }
-
-    #[test]
-    fn histogram_constant_sample() {
-        let xs = [3.0; 8];
-        let h = Histogram::of(&xs, 4);
-        assert_eq!(h.total(), 8);
-        assert_eq!(h.counts.iter().sum::<u64>(), 8);
-    }
-
-    #[test]
-    fn bootstrap_ci_contains_mean_of_clean_sample() {
-        let xs: Vec<f64> = (0..200).map(|i| (i % 10) as f64).collect();
-        let m = mean(&xs);
-        let (lo, hi) = bootstrap_mean_ci(&xs, 500, 0.05, 7);
-        assert!(lo <= m && m <= hi, "[{lo}, {hi}] vs {m}");
-        assert!(hi - lo < 1.5, "CI too wide: [{lo}, {hi}]");
-    }
-
-    #[test]
-    fn bootstrap_ci_is_deterministic_per_seed() {
-        let xs: Vec<f64> = (0..50).map(|i| i as f64).collect();
-        assert_eq!(
-            bootstrap_mean_ci(&xs, 200, 0.05, 3),
-            bootstrap_mean_ci(&xs, 200, 0.05, 3)
-        );
-        assert_ne!(
-            bootstrap_mean_ci(&xs, 200, 0.05, 3),
-            bootstrap_mean_ci(&xs, 200, 0.05, 4)
-        );
-    }
-
-    #[test]
-    fn bootstrap_ci_degenerate_inputs() {
-        let (lo, hi) = bootstrap_mean_ci(&[5.0], 100, 0.05, 1);
-        assert_eq!((lo, hi), (5.0, 5.0));
     }
 
     #[test]
@@ -611,15 +426,5 @@ mod tests {
     #[should_panic(expected = "empty sample")]
     fn ks_rejects_empty() {
         ks_statistic(&[], &[1.0]);
-    }
-
-    #[test]
-    fn geometric_mean_basics() {
-        assert!((geometric_mean(&[1.0, 4.0]) - 2.0).abs() < 1e-12);
-        assert!((geometric_mean(&[2.0, 2.0, 2.0]) - 2.0).abs() < 1e-12);
-        assert!(geometric_mean(&[]).is_nan());
-        // Geometric <= arithmetic.
-        let xs = [1.0, 2.0, 3.0, 10.0];
-        assert!(geometric_mean(&xs) <= mean(&xs));
     }
 }

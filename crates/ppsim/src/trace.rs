@@ -90,11 +90,6 @@ impl Series {
         }
         out
     }
-
-    /// Value at the first sample time ≥ `t`, if any (step interpolation).
-    pub fn value_at(&self, t: f64) -> Option<f64> {
-        self.t.iter().position(|&x| x >= t).map(|idx| self.v[idx])
-    }
 }
 
 #[cfg(test)]
@@ -151,17 +146,6 @@ mod tests {
         b.push(0.0, 3.0);
         b.push(2.0, 5.0);
         let _ = Series::mean_of(&[a, b]);
-    }
-
-    #[test]
-    fn value_at_steps() {
-        let mut s = Series::new("s");
-        s.push(0.0, 5.0);
-        s.push(10.0, 7.0);
-        assert_eq!(s.value_at(0.0), Some(5.0));
-        assert_eq!(s.value_at(3.0), Some(7.0));
-        assert_eq!(s.value_at(10.0), Some(7.0));
-        assert_eq!(s.value_at(11.0), None);
     }
 
     #[test]

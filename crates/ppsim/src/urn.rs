@@ -348,7 +348,7 @@ impl<P: EnumerableProtocol> UrnSim<P> {
     /// the post-update touched multiset, so the batch is bit-for-bit a
     /// sequential chain under the shared trace decoding. The policy's block
     /// size is a *scheduling* granularity only — internally each block is
-    /// split into [`inner_batch_size`] sub-batches (≈√n) so sampling cost
+    /// split into `inner_batch_size` sub-batches (≈√n) so sampling cost
     /// stays optimal regardless of how coarse the blocks are. Falls back to
     /// per-step sampling whenever the policy's block size is < 4 (per-step
     /// policy, small population) or would exceed n/2.
@@ -1139,18 +1139,6 @@ impl<P: EnumerableProtocol> Simulator for UrnSim<P> {
         self.output_counts
     }
 
-    /// O(occupied states), however large the state space.
-    fn current_epoch(&self) -> Option<u32> {
-        let mut best = None;
-        for &id in &self.occupied_ids {
-            let e = self.protocol.epoch_of(self.state_of[id]);
-            if e > best {
-                best = e;
-            }
-        }
-        best
-    }
-
     /// One call per occupied state, in occupancy order: O(occupied states),
     /// however large the state space.
     fn for_each_state(&self, f: &mut dyn FnMut(Self::State, u64)) {
@@ -1222,9 +1210,6 @@ mod tests {
                 Output::Follower
             }
         }
-        fn epoch_of(&self, s: u8) -> Option<u32> {
-            (s % 2 == 1).then_some(u32::from(s))
-        }
     }
     impl EnumerableProtocol for Cycle {
         fn num_states(&self) -> usize {
@@ -1239,14 +1224,12 @@ mod tests {
     }
 
     /// `for_each_state` visits each state of `nonzero_counts` exactly
-    /// once, with its count, and `current_epoch` is their largest epoch.
+    /// once, with its count.
     fn assert_visits_each_occupied_state_once(sim: &UrnSim<Cycle>) {
         let mut visited = Vec::new();
         sim.for_each_state(&mut |s, k| visited.push((s, k)));
         visited.sort();
         assert_eq!(visited, sim.nonzero_counts());
-        let epoch = visited.iter().map(|&(s, _)| Cycle.epoch_of(s)).max();
-        assert_eq!(sim.current_epoch(), epoch.flatten());
     }
 
     #[test]
@@ -1437,11 +1420,10 @@ mod tests {
 
     #[test]
     fn steps_until_pins_predicate_calls_and_the_state_after_a_stop() {
-        // Stateful predicates (`run_until_with_epochs`' epoch poll) see one
-        // call on entry, one per block end and one per replayed pair up to
-        // the hit. The RNG state and occupancy order a stop leaves behind
-        // fix every later draw, so a continuation must reach the same
-        // configuration.
+        // Stateful predicates see one call on entry, one per block end
+        // and one per replayed pair up to the hit. The RNG state and
+        // occupancy order a stop leaves behind fix every later draw, so a
+        // continuation must reach the same configuration.
         let n = 4096u64;
         let policy = test_policy();
         let mut sim = UrnSim::new(Slow, n, 53);

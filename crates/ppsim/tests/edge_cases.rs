@@ -118,10 +118,3 @@ fn for_each_state_multiplicity_sums_to_population() {
     sim.for_each_state(&mut |_, k| total += k);
     assert_eq!(total, 1000);
 }
-
-#[test]
-fn count_matching_helper() {
-    let sim = AgentSim::with_states(Slow, vec![true, true, false], 11);
-    assert_eq!(sim.count_matching(&mut |s| s), 2);
-    assert_eq!(sim.count_matching(&mut |s| !s), 1);
-}

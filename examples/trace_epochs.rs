@@ -4,11 +4,11 @@
 //! counter.
 //!
 //! Epochs are reported by the protocol itself (`Protocol::epoch_of`
-//! maps a leader's fast-elimination counter to an epoch index) and
-//! observed through the `ppsim::runner` epoch hook — this example is
-//! the minimal direct use of `run_until_with_epochs`; the `ppexp`
-//! `epoch_candidates` observable wraps the same mechanism for artifact
-//! pipelines.
+//! maps a leader's fast-elimination counter to an epoch index). The
+//! example polls the population's epoch, the maximum `epoch_of` over the
+//! configuration, every n/8 interactions and prints a census row whenever
+//! it climbs; the `ppexp` `epoch_candidates` and `epoch_times`
+//! observables do the same at round checkpoints for artifact pipelines.
 //!
 //! ```sh
 //! cargo run --release --example trace_epochs [n]
@@ -16,7 +16,15 @@
 
 use population_protocols::core::{Census, Gsu19};
 use population_protocols::ppsim::table::Table;
-use population_protocols::ppsim::{run_until_with_epochs, AgentSim, BatchPolicy, Simulator};
+use population_protocols::ppsim::{AgentSim, BatchPolicy, Protocol, Simulator};
+
+/// The population's epoch: the largest epoch any agent reports. O(n), so
+/// it is polled every n/8 interactions, not after each one.
+fn epoch(sim: &AgentSim<Gsu19>) -> Option<u32> {
+    let mut best = None;
+    sim.for_each_state(&mut |s, _| best = best.max(sim.protocol().epoch_of(s)));
+    best
+}
 
 fn main() {
     let n: u64 = std::env::args()
@@ -48,16 +56,19 @@ fn main() {
         "max drag",
     ]);
 
-    // The batch policy sets the check granularity: epoch polls (and the
-    // stabilisation predicate) run every n/8 interactions, like the old
-    // hand-rolled loop — per-step polling would cost O(n) per step.
-    let policy = BatchPolicy::Adaptive {
-        shift: 3,
-        min_population: 4,
-    };
     let budget = 40_000 * n;
-    let mut observer = |sim: &AgentSim<Gsu19>, epoch: u32| {
-        let c = Census::of(sim, &params);
+    let mut shown = None;
+    let mut done = false;
+    while !done {
+        // Exact per-step stabilisation check between epoch polls.
+        let chunk = (n / 8).min(budget - sim.interactions());
+        done = sim.steps_until(chunk, &BatchPolicy::PerStep, &mut |s| s.is_stably_elected())
+            || sim.interactions() == budget;
+        let Some(epoch) = epoch(&sim).filter(|&e| Some(e) > shown) else {
+            continue;
+        };
+        shown = Some(epoch);
+        let c = Census::of(&sim, &params);
         let cnt = params.cnt_init().saturating_sub(epoch as u8);
         let phase = if cnt == params.cnt_init() {
             "init".to_string()
@@ -78,14 +89,7 @@ fn main() {
             c.uninitialised().to_string(),
             c.max_alive_drag.map(|d| d.to_string()).unwrap_or_default(),
         ]);
-    };
-    run_until_with_epochs(
-        &mut sim,
-        &policy,
-        budget,
-        |s| s.is_stably_elected(),
-        &mut observer,
-    );
+    }
 
     t.print();
 

@@ -3,8 +3,8 @@
 //! ```text
 //! ppctl params --n 4096                    derived protocol parameters
 //! ppctl elect --protocol gsu19 --n 4096    one election, narrated result
-//! ppctl sweep --protocol gs18 --n 512..8192 --trials 8
-//!                                          convergence-time table across n
+//! ppctl sweep --protocol gsu19,gs18 --n 512..8192 --trials 8
+//!                                          convergence-time tables across n
 //! ppctl run --spec study.ppexp --out artifact.json
 //!                                          declarative experiment (ppexp)
 //! ppctl validate artifact.json             schema-check an artifact
@@ -30,8 +30,8 @@ use population_protocols::core::{Census, Gsu19};
 use population_protocols::ppexp::cache::write_atomic;
 use population_protocols::ppexp::{
     merge_from_cache, merge_shards, replay_trial, run_experiment, run_experiment_cached, run_shard,
-    shard::shard_assignments, trial_plan, Artifact, Cache, ConfigResult, ExperimentSpec,
-    ShardOutput,
+    shard::shard_assignments, trial_plan, Artifact, Cache, ConfigResult, EngineKind,
+    ExperimentSpec, ShardOutput,
 };
 use population_protocols::ppsim::table::{fnum, Table};
 use population_protocols::ppsim::{AgentSim, BatchPolicy, Simulator, UrnSim};
@@ -86,9 +86,10 @@ fn print_help() {
          \x20 params --n N                         show derived parameters\n\
          \x20 elect  --protocol P --n N [--seed S] [--engine E] [--compiled]\n\
          \x20        [--budget PT]                 run one election\n\
-         \x20 sweep  --protocol P --n A..B [--trials T] [--seed S] [--engine E]\n\
-         \x20        [--compiled] [--threads K] [--budget PT] [--out F] [--csv F]\n\
-         \x20                                      convergence table across n (doubling)\n\
+         \x20 sweep  --protocol P[,P...] --n A..B [--trials T] [--seed S]\n\
+         \x20        [--engine E] [--compiled] [--threads K] [--budget PT]\n\
+         \x20        [--out F] [--csv F]           convergence table per protocol\n\
+         \x20                                      across n (doubling)\n\
          \x20 run    [--spec FILE] [overrides...] [--out F|-] [--csv F]\n\
          \x20        [--replay CONFIG:TRIAL] [--cache] [--no-cache] [--cache-dir D]\n\
          \x20                                      declarative experiment (ppexp)\n\
@@ -142,9 +143,8 @@ struct Flags {
 
 impl Flags {
     /// Parse `args` strictly: every token must be a registered flag. An
-    /// unknown flag is an error carrying a nearest-match hint — parity
-    /// with the `crossover` probe, where a silently dropped argument can
-    /// cost hours of probing the wrong configuration.
+    /// unknown flag is an error carrying a nearest-match hint: a silently
+    /// dropped argument can cost hours of probing the wrong configuration.
     fn parse(
         args: &[String],
         value_flags: &[&'static str],
@@ -388,9 +388,27 @@ fn emit_artifact(artifact: &Artifact, flags: &Flags) -> Result<(), String> {
 // Commands
 // ---------------------------------------------------------------------------
 
+/// The one population of a single-`n` command's spec, after validation:
+/// a population too small for GSU19's `Params` is a usage error, not a
+/// panic.
+fn single_population(spec: &ExperimentSpec) -> Result<u64, String> {
+    spec.validate()?;
+    match spec.ns[..] {
+        [n] => Ok(n),
+        _ => Err("this command takes a single --n; use 'ppctl sweep' for a grid".into()),
+    }
+}
+
 fn cmd_params(args: &[String]) -> Result<i32, String> {
     let flags = Flags::parse(args, &["--n"], &[])?;
-    let n: u64 = flags.parse_value("--n", 1 << 12)?;
+    // The parameters do not depend on the engine; an urn engine's spec
+    // admits any n, where the agent array is capped.
+    let mut spec = ExperimentSpec {
+        engine: EngineKind::Urn,
+        ..ExperimentSpec::default()
+    };
+    apply_spec_flags(&mut spec, &flags)?;
+    let n = single_population(&spec)?;
     let proto = Gsu19::for_population(n);
     let p = proto.params();
     println!("population n       = {n}");
@@ -454,8 +472,7 @@ fn cmd_elect(args: &[String]) -> Result<i32, String> {
     Ok(0)
 }
 
-/// Normalised convergence-time columns shared by `sweep` and the
-/// crossover preset.
+/// Normalised convergence-time columns of a `sweep` table row.
 fn sweep_row(config: &ConfigResult, trials: usize) -> [String; 7] {
     let agg = config.aggregate("time");
     let (mean, ci95, median) = match agg {
@@ -490,40 +507,42 @@ fn cmd_sweep(args: &[String]) -> Result<i32, String> {
         ],
         &["--compiled"],
     )?;
-    // The sweep preset: a single-protocol stabilisation study over a
-    // doubling n-grid (multi-protocol grids go through `ppctl run`, whose
-    // table carries a protocol column).
+    // The sweep preset: a stabilisation study over a doubling n-grid,
+    // printed as one table per protocol.
     let mut spec = ExperimentSpec::default();
     spec.apply("n", "512..8192")?;
     apply_spec_flags(&mut spec, &flags)?;
-    if spec.protocols.len() != 1 {
-        return Err("sweep is a single-protocol preset; use 'ppctl run' for a list".into());
-    }
     let artifact = run_experiment(&spec)?;
 
-    // `--out -` means "the artifact owns stdout": skip the human table,
+    // `--out -` means "the artifact owns stdout": skip the human tables,
     // exactly as in cmd_run.
     if flags.get("--out") != Some("-") {
-        println!("protocol: {}", spec.protocols[0].name());
-        let mut t = Table::new([
-            "n",
-            "trials",
-            "mean t",
-            "ci95",
-            "median",
-            "t/(lg*lglg)",
-            "t/lg^2",
-        ]);
-        for config in &artifact.configs {
-            if config.failures > 0 {
-                eprintln!(
-                    "note: n={}: {} of {} trials missed the budget",
-                    config.n, config.failures, spec.trials
-                );
+        // Configs are protocol-major: one chunk of the n-grid per protocol.
+        for (k, configs) in artifact.configs.chunks(spec.ns.len()).enumerate() {
+            if k > 0 {
+                println!();
             }
-            t.row(sweep_row(config, spec.trials));
+            println!("protocol: {}", configs[0].protocol.name());
+            let mut t = Table::new([
+                "n",
+                "trials",
+                "mean t",
+                "ci95",
+                "median",
+                "t/(lg*lglg)",
+                "t/lg^2",
+            ]);
+            for config in configs {
+                if config.failures > 0 {
+                    eprintln!(
+                        "note: n={}: {} of {} trials missed the budget",
+                        config.n, config.failures, spec.trials
+                    );
+                }
+                t.row(sweep_row(config, spec.trials));
+            }
+            t.print();
         }
-        t.print();
     }
     emit_artifact(&artifact, &flags)?;
     Ok(0)
@@ -807,16 +826,17 @@ fn cmd_census(args: &[String]) -> Result<i32, String> {
         &["--n", "--at", "--seed", "--engine"],
         &["--compiled"],
     )?;
-    let n: u64 = flags.parse_value("--n", 1 << 12)?;
-    let seed: u64 = flags.parse_value("--seed", 42)?;
-    let at: f64 = flags.parse_value("--at", 100.0)?;
-    let engine =
-        population_protocols::ppexp::EngineKind::parse(flags.get("--engine").unwrap_or("agent"))?;
-    use population_protocols::ppexp::EngineKind;
+    // A horizon spec, so a bad --n or --at is the validator's usage
+    // error rather than a `Params` panic or a silent zero-length run.
+    let mut spec = ExperimentSpec::default();
+    spec.apply("at", "100")?;
+    apply_spec_flags(&mut spec, &flags)?;
+    let n = single_population(&spec)?;
+    let (at, seed, engine) = (spec.stop.budget_pt(), spec.seed, spec.engine);
     let proto = Gsu19::for_population(n);
     let params = *proto.params();
     let interactions = (at * n as f64) as u64;
-    let c = if flags.has("--compiled") {
+    let c = if spec.compiled {
         let cp = proto.compiled();
         let decode = |s| cp.decode_state(s);
         match engine {

@@ -321,6 +321,40 @@ fn ppctl_rejects_an_oversized_plan_with_exit_2() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// `params` and `census` build a spec from their flags and validate it
+/// first: a population too small for GSU19's `Params` and a horizon that
+/// is not positive are usage errors, exit 2, never a panic or a silent
+/// zero-length run; a huge population is still fine for `params`.
+#[test]
+fn ppctl_params_and_census_reject_bad_input_with_exit_2() {
+    for (args, needle) in [
+        (
+            &["params", "--n", "8"][..],
+            "population 8 too small for 'gsu19'",
+        ),
+        (
+            &["census", "--n", "8", "--at", "1"][..],
+            "population 8 too small for 'gsu19'",
+        ),
+        (&["census", "--n", "1"][..], "population 1 too small"),
+        (
+            &["census", "--at", "-5"][..],
+            "stop budget -5 must be positive",
+        ),
+    ] {
+        let output = ppctl(args);
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(output.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+        assert!(stderr.contains(needle), "{args:?}: {stderr}");
+        assert!(output.stdout.is_empty(), "{args:?}");
+    }
+    // The parameters do not depend on the engine, so no engine's
+    // population cap applies to them.
+    let output = ppctl(&["params", "--n", "1073741824"]);
+    assert!(output.status.success(), "{output:?}");
+}
+
 /// End-to-end through the binary: 3 `work` processes + `merge` equal the
 /// committed tiny golden byte-for-byte; verification failures exit 2
 /// with precise diagnostics; `--resume` reuses a complete prior file.
