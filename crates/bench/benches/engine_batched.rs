@@ -1,24 +1,24 @@
 //! Experiment ENG-B — batched vs sequential urn sampling (criterion).
 //!
-//! The batched path (`UrnSim::steps_batched`, see `ppsim::batch`) samples
-//! interactions in *exact* sub-batches: collision-free runs drawn in bulk
-//! without replacement, alternating with individually resampled collision
-//! interactions, so the batched process is bit-for-bit the sequential one
-//! under the shared trace decoding. This target measures its
-//! per-interaction throughput against the sequential Fenwick path on the
-//! same protocol and population, which is the acceptance number for the
-//! batching work (≥10× at n ≥ 2^20 on `Gsu19`, exactness included). The
-//! `urn_until` group times the same blocks through `steps_until` under a
-//! never-true predicate, the path every batched `ppexp` trial runs, so the
-//! cost of the exact-stop bookkeeping shows next to `urn_batched`. The
-//! vendored criterion shim reports min/median/max per benchmark (no
-//! confidence intervals) — quote ratios from the medians and use min/max
-//! as the spread.
+//! An urn built with a batch policy (`UrnSim::with_policy`, see
+//! `ppsim::batch`) samples interactions in *exact* sub-batches:
+//! collision-free runs drawn in bulk without replacement, alternating with
+//! individually resampled collision interactions, so the batched process is
+//! bit-for-bit the sequential one under the shared trace decoding. This
+//! target measures its per-interaction throughput against the sequential
+//! Fenwick path on the same protocol and population, which is the
+//! acceptance number for the batching work (≥10× at n ≥ 2^20 on `Gsu19`,
+//! exactness included). A batched urn's `steps` is `steps_until` under a
+//! never-true predicate, the path every batched `ppexp` trial runs, so
+//! the `urn_batched` group includes the cost of the exact-stop
+//! bookkeeping. The vendored criterion shim reports min/median/max per
+//! benchmark (no confidence intervals) — quote ratios from the medians and
+//! use min/max as the spread.
 
 use baselines::SlowLe;
 use core_protocol::Gsu19;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use ppsim::{BatchPolicy, CompiledProtocol, EnumerableProtocol, Simulator, UrnSim};
+use ppsim::{BatchPolicy, CompiledProtocol, Simulator, UrnSim};
 
 /// Sequential path: enough steps to dominate timer noise.
 const SEQ_STEPS: u64 = 10_000;
@@ -60,26 +60,11 @@ fn urn_sequential(c: &mut Criterion) {
     g.finish();
 }
 
-/// Advance `sim` by `steps` interactions through `steps_batched`, or, with
-/// `until`, through `steps_until` under a never-true predicate.
-fn advance<P: EnumerableProtocol>(
-    sim: &mut UrnSim<P>,
-    steps: u64,
-    policy: &BatchPolicy,
-    until: bool,
-) {
-    if until {
-        sim.steps_until(steps, policy, &mut |_: &UrnSim<P>| false);
-    } else {
-        sim.steps_batched(steps, policy);
-    }
-}
-
-/// One group over the batched n-grid for gsu19, slow and gsu19-compiled,
-/// each benchmark timing [`advance`].
-fn batched_group(c: &mut Criterion, name: &str, until: bool) {
+/// The batched n-grid for gsu19, slow and gsu19-compiled, each benchmark
+/// timing a batched urn's `steps`.
+fn urn_batched(c: &mut Criterion) {
     let steps = batch_steps();
-    let mut g = c.benchmark_group(name);
+    let mut g = c.benchmark_group("urn_batched");
     g.throughput(Throughput::Elements(steps));
     let policy = BatchPolicy::adaptive();
     // 2^30 is out of reach for the sequential group but fine here: the
@@ -88,36 +73,28 @@ fn batched_group(c: &mut Criterion, name: &str, until: bool) {
     for &npow in batched_npows() {
         let n = 1u64 << npow;
         g.bench_function(BenchmarkId::new("gsu19", format!("2^{npow}")), |b| {
-            let mut sim = UrnSim::new(Gsu19::for_population(n), n, 1);
-            b.iter(|| advance(&mut sim, steps, &policy, until));
+            let mut sim = UrnSim::new(Gsu19::for_population(n), n, 1).with_policy(policy);
+            b.iter(|| sim.steps(steps));
         });
         g.bench_function(BenchmarkId::new("slow", format!("2^{npow}")), |b| {
-            let mut sim = UrnSim::new(SlowLe, n, 1);
-            b.iter(|| advance(&mut sim, steps, &policy, until));
+            let mut sim = UrnSim::new(SlowLe, n, 1).with_policy(policy);
+            b.iter(|| sim.steps(steps));
         });
         g.bench_function(
             BenchmarkId::new("gsu19-compiled", format!("2^{npow}")),
             |b| {
                 let proto = CompiledProtocol::new(Gsu19::for_population(n));
-                let mut sim = UrnSim::new(proto, n, 1);
-                b.iter(|| advance(&mut sim, steps, &policy, until));
+                let mut sim = UrnSim::new(proto, n, 1).with_policy(policy);
+                b.iter(|| sim.steps(steps));
             },
         );
     }
     g.finish();
 }
 
-fn urn_batched(c: &mut Criterion) {
-    batched_group(c, "urn_batched", false);
-}
-
-fn urn_until(c: &mut Criterion) {
-    batched_group(c, "urn_until", true);
-}
-
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
-    targets = urn_sequential, urn_batched, urn_until
+    targets = urn_sequential, urn_batched
 }
 criterion_main!(benches);

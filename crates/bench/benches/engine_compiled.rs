@@ -65,15 +65,15 @@ fn urn_batched_compiled_vs_dynamic(c: &mut Criterion) {
     let n = 1u64 << 20;
     let policy = BatchPolicy::adaptive();
     g.bench_function(BenchmarkId::new("gsu19-dynamic", "2^20"), |b| {
-        let mut sim = UrnSim::new(Gsu19::for_population(n), n, 1);
-        sim.steps_batched(WARM_T * n, &policy);
-        b.iter(|| sim.steps_batched(BATCH_STEPS, &policy));
+        let mut sim = UrnSim::new(Gsu19::for_population(n), n, 1).with_policy(policy);
+        sim.steps(WARM_T * n);
+        b.iter(|| sim.steps(BATCH_STEPS));
     });
     g.bench_function(BenchmarkId::new("gsu19-compiled", "2^20"), |b| {
         let proto = CompiledProtocol::new(Gsu19::for_population(n));
-        let mut sim = UrnSim::new(proto, n, 1);
-        sim.steps_batched(WARM_T * n, &policy);
-        b.iter(|| sim.steps_batched(BATCH_STEPS, &policy));
+        let mut sim = UrnSim::new(proto, n, 1).with_policy(policy);
+        sim.steps(WARM_T * n);
+        b.iter(|| sim.steps(BATCH_STEPS));
     });
     g.finish();
 }

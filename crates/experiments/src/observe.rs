@@ -244,6 +244,7 @@ impl Observables {
 /// executes; shared by every config of a spec.
 pub(crate) struct RunShape<'a> {
     pub engine: EngineKind,
+    /// The batch policy the urn engines are built with.
     pub policy: BatchPolicy,
     pub stop: StopCondition,
     pub sample_at: &'a [f64],
@@ -483,8 +484,15 @@ fn census_metrics(
     }
 }
 
-/// Whether a census-based stopping predicate holds.
-fn census_stop_hit(stop: &StopCondition, census: &Census, sim_stable: bool) -> bool {
+/// Whether a census-based stopping predicate holds for `sim`. Never
+/// inlined: the stop predicate is inlined into the engines' interaction
+/// loops, where taking a census is the rare, cold case.
+#[inline(never)]
+fn census_stop_hit<S: Simulator>(stop: &StopCondition, probe: &impl Probe<S>, sim: &S) -> bool {
+    let Some(census) = probe.census(sim) else {
+        return false;
+    };
+    let sim_stable = sim.is_stably_elected();
     match *stop {
         StopCondition::DragReached { level, .. } => {
             census.max_active_drag.is_some_and(|d| d >= level)
@@ -547,9 +555,7 @@ pub(crate) fn drive<S: Simulator>(
         match shape.stop {
             StopCondition::Stabilize { .. } => s.is_stably_elected(),
             StopCondition::Horizon { .. } => false,
-            _ => probe
-                .census(s)
-                .is_some_and(|c| census_stop_hit(&shape.stop, &c, s.is_stably_elected())),
+            _ => census_stop_hit(&shape.stop, probe, s),
         }
     };
 
@@ -577,7 +583,7 @@ pub(crate) fn drive<S: Simulator>(
             .map_or(u64::MAX, |&t| (t * n as f64) as u64);
         let target = next_round.min(next_sample).min(budget);
 
-        if sim.steps_until(target - sim.interactions(), &shape.policy, &mut stop_pred) {
+        if sim.steps_until(target - sim.interactions(), &mut stop_pred) {
             stopped = true;
             break;
         }

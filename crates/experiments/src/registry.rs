@@ -453,7 +453,8 @@ where
                     UrnSim::with_counts(proto, &counts, seed)
                 }
                 None => UrnSim::new(proto, n, seed),
-            };
+            }
+            .with_policy(shape.policy);
             drive(&mut sim, shape, probe)
         }
     }

@@ -3,9 +3,11 @@
 //! The probabilistic population model assumes a *uniform* random scheduler.
 //! Correctness claims of Las Vegas protocols (like the paper's) are,
 //! however, scheduling-independent: they only require fairness. This module
-//! wraps [`crate::AgentSim`] with schedulers that are temporarily or persistently
-//! *unfair* in controlled ways, so tests and experiments can probe what
-//! survives:
+//! replaces the pair choice of an [`crate::AgentSim`] with schedulers that
+//! are temporarily or persistently *unfair* in controlled ways, so tests
+//! and experiments can probe what survives. Only the choice of pair
+//! changes: the interaction, the RNG and the output counters are the
+//! engine's own.
 //!
 //! * [`Blackout`] — a set of agents is unavailable during an interaction
 //!   window (models crashed/partitioned agents that later return; while
@@ -22,8 +24,9 @@
 //! positive rates), so Las Vegas protocols must still stabilise.
 
 use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
+use rand::Rng;
 
+use crate::agent_sim::AgentSim;
 use crate::protocol::{Protocol, Simulator, NUM_OUTPUTS};
 
 /// A scheduling perturbation: decides, per interaction, which agents are
@@ -68,16 +71,13 @@ impl Perturbation for Throttle {
     }
 }
 
-/// An [`crate::AgentSim`]-like simulator with a perturbed scheduler: pairs are
-/// drawn uniformly, then re-drawn while either endpoint is unavailable
-/// (rejection sampling — conditional uniformity over available pairs).
+/// An [`crate::AgentSim`] with a perturbed scheduler: pairs are drawn
+/// uniformly from the engine's RNG, then re-drawn while either endpoint is
+/// unavailable (rejection sampling — conditional uniformity over available
+/// pairs). The interaction itself is the engine's.
 pub struct AdversarialSim<P: Protocol, V: Perturbation> {
-    protocol: P,
+    sim: AgentSim<P>,
     perturbation: V,
-    states: Vec<P::State>,
-    rng: SmallRng,
-    interactions: u64,
-    output_counts: [u64; NUM_OUTPUTS],
 }
 
 impl<P: Protocol, V: Perturbation> AdversarialSim<P, V> {
@@ -86,35 +86,26 @@ impl<P: Protocol, V: Perturbation> AdversarialSim<P, V> {
     /// # Panics
     /// Panics if `n < 2`.
     pub fn new(protocol: P, perturbation: V, n: usize, seed: u64) -> Self {
-        assert!(n >= 2, "population must contain at least two agents");
-        let init = protocol.initial_state();
-        let mut output_counts = [0u64; NUM_OUTPUTS];
-        output_counts[protocol.output(init) as usize] = n as u64;
         Self {
-            protocol,
+            sim: AgentSim::new(protocol, n, seed),
             perturbation,
-            states: vec![init; n],
-            rng: SmallRng::seed_from_u64(seed),
-            interactions: 0,
-            output_counts,
         }
     }
 
     /// Immutable view of the agent states.
     pub fn states(&self) -> &[P::State] {
-        &self.states
+        self.sim.states()
     }
 
     fn sample_available(&mut self) -> usize {
-        let n = self.states.len();
+        let n = self.sim.states().len();
+        let t = self.sim.interactions();
+        let rng = self.sim.rng();
         // Rejection sampling; the perturbations guarantee at least the
         // unaffected agents are always available, so this terminates.
         loop {
-            let idx = self.rng.gen_range(0..n);
-            if self
-                .perturbation
-                .available(idx, self.interactions, &mut self.rng)
-            {
+            let idx = rng.gen_range(0..n);
+            if self.perturbation.available(idx, t, rng) {
                 return idx;
             }
         }
@@ -125,11 +116,11 @@ impl<P: Protocol, V: Perturbation> Simulator for AdversarialSim<P, V> {
     type State = P::State;
 
     fn population(&self) -> u64 {
-        self.states.len() as u64
+        self.sim.population()
     }
 
     fn interactions(&self) -> u64 {
-        self.interactions
+        self.sim.interactions()
     }
 
     fn step(&mut self) {
@@ -140,31 +131,15 @@ impl<P: Protocol, V: Perturbation> Simulator for AdversarialSim<P, V> {
                 break j;
             }
         };
-        let r_old = self.states[resp];
-        let i_old = self.states[init];
-        let (r_new, i_new) = self.protocol.transition(r_old, i_old);
-        self.interactions += 1;
-        for (idx, old, new) in [(resp, r_old, r_new), (init, i_old, i_new)] {
-            if new != old {
-                let o_old = self.protocol.output(old) as usize;
-                let o_new = self.protocol.output(new) as usize;
-                if o_old != o_new {
-                    self.output_counts[o_old] -= 1;
-                    self.output_counts[o_new] += 1;
-                }
-                self.states[idx] = new;
-            }
-        }
+        self.sim.interact(resp, init);
     }
 
     fn output_counts(&self) -> [u64; NUM_OUTPUTS] {
-        self.output_counts
+        self.sim.output_counts()
     }
 
     fn for_each_state(&self, f: &mut dyn FnMut(Self::State, u64)) {
-        for &s in &self.states {
-            f(s, 1);
-        }
+        self.sim.for_each_state(f)
     }
 }
 

@@ -569,7 +569,8 @@ pub fn draw_without_replacement_sparse<R: Rng>(
     debug_assert_eq!(draws_left, 0);
 }
 
-/// How a driver schedules interactions between predicate/observation checks.
+/// How a [`crate::UrnSim`] schedules interactions between predicate checks;
+/// set where the urn is built ([`crate::UrnSim::with_policy`]).
 ///
 /// The policy answers one question — how many interactions may be executed
 /// as one opaque block. Since the batched engine became exact (collision
@@ -583,8 +584,8 @@ pub fn draw_without_replacement_sparse<R: Rng>(
 /// sub-batches sample fastest (≈√n for [`crate::UrnSim`]).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum BatchPolicy {
-    /// One interaction at a time — the exact sequential reference. Drivers
-    /// check predicates after every interaction, engines never batch.
+    /// One interaction at a time — the exact sequential reference. The urn
+    /// checks predicates after every interaction and never batches.
     PerStep,
     /// Blocks of `population >> shift` interactions, falling back to
     /// per-step sampling when the population is below `min_population`

@@ -17,7 +17,9 @@
 //!
 //! ## Simulators
 //!
-//! Two interchangeable simulators implement [`Simulator`]:
+//! Two interchangeable engines implement [`Simulator`], whose one stepping
+//! path is [`Simulator::steps_until`] (`steps` is `steps_until` under a
+//! predicate that never holds):
 //!
 //! * [`AgentSim`] keeps an explicit `Vec` of agent states. O(1) per
 //!   interaction, O(n) memory. This is the workhorse for populations up to a
@@ -28,20 +30,21 @@
 //!   memory, enabling populations bounded only by `u64`.
 //!
 //! Both produce statistically identical processes; the integration test suite
-//! checks this by comparing convergence-time distributions.
+//! checks this by comparing convergence-time distributions. For failure
+//! injection, [`AdversarialSim`] swaps `AgentSim`'s uniform pair choice for
+//! a perturbed scheduler (module [`adversary`]).
 //!
-//! On top of the sequential path, [`UrnSim`] offers a **batched** sampling
-//! mode ([`UrnSim::steps_batched`], module [`batch`]): interactions are
-//! drawn in exact sub-batches that alternate collision-free runs (bulk
+//! An urn built with a [`batch::BatchPolicy`] ([`UrnSim::with_policy`],
+//! module [`batch`]) steps in **batched** blocks: interactions are drawn in
+//! exact sub-batches that alternate collision-free runs (bulk
 //! without-replacement draws, transitions applied per pair-bucket) with
 //! individually-resampled collision interactions, so a batch is *exactly*
 //! distributed as the same number of sequential steps — bit for bit under
 //! the shared interaction-trace decoding ([`UrnSim::steps_batched_traced`] /
-//! [`UrnSim::replay_interaction`]). [`Simulator::steps_until`] and
-//! [`run_until_stable_with`] accept a [`batch::BatchPolicy`]; their
-//! stopping times are exact first hits — a predicate hit inside a block
-//! is located by rewinding the block, re-sampling it with its interaction
-//! trace on and replaying that trace.
+//! [`UrnSim::replay_interaction`]). Its stopping times are still exact
+//! first hits — a predicate hit inside a block is located by rewinding the
+//! block, re-sampling it with its interaction trace on and replaying that
+//! trace.
 //!
 //! Orthogonally, protocols whose transition factors through a
 //! (role bucket, clock phase) state split can be **compiled** into dense
@@ -98,7 +101,7 @@ pub use fenwick::Fenwick;
 pub use parallel::{default_threads, run_trials, run_trials_threads};
 pub use protocol::{EnumerableProtocol, Output, Protocol, Simulator};
 pub use rng::{split_seed, trial_seeds};
-pub use runner::{run_until, run_until_stable, run_until_stable_with, RunResult};
+pub use runner::{run_until, run_until_stable, RunResult};
 pub use stats::{
     chi_square_stat, ks_critical, ks_statistic, linear_fit, mean, mean_ci95, median, quantile,
     std_dev, Summary,
@@ -113,7 +116,7 @@ pub mod prelude {
     pub use crate::compiled::{CompiledProtocol, FactoredProtocol};
     pub use crate::parallel::run_trials;
     pub use crate::protocol::{EnumerableProtocol, Output, Protocol, Simulator};
-    pub use crate::runner::{run_until, run_until_stable, run_until_stable_with, RunResult};
+    pub use crate::runner::{run_until, run_until_stable, RunResult};
     pub use crate::stats::Summary;
     pub use crate::urn::UrnSim;
 }

@@ -103,37 +103,34 @@ pub trait Simulator {
     /// Execute one interaction chosen uniformly at random.
     fn step(&mut self);
 
-    /// Execute `k` interactions.
-    fn steps(&mut self, k: u64) {
-        for _ in 0..k {
-            self.step();
-        }
+    /// Execute `k` interactions: [`Simulator::steps_until`] under a
+    /// predicate that never holds.
+    fn steps(&mut self, k: u64)
+    where
+        Self: Sized,
+    {
+        self.steps_until(k, |_| false);
     }
 
-    /// Execute interactions until `pred` holds or `k` interactions have run,
-    /// batching internally where the engine supports it. Returns `true` iff
-    /// the predicate fired (including when it already holds on entry, where
-    /// no interaction runs).
+    /// Execute interactions until `pred` holds or `k` interactions have run.
+    /// Returns `true` iff the predicate fired (including when it already
+    /// holds on entry, where no interaction runs). This is every engine's
+    /// one stepping path.
     ///
     /// The contract is **exact first-hit semantics**: on return with `true`,
     /// [`Simulator::interactions`] is exactly the sequential chain's first
     /// interaction count at which `pred` is satisfied — no batch or
-    /// checkpoint quantisation. The default checks after every sequential
-    /// step; [`crate::UrnSim`] overrides this with a batched
-    /// record/rewind/replay implementation that probes at block granularity
-    /// and reconstructs the exact hit from the recorded interaction trace
+    /// checkpoint quantisation. The default runs [`Simulator::step`] and
+    /// checks after every interaction; [`crate::UrnSim`] overrides it to
+    /// run its batch policy's blocks, probing at block granularity and
+    /// reconstructing the exact hit from the recorded interaction trace
     /// (exact for the monotone stop predicates used in this repository; see
     /// the override's documentation for the non-monotone caveat).
-    fn steps_until(
-        &mut self,
-        k: u64,
-        policy: &crate::batch::BatchPolicy,
-        pred: &mut dyn FnMut(&Self) -> bool,
-    ) -> bool
+    fn steps_until<F>(&mut self, k: u64, mut pred: F) -> bool
     where
         Self: Sized,
+        F: FnMut(&Self) -> bool,
     {
-        let _ = policy;
         if pred(self) {
             return true;
         }

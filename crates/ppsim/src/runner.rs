@@ -1,15 +1,13 @@
 //! Drivers: run a simulation until a predicate holds or a budget runs out.
 //!
-//! [`run_until`] and [`run_until_stable`] check their predicate after every
-//! interaction; [`run_until_stable_with`] takes a [`BatchPolicy`] and lets
-//! the engine execute whole batches between checks. Stopping times are
-//! **exact first hits** either way: every driver delegates to
-//! [`Simulator::steps_until`], whose batched implementation probes the
-//! predicate at block boundaries but, on a hit, rewinds the block and
-//! replays its recorded interaction trace to the exact first interaction
-//! satisfying the predicate.
+//! Both drivers delegate to [`Simulator::steps_until`], so stopping times
+//! are **exact first hits** on every engine: the per-step engines check
+//! after every interaction, and an urn with a batch policy
+//! ([`crate::UrnSim::with_policy`]) probes the predicate at block
+//! boundaries but, on a hit, rewinds the block and replays its recorded
+//! interaction trace to the exact first interaction satisfying the
+//! predicate.
 
-use crate::batch::BatchPolicy;
 use crate::protocol::Simulator;
 
 /// Result of driving a simulation to a stopping condition.
@@ -35,27 +33,14 @@ impl RunResult {
 
 /// Run until `pred(sim)` holds or `max_interactions` have been executed.
 ///
-/// The predicate is evaluated after every interaction, so the reported
-/// stopping time is the exact first hit. The run never exceeds the budget.
+/// The reported stopping time is the exact first hit (see
+/// [`Simulator::steps_until`]). The run never exceeds the budget.
 pub fn run_until<S: Simulator>(
     sim: &mut S,
     max_interactions: u64,
-    mut pred: impl FnMut(&S) -> bool,
+    pred: impl FnMut(&S) -> bool,
 ) -> RunResult {
-    let converged = sim.steps_until(max_interactions, &BatchPolicy::PerStep, &mut pred);
-    RunResult::of(sim, converged)
-}
-
-/// Run until the configuration is stably elected (exactly one leader, no
-/// undecided agents) or the interaction budget is exhausted, scheduling
-/// according to `policy`. The reported stabilisation time is the exact
-/// first hit under every policy (see [`Simulator::steps_until`]).
-pub fn run_until_stable_with<S: Simulator>(
-    sim: &mut S,
-    policy: &BatchPolicy,
-    max_interactions: u64,
-) -> RunResult {
-    let converged = sim.steps_until(max_interactions, policy, &mut |s| s.is_stably_elected());
+    let converged = sim.steps_until(max_interactions, pred);
     RunResult::of(sim, converged)
 }
 
@@ -66,13 +51,14 @@ pub fn run_until_stable_with<S: Simulator>(
 /// is non-increasing once roles have settled, so the first time the predicate
 /// holds is the stabilisation time (see `Simulator::is_stably_elected`).
 pub fn run_until_stable<S: Simulator>(sim: &mut S, max_interactions: u64) -> RunResult {
-    run_until_stable_with(sim, &BatchPolicy::PerStep, max_interactions)
+    run_until(sim, max_interactions, |s| s.is_stably_elected())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::agent_sim::AgentSim;
+    use crate::batch::BatchPolicy;
     use crate::protocol::{Output, Protocol};
 
     struct Slow;
@@ -150,10 +136,8 @@ mod tests {
         let block = policy.batch_size(n);
         assert_eq!(block, 64);
         let target = 1_000u64; // deliberately not a multiple of the block
-        let mut sim = crate::UrnSim::new(Slow, n, 3);
-        let converged = sim.steps_until(1 << 20, &policy, &mut |s: &crate::UrnSim<Slow>| {
-            s.interactions() >= target
-        });
+        let mut sim = crate::UrnSim::new(Slow, n, 3).with_policy(policy);
+        let converged = sim.steps_until(1 << 20, |s| s.interactions() >= target);
         assert!(converged);
         assert_eq!(sim.interactions(), target, "stop overshot the first hit");
     }

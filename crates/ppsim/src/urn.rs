@@ -30,8 +30,8 @@ use crate::protocol::{EnumerableProtocol, Output, Simulator, NUM_OUTPUTS};
 /// criterion sweep on `Gsu19`.
 const INNER_BATCH_SCALE: u64 = 4;
 
-/// Size of the internal exact sub-batches [`UrnSim::steps_batched`] splits
-/// its scheduling blocks into: `INNER_BATCH_SCALE·√n` rounded down to a
+/// Size of the internal exact sub-batches the batched urn splits its
+/// scheduling blocks into: `INNER_BATCH_SCALE·√n` rounded down to a
 /// power of two (so power-of-two blocks subdivide without ragged tails),
 /// clamped into `[1, n/2]`. Exactness does not depend on this — every
 /// sub-batch is exactly distributed, and exact sampling composes — so it is
@@ -46,32 +46,37 @@ fn inner_batch_size(n: u64) -> u64 {
     pow2.clamp(1, (n / 2).max(1))
 }
 
-/// Collision patterns of the shuffled sub-batch path: which side of the
-/// colliding pair is a repeat (touched) agent. `PAT_NONE` marks a segment
-/// that ends the sub-batch without a collision.
+/// Collision patterns of a sub-batch: which side of the colliding pair is
+/// a repeat (touched) agent. `PAT_NONE` marks a segment of the shuffled
+/// path that ends the sub-batch without a collision.
 const PAT_TU: u8 = 0;
 const PAT_UT: u8 = 1;
 const PAT_TT: u8 = 2;
 const PAT_NONE: u8 = 3;
 
+/// Draw the pattern of the collision interaction that ends a
+/// collision-free run, with `t` touched and `u` untouched agents. The
+/// weights over ordered (responder, initiator) role pairs, conditioned on
+/// "not both fresh", are
+/// (touched, fresh) : (fresh, touched) : (touched, touched) = u : u : t − 1.
+#[inline]
+fn collision_pattern<R: Rng>(rng: &mut R, t: u64, u: u64) -> u8 {
+    debug_assert!(t > 0, "a collision needs at least one touched agent");
+    let w = 2.0 * u as f64 + (t - 1) as f64;
+    let x = rng.gen::<f64>() * w;
+    if x < u as f64 {
+        PAT_TU
+    } else if x < 2.0 * u as f64 {
+        PAT_UT
+    } else {
+        PAT_TT
+    }
+}
+
 /// Occupancy ceiling for the shuffled path's dense pair-transition cache
 /// (`occ²` entries). Above it — only brief transients for the protocols in
 /// this repo — transitions are evaluated directly instead.
 const PAIR_CACHE_MAX_OCC: usize = 256;
-
-/// What [`UrnSim::step_batch`] logs besides applying its sub-batch.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Record {
-    /// Nothing: [`UrnSim::steps_batched`].
-    Nothing,
-    /// The merged deltas, so the block can be rewound: the first pass of
-    /// [`Simulator::steps_until`] over every block.
-    Undo,
-    /// The merged deltas and the interaction trace, so the block can be
-    /// rewound and replayed pair by pair: the re-run of the block whose end
-    /// satisfies a stop predicate, and [`UrnSim::steps_batched_traced`].
-    UndoAndTrace,
-}
 
 /// Reusable buffers for [`UrnSim::step_batch`], kept across batches so the
 /// batched path never allocates in steady state.
@@ -118,12 +123,12 @@ struct BatchScratch {
     /// Current generation of `pair_cache` (0 = never valid).
     cache_gen: u32,
     /// Recorded (responder, initiator) state-id pairs — the block's implicit
-    /// sequential trace, in execution order. Filled only under
-    /// [`Record::UndoAndTrace`], so a `steps_until` run whose predicate
-    /// never holds never allocates it.
+    /// sequential trace, in execution order. Filled only by a block run
+    /// with its trace on, so a `steps_until` run whose predicate never
+    /// holds never allocates it.
     trace: Vec<(u32, u32)>,
-    /// Net deltas actually applied at each sub-batch merge, for rewinding
-    /// (filled under [`Record::Undo`] and [`Record::UndoAndTrace`]).
+    /// Net deltas actually applied at each sub-batch merge, so the current
+    /// block can be rewound.
     undo: Vec<(u32, i64)>,
     /// Start index in `undo` of each recorded sub-batch's segment.
     undo_marks: Vec<usize>,
@@ -171,6 +176,40 @@ impl BatchScratch {
         }
     }
 
+    /// Account for `m` interactions of the (responder `r_id`, initiator
+    /// `i_id`) state pair whose successors are (`rn_id`, `in_id`): the
+    /// successors join the deltas and the touched multiset and, with
+    /// `trace`, the pair is logged `m` times. The participants' removal is
+    /// the caller's, since the two samplers remove fresh agents
+    /// differently.
+    #[inline(always)]
+    fn credit_pair(
+        &mut self,
+        (r_id, i_id): (usize, usize),
+        (rn_id, in_id): (usize, usize),
+        m: u64,
+        trace: bool,
+    ) {
+        self.delta[rn_id] += m as i64;
+        self.delta[in_id] += m as i64;
+        self.dirty.push(rn_id as u32);
+        self.dirty.push(in_id as u32);
+        self.touched_insert(rn_id, m);
+        self.touched_insert(in_id, m);
+        if trace {
+            for _ in 0..m {
+                self.trace.push((r_id as u32, i_id as u32));
+            }
+        }
+    }
+
+    /// Remove one agent of state `id` from the configuration.
+    #[inline]
+    fn take_one(&mut self, id: usize) {
+        self.delta[id] -= 1;
+        self.dirty.push(id as u32);
+    }
+
     /// Remove one uniformly-chosen agent from the untouched pool (which
     /// holds `untouched` agents), returning its state id.
     #[inline]
@@ -211,6 +250,8 @@ pub struct UrnSim<P: EnumerableProtocol> {
     /// Cached output per state id.
     output_of: Vec<Output>,
     population: u64,
+    /// How many interactions [`Simulator::steps_until`] runs as one block.
+    policy: BatchPolicy,
     rng: SmallRng,
     interactions: u64,
     output_counts: [u64; NUM_OUTPUTS],
@@ -226,7 +267,9 @@ impl<P: EnumerableProtocol> UrnSim<P> {
     /// `(b, n, occupancy)` whatever its value.
     const BUCKETIZED_RUN_FACTOR: f64 = 3.0;
 
-    /// Create an urn with `n` agents in the initial state.
+    /// Create an urn with `n` agents in the initial state. It steps one
+    /// interaction at a time ([`BatchPolicy::PerStep`]) unless
+    /// [`UrnSim::with_policy`] says otherwise.
     ///
     /// # Panics
     /// Panics if `n < 2` or if the protocol's encode/decode pair is not
@@ -266,6 +309,7 @@ impl<P: EnumerableProtocol> UrnSim<P> {
             state_of,
             output_of,
             population: n,
+            policy: BatchPolicy::PerStep,
             rng: SmallRng::seed_from_u64(seed),
             interactions: 0,
             output_counts,
@@ -338,83 +382,78 @@ impl<P: EnumerableProtocol> UrnSim<P> {
             .collect()
     }
 
-    /// Execute `k` interactions, sampling whole batches at once where
-    /// `policy` allows it.
+    /// Set the batch policy every later [`Simulator::steps_until`] (and so
+    /// [`Simulator::steps`]) runs under.
     ///
-    /// *Exactly* equivalent in distribution to `k` calls of
-    /// [`Simulator::step`] (see [`crate::batch`]): each batch alternates
-    /// collision-free runs of fresh agents with individually-sampled
-    /// collision interactions whose repeat participants are resampled from
-    /// the post-update touched multiset, so the batch is bit-for-bit a
-    /// sequential chain under the shared trace decoding. The policy's block
-    /// size is a *scheduling* granularity only — internally each block is
-    /// split into `inner_batch_size` sub-batches (≈√n) so sampling cost
-    /// stays optimal regardless of how coarse the blocks are. Falls back to
-    /// per-step sampling whenever the policy's block size is < 4 (per-step
-    /// policy, small population) or would exceed n/2.
+    /// Under [`BatchPolicy::Adaptive`] the urn samples whole blocks of
+    /// interactions at once, each *exactly* equivalent in distribution to
+    /// the same number of sequential [`Simulator::step`]s (see
+    /// [`crate::batch`]): a block alternates collision-free runs of fresh
+    /// agents with individually-sampled collision interactions whose repeat
+    /// participants are resampled from the post-update touched multiset, so
+    /// the block is bit-for-bit a sequential chain under the shared trace
+    /// decoding. The block size is a *scheduling* granularity only —
+    /// internally each block is split into `inner_batch_size` sub-batches
+    /// (≈√n) so sampling cost stays optimal however coarse the blocks are.
+    /// A block of fewer than 4 interactions (per-step policy, small
+    /// population, the tail of a run) or of more than n/2 runs per step.
     ///
-    /// Deterministic: a fixed (seed, `k`, `policy`) triple always produces
-    /// the same configuration. Note the RNG consumption differs from the
-    /// sequential path's, so batched and per-step runs of the same seed are
-    /// different (equally valid) samples of the process.
-    pub fn steps_batched(&mut self, k: u64, policy: &BatchPolicy) {
-        let mut left = k;
-        while left > 0 {
-            let block = policy.batch_size(self.population).min(left);
-            // Batches need 2b ≤ n distinct agents; tiny remainders are
-            // cheaper sequentially than through the batch machinery. The
-            // half-check divides rather than doubling so hand-built
-            // policies can never wrap it.
-            if block < 4 || block > self.population / 2 {
-                self.step();
-                left -= 1;
-                continue;
-            }
-            self.run_block(block, Record::Nothing);
-            left -= block;
-        }
+    /// Deterministic: a fixed (seed, policy) pair always produces the same
+    /// trajectory, however a run is split into calls at block-aligned
+    /// points. The RNG consumption differs from the sequential path's, so
+    /// batched and per-step runs of the same seed are different (equally
+    /// valid) samples of the process.
+    pub fn with_policy(mut self, policy: BatchPolicy) -> Self {
+        self.policy = policy;
+        self
     }
 
-    /// Like [`UrnSim::steps_batched`], but also appends the batch's implicit
-    /// sequential trace — the ordered (responder, initiator) state-id pairs
-    /// of every interaction — to `out`. Replaying the trace pair-by-pair
-    /// with [`UrnSim::replay_interaction`] from the starting configuration
+    /// Execute `k` interactions under the urn's policy, like
+    /// [`Simulator::steps`], and append their implicit sequential trace —
+    /// the ordered (responder, initiator) state-id pairs of every
+    /// interaction — to `out`. Replaying the trace pair-by-pair with
+    /// [`UrnSim::replay_interaction`] from the starting configuration
     /// reproduces this simulator's configuration bit for bit; the
     /// equivalence suite uses this as the shared decoding that promotes the
     /// batched-vs-sequential gates from statistical to bit-level.
-    pub fn steps_batched_traced(
-        &mut self,
-        k: u64,
-        policy: &BatchPolicy,
-        out: &mut Vec<(u32, u32)>,
-    ) {
+    pub fn steps_batched_traced(&mut self, k: u64, out: &mut Vec<(u32, u32)>) {
         let mut left = k;
         while left > 0 {
-            let block = policy.batch_size(self.population).min(left);
-            if block < 4 || block > self.population / 2 {
+            let Some(block) = self.next_block(left) else {
                 let (r_id, i_id) = self.step_ids();
                 out.push((r_id as u32, i_id as u32));
                 self.finish_pair(r_id, i_id);
                 left -= 1;
                 continue;
-            }
-            self.scratch.trace.clear();
-            self.scratch.undo.clear();
-            self.scratch.undo_marks.clear();
-            self.run_block(block, Record::UndoAndTrace);
+            };
+            self.run_block(block, true);
             out.extend_from_slice(&self.scratch.trace);
             left -= block;
         }
     }
 
+    /// The next scheduling block of at most `left` interactions, or `None`
+    /// when the next interaction runs per step: the block would be below 4
+    /// interactions (too small to be worth batching) or above n/2 (too many
+    /// distinct agents for one batch). The half-check divides rather than
+    /// doubling so hand-built policies can never wrap it.
+    fn next_block(&self, left: u64) -> Option<u64> {
+        let block = self.policy.batch_size(self.population).min(left);
+        (4..=self.population / 2).contains(&block).then_some(block)
+    }
+
     /// Run one scheduling block of `block` interactions as
-    /// [`inner_batch_size`] exact sub-batches.
-    fn run_block(&mut self, block: u64, record: Record) {
+    /// [`inner_batch_size`] exact sub-batches, logging the merged deltas so
+    /// the block can be rewound and, with `trace`, its interaction trace.
+    fn run_block(&mut self, block: u64, trace: bool) {
+        self.scratch.trace.clear();
+        self.scratch.undo.clear();
+        self.scratch.undo_marks.clear();
         let inner = inner_batch_size(self.population);
         let mut rem = block;
         while rem > 0 {
             let b = inner.min(rem);
-            self.step_batch(b, record);
+            self.step_batch(b, trace);
             rem -= b;
         }
     }
@@ -441,7 +480,7 @@ impl<P: EnumerableProtocol> UrnSim<P> {
     /// expected segment count) against `occ²`, and is a deterministic
     /// function of (b, n, occupancy), so same-seed runs always pick the same
     /// path and chunked execution stays bit-reproducible.
-    fn step_batch(&mut self, b: u64, record: Record) {
+    fn step_batch(&mut self, b: u64, trace: bool) {
         let bf = b as f64;
         let avg_run = bf / (1.0 + bf * bf / self.population as f64);
         let occ = self.occupied_ids.len() as f64;
@@ -456,9 +495,9 @@ impl<P: EnumerableProtocol> UrnSim<P> {
         // in shuffled territory, while few-state protocols (occ ≤ 5) keep
         // the bucketized path's ~6 ns/interaction.
         if avg_run >= Self::BUCKETIZED_RUN_FACTOR * occ * occ {
-            self.step_batch_bucketed(b, record);
+            self.step_batch_bucketed(b, trace);
         } else {
-            self.step_batch_shuffled(b, record);
+            self.step_batch_shuffled(b, trace);
         }
     }
 
@@ -483,15 +522,13 @@ impl<P: EnumerableProtocol> UrnSim<P> {
     }
 
     /// Merge a sub-batch's accumulated deltas into the counts mirror, the
-    /// Fenwick tree, the occupancy index and the output counters, reset the
-    /// touched multiset, and hand the scratch buffers back. `dirty` may hold
-    /// duplicates; zeroing `delta` on apply makes repeats no-ops, so the
-    /// undo log gets at most one entry per state id per sub-batch.
-    fn merge_sub_batch(&mut self, mut sc: BatchScratch, record: Record) {
-        let undo = record != Record::Nothing;
-        if undo {
-            sc.undo_marks.push(sc.undo.len());
-        }
+    /// Fenwick tree, the occupancy index, the output counters and the undo
+    /// log, reset the touched multiset, and hand the scratch buffers back.
+    /// `dirty` may hold duplicates; zeroing `delta` on apply makes repeats
+    /// no-ops, so the undo log gets at most one entry per state id per
+    /// sub-batch.
+    fn merge_sub_batch(&mut self, mut sc: BatchScratch) {
+        sc.undo_marks.push(sc.undo.len());
         for k in 0..sc.dirty.len() {
             let id = sc.dirty[k] as usize;
             let d = sc.delta[id];
@@ -501,9 +538,7 @@ impl<P: EnumerableProtocol> UrnSim<P> {
                 self.urn.add(id, d);
                 let o = self.output_of[id] as usize;
                 self.output_counts[o] = (self.output_counts[o] as i64 + d) as u64;
-                if undo {
-                    sc.undo.push((id as u32, d));
-                }
+                sc.undo.push((id as u32, d));
             }
         }
         sc.dirty.clear();
@@ -534,13 +569,11 @@ impl<P: EnumerableProtocol> UrnSim<P> {
     ///    multiset, and the fresh participant (if any) from the pool.
     ///
     /// Net multiplicity changes merge into the Fenwick tree, counts mirror,
-    /// occupancy index and output counters at the end. `record` says
-    /// whether the merged deltas and the interaction trace are logged, so a
-    /// caller can rewind the batch and replay it pair-by-pair (exact
-    /// predicate stops).
-    fn step_batch_bucketed(&mut self, b: u64, record: Record) {
+    /// occupancy index, output counters and undo log at the end. `trace`
+    /// says whether the interaction trace is logged too, so a caller can
+    /// replay the batch pair-by-pair (exact predicate stops).
+    fn step_batch_bucketed(&mut self, b: u64, trace: bool) {
         debug_assert!(b >= 1 && 2 * b <= self.population);
-        let trace = record == Record::UndoAndTrace;
         let mut sc = self.begin_sub_batch();
         let n = self.population;
         let mut untouched = n;
@@ -575,54 +608,34 @@ impl<P: EnumerableProtocol> UrnSim<P> {
                 }
             }
             // The run ended before the batch budget: the next interaction is
-            // a collision. Pattern weights over ordered (responder,
-            // initiator) role pairs, conditioned on "not both fresh":
-            // (touched, fresh) : (fresh, touched) : (touched, touched)
-            //   =    u         :       u          :       t − 1.
-            let t = touched_total;
-            let u = untouched;
-            debug_assert!(t > 0, "a collision needs at least one touched agent");
-            let w = 2.0 * u as f64 + (t - 1) as f64;
-            let x = self.rng.gen::<f64>() * w;
-            let (r_id, i_id) = if x < u as f64 {
-                let r = sc.touched_remove_one(&mut self.rng, t);
-                let i = sc.pool_draw_one(&mut self.rng, u);
-                untouched -= 1;
-                touched_total += 1;
-                (r, i)
-            } else if x < 2.0 * u as f64 {
-                let r = sc.pool_draw_one(&mut self.rng, u);
-                let i = sc.touched_remove_one(&mut self.rng, t);
-                untouched -= 1;
-                touched_total += 1;
-                (r, i)
-            } else {
-                let r = sc.touched_remove_one(&mut self.rng, t);
-                let i = sc.touched_remove_one(&mut self.rng, t - 1);
-                (r, i)
+            // a collision.
+            let (t, u) = (touched_total, untouched);
+            let pat = collision_pattern(&mut self.rng, t, u);
+            let (r_id, i_id) = match pat {
+                PAT_TU => (
+                    sc.touched_remove_one(&mut self.rng, t),
+                    sc.pool_draw_one(&mut self.rng, u),
+                ),
+                PAT_UT => (
+                    sc.pool_draw_one(&mut self.rng, u),
+                    sc.touched_remove_one(&mut self.rng, t),
+                ),
+                _ => (
+                    sc.touched_remove_one(&mut self.rng, t),
+                    sc.touched_remove_one(&mut self.rng, t - 1),
+                ),
             };
-            let (r_new, i_new) = self
-                .protocol
-                .transition(self.state_of[r_id], self.state_of[i_id]);
-            let rn_id = self.protocol.state_id(r_new);
-            let in_id = self.protocol.state_id(i_new);
-            sc.delta[r_id] -= 1;
-            sc.delta[i_id] -= 1;
-            sc.delta[rn_id] += 1;
-            sc.delta[in_id] += 1;
-            sc.dirty.push(r_id as u32);
-            sc.dirty.push(i_id as u32);
-            sc.dirty.push(rn_id as u32);
-            sc.dirty.push(in_id as u32);
-            sc.touched_insert(rn_id, 1);
-            sc.touched_insert(in_id, 1);
-            if trace {
-                sc.trace.push((r_id as u32, i_id as u32));
+            if pat != PAT_TT {
+                untouched -= 1;
+                touched_total += 1;
             }
+            sc.take_one(r_id);
+            sc.take_one(i_id);
+            sc.credit_pair((r_id, i_id), self.successors(r_id, i_id), 1, trace);
             done += 1;
         }
         self.interactions += b;
-        self.merge_sub_batch(sc, record);
+        self.merge_sub_batch(sc);
     }
 
     /// Shuffled-stream exact sub-batch sampler.
@@ -657,9 +670,8 @@ impl<P: EnumerableProtocol> UrnSim<P> {
     /// participants are subtracted from the configuration in bulk at the
     /// composition draw, so collision handling only subtracts the touched
     /// sides. Trace, undo and merge machinery are shared.
-    fn step_batch_shuffled(&mut self, b: u64, record: Record) {
+    fn step_batch_shuffled(&mut self, b: u64, trace: bool) {
         debug_assert!(b >= 1 && 2 * b <= self.population);
-        let trace = record == Record::UndoAndTrace;
         let mut sc = self.begin_sub_batch();
         let n = self.population;
 
@@ -681,21 +693,7 @@ impl<P: EnumerableProtocol> UrnSim<P> {
                 sc.seg_pats.push(PAT_NONE);
                 break;
             }
-            // Pattern weights over ordered (responder, initiator) role
-            // pairs, conditioned on "not both fresh" — identical to the
-            // bucketized path's collision branch.
-            let t = touched_total;
-            let u = untouched;
-            debug_assert!(t > 0, "a collision needs at least one touched agent");
-            let w = 2.0 * u as f64 + (t - 1) as f64;
-            let x = self.rng.gen::<f64>() * w;
-            let pat = if x < u as f64 {
-                PAT_TU
-            } else if x < 2.0 * u as f64 {
-                PAT_UT
-            } else {
-                PAT_TT
-            };
+            let pat = collision_pattern(&mut self.rng, touched_total, untouched);
             if pat != PAT_TT {
                 untouched -= 1;
                 touched_total += 1;
@@ -760,51 +758,36 @@ impl<P: EnumerableProtocol> UrnSim<P> {
                 let jr = sc.flat[idx];
                 let ji = sc.flat[idx + 1];
                 idx += 2;
-                let r_id = sc.occupied[jr as usize];
-                let i_id = sc.occupied[ji as usize];
-                let (rn_id, in_id) = if use_cache {
+                let pair = (sc.occupied[jr as usize], sc.occupied[ji as usize]);
+                let next = if use_cache {
                     let key = jr as usize * occ + ji as usize;
                     let e = sc.pair_cache[key];
                     if e.0 == gen {
                         (e.1 as usize, e.2 as usize)
                     } else {
-                        let (r_new, i_new) = self
-                            .protocol
-                            .transition(self.state_of[r_id], self.state_of[i_id]);
-                        let rn = self.protocol.state_id(r_new);
-                        let inn = self.protocol.state_id(i_new);
+                        let (rn, inn) = self.successors(pair.0, pair.1);
                         sc.pair_cache[key] = (gen, rn as u32, inn as u32);
                         (rn, inn)
                     }
                 } else {
-                    let (r_new, i_new) = self
-                        .protocol
-                        .transition(self.state_of[r_id], self.state_of[i_id]);
-                    (self.protocol.state_id(r_new), self.protocol.state_id(i_new))
+                    self.successors(pair.0, pair.1)
                 };
-                sc.delta[rn_id] += 1;
-                sc.delta[in_id] += 1;
-                sc.dirty.push(rn_id as u32);
-                sc.dirty.push(in_id as u32);
-                sc.touched_insert(rn_id, 1);
-                sc.touched_insert(in_id, 1);
-                if trace {
-                    sc.trace.push((r_id as u32, i_id as u32));
-                }
+                sc.credit_pair(pair, next, 1, trace);
             }
             t_live += 2 * sc.seg_runs[si];
             let pat = sc.seg_pats[si];
             if pat == PAT_NONE {
                 break;
             }
+            // Fresh participants left the configuration at the
+            // composition draw; only the touched sides are removed here.
             let (r_id, i_id) = match pat {
                 PAT_TU => {
                     let r = sc.touched_remove_one(&mut self.rng, t_live);
                     t_live -= 1;
                     let i = sc.occupied[sc.flat[idx] as usize];
                     idx += 1;
-                    sc.delta[r] -= 1;
-                    sc.dirty.push(r as u32);
+                    sc.take_one(r);
                     (r, i)
                 }
                 PAT_UT => {
@@ -812,40 +795,24 @@ impl<P: EnumerableProtocol> UrnSim<P> {
                     idx += 1;
                     let i = sc.touched_remove_one(&mut self.rng, t_live);
                     t_live -= 1;
-                    sc.delta[i] -= 1;
-                    sc.dirty.push(i as u32);
+                    sc.take_one(i);
                     (r, i)
                 }
                 _ => {
                     let r = sc.touched_remove_one(&mut self.rng, t_live);
                     let i = sc.touched_remove_one(&mut self.rng, t_live - 1);
                     t_live -= 2;
-                    sc.delta[r] -= 1;
-                    sc.delta[i] -= 1;
-                    sc.dirty.push(r as u32);
-                    sc.dirty.push(i as u32);
+                    sc.take_one(r);
+                    sc.take_one(i);
                     (r, i)
                 }
             };
-            let (r_new, i_new) = self
-                .protocol
-                .transition(self.state_of[r_id], self.state_of[i_id]);
-            let rn_id = self.protocol.state_id(r_new);
-            let in_id = self.protocol.state_id(i_new);
-            sc.delta[rn_id] += 1;
-            sc.delta[in_id] += 1;
-            sc.dirty.push(rn_id as u32);
-            sc.dirty.push(in_id as u32);
-            sc.touched_insert(rn_id, 1);
-            sc.touched_insert(in_id, 1);
+            sc.credit_pair((r_id, i_id), self.successors(r_id, i_id), 1, trace);
             t_live += 2;
-            if trace {
-                sc.trace.push((r_id as u32, i_id as u32));
-            }
         }
         debug_assert_eq!(idx as u64, fresh, "shuffled stream fully consumed");
         self.interactions += b;
-        self.merge_sub_batch(sc, record);
+        self.merge_sub_batch(sc);
     }
 
     /// Pair the current run's responder and initiator halves uniformly and
@@ -873,7 +840,6 @@ impl<P: EnumerableProtocol> UrnSim<P> {
         for ri in 0..sc.resp_nz.len() {
             let (j, r_draws) = sc.resp_nz[ri];
             let r_id = sc.occupied[j as usize];
-            let r_state = self.state_of[r_id];
             let mut draws_left = r_draws;
             let mut total_left = initiators_left;
             let mut idx = 0usize;
@@ -904,20 +870,7 @@ impl<P: EnumerableProtocol> UrnSim<P> {
                 draws_left -= m;
 
                 let i_id = sc.occupied[jj as usize];
-                let (r_new, i_new) = self.protocol.transition(r_state, self.state_of[i_id]);
-                let rn_id = self.protocol.state_id(r_new);
-                let in_id = self.protocol.state_id(i_new);
-                sc.delta[rn_id] += m as i64;
-                sc.delta[in_id] += m as i64;
-                sc.dirty.push(rn_id as u32);
-                sc.dirty.push(in_id as u32);
-                sc.touched_insert(rn_id, m);
-                sc.touched_insert(in_id, m);
-                if trace {
-                    for _ in 0..m {
-                        sc.trace.push((r_id as u32, i_id as u32));
-                    }
-                }
+                sc.credit_pair((r_id, i_id), self.successors(r_id, i_id), m, trace);
             }
             initiators_left -= r_draws;
         }
@@ -939,16 +892,26 @@ impl<P: EnumerableProtocol> UrnSim<P> {
         (r_id, i_id)
     }
 
+    /// The state ids the transition sends the (responder `r_id`, initiator
+    /// `i_id`) state pair to.
+    // Always inlined, like `BatchScratch::credit_pair`: both sit in every
+    // per-interaction loop of the urn, sequential and batched, and left to
+    // the compiler they were outlined, costing 4–5% of CPU time on gsu19
+    // trials at n = 2^11 and 2^12.
+    #[inline(always)]
+    fn successors(&self, r_id: usize, i_id: usize) -> (usize, usize) {
+        let (r_new, i_new) = self
+            .protocol
+            .transition(self.state_of[r_id], self.state_of[i_id]);
+        (self.protocol.state_id(r_new), self.protocol.state_id(i_new))
+    }
+
     /// Apply the transition to a drawn (responder, initiator) pair whose
     /// balls have already been removed, reinsert the post-transition states
     /// and update the interaction and output counters.
     #[inline]
     fn finish_pair(&mut self, r_id: usize, i_id: usize) {
-        let (r_new, i_new) = self
-            .protocol
-            .transition(self.state_of[r_id], self.state_of[i_id]);
-        let rn_id = self.protocol.state_id(r_new);
-        let in_id = self.protocol.state_id(i_new);
+        let (rn_id, in_id) = self.successors(r_id, i_id);
         self.urn.add(rn_id, 1);
         self.add_count(rn_id, 1);
         self.urn.add(in_id, 1);
@@ -1055,7 +1018,8 @@ impl<P: EnumerableProtocol> Simulator for UrnSim<P> {
         self.finish_pair(r_id, i_id);
     }
 
-    /// Batched predicate stop with *exact* first-hit semantics.
+    /// The urn's stepping path: per step, or in blocks of its batch policy
+    /// (see [`UrnSim::with_policy`]), with *exact* first-hit stops.
     ///
     /// Blocks are executed keeping only their undo log (O(occupied) entries
     /// per sub-batch); the predicate is probed at block granularity (cheap).
@@ -1071,33 +1035,28 @@ impl<P: EnumerableProtocol> Simulator for UrnSim<P> {
     /// chain's first-hit time; for a non-monotone predicate it is the first
     /// hit *within the first block whose endpoint satisfies it* (earlier
     /// transient flips strictly inside an unsatisfied block are not probed).
-    fn steps_until(
-        &mut self,
-        k: u64,
-        policy: &BatchPolicy,
-        pred: &mut dyn FnMut(&Self) -> bool,
-    ) -> bool {
+    fn steps_until<F>(&mut self, k: u64, mut pred: F) -> bool
+    where
+        F: FnMut(&Self) -> bool,
+    {
         if pred(self) {
             return true;
         }
         let mut left = k;
         while left > 0 {
-            let block = policy.batch_size(self.population).min(left);
-            if block < 4 || block > self.population / 2 {
+            let Some(block) = self.next_block(left) else {
                 self.step();
                 left -= 1;
                 if pred(self) {
                     return true;
                 }
                 continue;
-            }
+            };
             // What a re-sample of this block needs: the RNG state and the
             // occupancy order its first sub-batch snapshots.
             let rng = self.rng.clone();
             self.scratch.block_occupied.clone_from(&self.occupied_ids);
-            self.scratch.undo.clear();
-            self.scratch.undo_marks.clear();
-            self.run_block(block, Record::Undo);
+            self.run_block(block, false);
             left -= block;
             if pred(self) {
                 // The predicate holds somewhere inside this block. Rewind
@@ -1106,8 +1065,7 @@ impl<P: EnumerableProtocol> Simulator for UrnSim<P> {
                 self.rewind_block(block);
                 self.rng = rng;
                 self.restore_block_occupancy();
-                self.scratch.trace.clear();
-                self.run_block(block, Record::UndoAndTrace);
+                self.run_block(block, true);
                 // Rewind once more and replay the trace one interaction at
                 // a time until the predicate first holds. A full replay
                 // reproduces the block-end configuration bit for bit, so
@@ -1152,7 +1110,7 @@ impl<P: EnumerableProtocol> Simulator for UrnSim<P> {
 mod tests {
     use super::*;
     use crate::protocol::Protocol;
-    use crate::runner::{run_until_stable, run_until_stable_with};
+    use crate::runner::run_until_stable;
 
     /// The slow leader-election protocol with a dense 2-state encoding.
     struct Slow;
@@ -1235,15 +1193,15 @@ mod tests {
     #[test]
     fn for_each_state_visits_each_occupied_state_once_across_rewinds() {
         let policy = test_policy();
-        let mut sim = UrnSim::new(Cycle, 4096, 61);
-        assert!(sim.steps_until(1 << 22, &policy, &mut |s: &UrnSim<Cycle>| {
+        let mut sim = UrnSim::new(Cycle, 4096, 61).with_policy(policy);
+        assert!(sim.steps_until(1 << 22, |s| {
             assert_visits_each_occupied_state_once(s);
             s.count_of_id(15) >= 64
         }));
         // The stop fell inside a block, which was rewound and replayed.
         assert_ne!(sim.interactions() % policy.batch_size(4096), 0);
         assert_visits_each_occupied_state_once(&sim);
-        sim.steps_batched(100_000, &policy);
+        sim.steps(100_000);
         assert_visits_each_occupied_state_once(&sim);
     }
 
@@ -1308,8 +1266,8 @@ mod tests {
 
     #[test]
     fn batched_conserves_population_and_outputs() {
-        let mut sim = UrnSim::new(Slow, 10_000, 3);
-        sim.steps_batched(200_000, &test_policy());
+        let mut sim = UrnSim::new(Slow, 10_000, 3).with_policy(test_policy());
+        sim.steps(200_000);
         assert_eq!(sim.interactions(), 200_000);
         let total: u64 = sim.nonzero_counts().iter().map(|&(_, c)| c).sum();
         assert_eq!(total, 10_000);
@@ -1325,8 +1283,8 @@ mod tests {
 
     #[test]
     fn batched_slow_converges_to_one_leader() {
-        let mut sim = UrnSim::new(Slow, 4096, 17);
-        let res = run_until_stable_with(&mut sim, &test_policy(), 1 << 32);
+        let mut sim = UrnSim::new(Slow, 4096, 17).with_policy(test_policy());
+        let res = run_until_stable(&mut sim, 1 << 32);
         assert!(res.converged);
         assert_eq!(sim.leaders(), 1);
         // Exact first-hit stop: the reported interaction count is the one
@@ -1341,9 +1299,9 @@ mod tests {
         // follow it just like the sequential one (the batch sampler is
         // exact, so the tolerance only covers sampling noise).
         let n = 1u64 << 14;
-        let mut sim = UrnSim::new(Slow, n, 9);
+        let mut sim = UrnSim::new(Slow, n, 9).with_policy(test_policy());
         for k in 1..=6u64 {
-            sim.steps_batched(2 * n, &test_policy());
+            sim.steps(2 * n);
             let t = 2.0 * k as f64;
             let expected = n as f64 / (1.0 + t);
             let rel = (sim.leaders() as f64 - expected).abs() / expected;
@@ -1361,8 +1319,8 @@ mod tests {
         let n = 4096u64;
         let policy = BatchPolicy::adaptive();
         assert_eq!(policy.batch_size(n), 256);
-        let mut sim = UrnSim::new(Slow, n, 77);
-        let res = run_until_stable_with(&mut sim, &policy, 1 << 40);
+        let mut sim = UrnSim::new(Slow, n, 77).with_policy(policy);
+        let res = run_until_stable(&mut sim, 1 << 40);
         assert!(res.converged);
         assert_eq!(sim.leaders(), 1);
         assert_eq!(res.interactions, sim.interactions());
@@ -1374,9 +1332,9 @@ mod tests {
         // (responder, initiator) trace, replayed pair-by-pair on a fresh
         // urn, must reproduce the batched configuration bit for bit.
         let n = 4096u64;
-        let mut batched = UrnSim::new(Slow, n, 41);
+        let mut batched = UrnSim::new(Slow, n, 41).with_policy(test_policy());
         let mut trace = Vec::new();
-        batched.steps_batched_traced(10_000, &test_policy(), &mut trace);
+        batched.steps_batched_traced(10_000, &mut trace);
         assert_eq!(trace.len(), 10_000);
         let mut replayed = UrnSim::new(Slow, n, 999);
         for &(r, i) in &trace {
@@ -1395,9 +1353,9 @@ mod tests {
         let n = 4096u64;
         let policy = test_policy();
         let target = 40u64;
-        let mut traced = UrnSim::new(Slow, n, 53);
+        let mut traced = UrnSim::new(Slow, n, 53).with_policy(policy);
         let mut trace = Vec::new();
-        traced.steps_batched_traced(1 << 22, &policy, &mut trace);
+        traced.steps_batched_traced(1 << 22, &mut trace);
         let mut replayed = UrnSim::new(Slow, n, 1);
         let mut first_hit = None;
         for (k, &(r, i)) in trace.iter().enumerate() {
@@ -1408,10 +1366,8 @@ mod tests {
             }
         }
         let first_hit = first_hit.expect("trace long enough to hit target");
-        let mut sim = UrnSim::new(Slow, n, 53);
-        assert!(sim.steps_until(1 << 22, &policy, &mut |s: &UrnSim<Slow>| {
-            s.leaders() <= target
-        }));
+        let mut sim = UrnSim::new(Slow, n, 53).with_policy(policy);
+        assert!(sim.steps_until(1 << 22, |s| s.leaders() <= target));
         assert_eq!(sim.interactions(), first_hit);
         assert_eq!(sim.leaders(), target);
         assert_eq!(sim.nonzero_counts(), replayed.nonzero_counts());
@@ -1426,19 +1382,17 @@ mod tests {
         // continuation must reach the same configuration.
         let n = 4096u64;
         let policy = test_policy();
-        let mut sim = UrnSim::new(Slow, n, 53);
+        let mut sim = UrnSim::new(Slow, n, 53).with_policy(policy);
         let mut calls = 0u64;
-        assert!(sim.steps_until(1 << 22, &policy, &mut |s: &UrnSim<Slow>| {
+        assert!(sim.steps_until(1 << 22, |s| {
             calls += 1;
             s.leaders() <= 40
         }));
         assert_eq!(calls, 1595);
         assert_eq!(sim.interactions(), 384_858);
-        sim.steps_batched(100_000, &policy);
+        sim.steps(100_000);
         assert_eq!(sim.nonzero_counts(), vec![(false, 4061), (true, 35)]);
-        assert!(sim.steps_until(1 << 22, &policy, &mut |s: &UrnSim<Slow>| {
-            s.leaders() <= 20
-        }));
+        assert!(sim.steps_until(1 << 22, |s| s.leaders() <= 20));
         assert_eq!(sim.interactions(), 797_876);
     }
 
@@ -1447,8 +1401,8 @@ mod tests {
         // Horizon stops run `steps_until` under a never-true predicate. Only
         // a block whose end satisfies the predicate is re-sampled with its
         // trace, so such a run never allocates one.
-        let mut sim = UrnSim::new(Slow, 4096, 7);
-        assert!(!sim.steps_until(1 << 20, &test_policy(), &mut |_: &UrnSim<Slow>| false));
+        let mut sim = UrnSim::new(Slow, 4096, 7).with_policy(test_policy());
+        assert!(!sim.steps_until(1 << 20, |_| false));
         assert_eq!(sim.interactions(), 1 << 20);
         assert_eq!(sim.scratch.trace.capacity(), 0);
     }
@@ -1458,8 +1412,8 @@ mod tests {
         // When the predicate never fires the budget must be consumed
         // exactly, with no partial-block overshoot.
         let n = 4096u64;
-        let mut sim = UrnSim::new(Slow, n, 7);
-        assert!(!sim.steps_until(12_345, &test_policy(), &mut |_: &UrnSim<Slow>| false));
+        let mut sim = UrnSim::new(Slow, n, 7).with_policy(test_policy());
+        assert!(!sim.steps_until(12_345, |_| false));
         assert_eq!(sim.interactions(), 12_345);
     }
 
@@ -1473,9 +1427,9 @@ mod tests {
             min_population: 2,
         };
         assert_eq!(policy.batch_size(4096), 1);
-        let mut batched = UrnSim::new(Slow, 4096, 23);
+        let mut batched = UrnSim::new(Slow, 4096, 23).with_policy(policy);
         let mut sequential = UrnSim::new(Slow, 4096, 23);
-        batched.steps_batched(10_000, &policy);
+        batched.steps(10_000);
         sequential.steps(10_000);
         assert_eq!(batched.nonzero_counts(), sequential.nonzero_counts());
         assert_eq!(batched.output_counts(), sequential.output_counts());
@@ -1490,9 +1444,9 @@ mod tests {
             shift: 4,
             min_population: 1 << 20,
         };
-        let mut batched = UrnSim::new(Slow, 500, 23);
+        let mut batched = UrnSim::new(Slow, 500, 23).with_policy(policy);
         let mut sequential = UrnSim::new(Slow, 500, 23);
-        batched.steps_batched(5_000, &policy);
+        batched.steps(5_000);
         sequential.steps(5_000);
         assert_eq!(batched.nonzero_counts(), sequential.nonzero_counts());
         assert_eq!(batched.output_counts(), sequential.output_counts());
@@ -1501,9 +1455,9 @@ mod tests {
     #[test]
     fn batched_heterogeneous_start() {
         let counts = [(true, 64u64), (false, 4032)];
-        let mut sim = UrnSim::with_counts(Slow, &counts, 31);
+        let mut sim = UrnSim::with_counts(Slow, &counts, 31).with_policy(test_policy());
         assert_eq!(sim.leaders(), 64);
-        let res = run_until_stable_with(&mut sim, &test_policy(), 1 << 32);
+        let res = run_until_stable(&mut sim, 1 << 32);
         assert!(res.converged);
         assert_eq!(sim.leaders(), 1);
     }

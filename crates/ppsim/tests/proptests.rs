@@ -351,9 +351,9 @@ proptest! {
         // interaction must take the sequential path bit for bit, for every
         // seed and population — not just statistically.
         let policy = BatchPolicy::Adaptive { shift: 63, min_population: 2 };
-        let mut batched = UrnSim::new(Slow, n, seed);
+        let mut batched = UrnSim::new(Slow, n, seed).with_policy(policy);
         let mut sequential = UrnSim::new(Slow, n, seed);
-        batched.steps_batched(k, &policy);
+        batched.steps(k);
         sequential.steps(k);
         prop_assert_eq!(batched.nonzero_counts(), sequential.nonzero_counts());
         prop_assert_eq!(batched.output_counts(), sequential.output_counts());
@@ -372,9 +372,9 @@ proptest! {
         // run, replayed sequentially, reproduces the batched configuration
         // bit for bit.
         let policy = BatchPolicy::Adaptive { shift, min_population: 2 };
-        let mut batched = UrnSim::new(Slow, n, seed);
+        let mut batched = UrnSim::new(Slow, n, seed).with_policy(policy);
         let mut trace = Vec::new();
-        batched.steps_batched_traced(k, &policy, &mut trace);
+        batched.steps_batched_traced(k, &mut trace);
         prop_assert_eq!(trace.len() as u64, k);
         let mut replayed = UrnSim::new(Slow, n, !seed);
         for &(r, i) in &trace {

@@ -16,7 +16,7 @@
 
 use population_protocols::core::{Census, Gsu19};
 use population_protocols::ppsim::table::Table;
-use population_protocols::ppsim::{AgentSim, BatchPolicy, Protocol, Simulator};
+use population_protocols::ppsim::{AgentSim, Protocol, Simulator};
 
 /// The population's epoch: the largest epoch any agent reports. O(n), so
 /// it is polled every n/8 interactions, not after each one.
@@ -62,8 +62,7 @@ fn main() {
     while !done {
         // Exact per-step stabilisation check between epoch polls.
         let chunk = (n / 8).min(budget - sim.interactions());
-        done = sim.steps_until(chunk, &BatchPolicy::PerStep, &mut |s| s.is_stably_elected())
-            || sim.interactions() == budget;
+        done = sim.steps_until(chunk, |s| s.is_stably_elected()) || sim.interactions() == budget;
         let Some(epoch) = epoch(&sim).filter(|&e| Some(e) > shown) else {
             continue;
         };

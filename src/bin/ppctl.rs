@@ -24,7 +24,9 @@
 //! flags exit nonzero with a hint, so a typo like `--trails` can never
 //! silently run the wrong experiment.
 
+use std::io::{ErrorKind, Write};
 use std::path::Path;
+use std::sync::atomic::{AtomicBool, Ordering};
 
 use population_protocols::core::{Census, Gsu19};
 use population_protocols::ppexp::cache::write_atomic;
@@ -34,7 +36,44 @@ use population_protocols::ppexp::{
     ExperimentSpec, ShardOutput,
 };
 use population_protocols::ppsim::table::{fnum, Table};
-use population_protocols::ppsim::{AgentSim, BatchPolicy, Simulator, UrnSim};
+use population_protocols::ppsim::{AgentSim, Simulator, UrnSim};
+
+/// Write to stdout: the one path every command's output takes. A reader
+/// that closes the pipe early (`ppctl params | head -1`) ends the output:
+/// later writes are dropped, and the command still finishes its other
+/// work (files it writes, its exit code). Any other write error is the
+/// command's error.
+fn write_out(args: std::fmt::Arguments) -> Result<(), String> {
+    static CLOSED: AtomicBool = AtomicBool::new(false);
+    if CLOSED.load(Ordering::Relaxed) {
+        return Ok(());
+    }
+    let mut stdout = std::io::stdout().lock();
+    match stdout.write_fmt(args).and_then(|()| stdout.flush()) {
+        Err(e) if e.kind() == ErrorKind::BrokenPipe => {
+            CLOSED.store(true, Ordering::Relaxed);
+            Ok(())
+        }
+        result => result.map_err(|e| format!("writing to stdout: {e}")),
+    }
+}
+
+/// `print!` through [`write_out`].
+macro_rules! out {
+    ($($arg:tt)*) => {
+        write_out(format_args!($($arg)*))
+    };
+}
+
+/// `println!` through [`write_out`].
+macro_rules! outln {
+    () => {
+        write_out(format_args!("\n"))
+    };
+    ($($arg:tt)*) => {
+        write_out(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -48,10 +87,7 @@ fn main() {
         Some("plan") => report(cmd_plan(&args[1..])),
         Some("validate") => report(cmd_validate(&args[1..])),
         Some("census") => report(cmd_census(&args[1..])),
-        Some("help") | None => {
-            print_help();
-            0
-        }
+        Some("help") | None => report(print_help().map(|()| 0)),
         Some(other) => {
             let commands = [
                 "params", "elect", "sweep", "run", "work", "merge", "plan", "validate", "census",
@@ -79,8 +115,8 @@ fn report(result: Result<i32, String>) -> i32 {
     }
 }
 
-fn print_help() {
-    println!(
+fn print_help() -> Result<(), String> {
+    outln!(
         "ppctl — leader election in population protocols (GSU19 reproduction)\n\n\
          commands:\n\
          \x20 params --n N                         show derived parameters\n\
@@ -126,7 +162,7 @@ fn print_help() {
          threads:   --threads K or the PPSIM_THREADS environment variable\n\
          --compiled runs the engine on compiled transition tables\n\
          \x20          (ppsim::compiled; gsu19 and gs18 only)"
-    );
+    )
 }
 
 // ---------------------------------------------------------------------------
@@ -345,7 +381,7 @@ fn cache_flag(flags: &Flags) -> Option<Cache> {
 
 /// The per-config summary table `run` prints, shared with `merge` (whose
 /// output is the same artifact, just assembled from shards).
-fn print_run_table(artifact: &Artifact, trials: usize) {
+fn print_run_table(artifact: &Artifact, trials: usize) -> Result<(), String> {
     let mut t = Table::new([
         "protocol", "n", "trials", "failures", "mean t", "ci95", "median",
     ]);
@@ -361,7 +397,7 @@ fn print_run_table(artifact: &Artifact, trials: usize) {
             fnum(agg.map_or(f64::NAN, |a| a.median)),
         ]);
     }
-    t.print();
+    out!("{}", t.render())
 }
 
 /// Write the artifact as requested by `--out` / `--csv` (`--out -` prints
@@ -371,7 +407,7 @@ fn emit_artifact(artifact: &Artifact, flags: &Flags) -> Result<(), String> {
     if let Some(path) = flags.get("--out") {
         let text = artifact.to_json_string();
         if path == "-" {
-            print!("{text}");
+            out!("{text}")?;
         } else {
             write_atomic(Path::new(path), &text)?;
             eprintln!("wrote artifact to {path}");
@@ -411,21 +447,21 @@ fn cmd_params(args: &[String]) -> Result<i32, String> {
     let n = single_population(&spec)?;
     let proto = Gsu19::for_population(n);
     let p = proto.params();
-    println!("population n       = {n}");
-    println!("coin level cap Φ   = {}", p.phi);
-    println!("drag cap Ψ         = {}", p.psi);
-    println!("clock modulus Γ    = {}", p.gamma);
-    println!("fast-elim counter  = {} (2Φ+3)", p.cnt_init());
-    println!("state-space size   = {}", p.num_states());
-    println!(
+    outln!("population n       = {n}")?;
+    outln!("coin level cap Φ   = {}", p.phi)?;
+    outln!("drag cap Ψ         = {}", p.psi)?;
+    outln!("clock modulus Γ    = {}", p.gamma)?;
+    outln!("fast-elim counter  = {} (2Φ+3)", p.cnt_init())?;
+    outln!("state-space size   = {}", p.num_states())?;
+    outln!(
         "expected junta     = {:.1} agents",
         p.coin_bias(p.phi) * n as f64
-    );
+    )?;
     let mut coins = String::new();
     for l in 0..=p.phi {
         coins.push_str(&format!("  level {l}: bias {:.3e}", p.coin_bias(l)));
     }
-    println!("coin biases        ={coins}");
+    outln!("coin biases        ={coins}")?;
     Ok(0)
 }
 
@@ -460,7 +496,7 @@ fn cmd_elect(args: &[String]) -> Result<i32, String> {
         return Ok(1);
     }
     let leaders = record.outcome.metric("leaders").unwrap_or(0.0) as u64;
-    println!(
+    outln!(
         "{}: unique leader among {} agents after {:.1} parallel time \
          ({leaders} leader state{}) [trial seed {}]",
         config.protocol.name(),
@@ -468,7 +504,7 @@ fn cmd_elect(args: &[String]) -> Result<i32, String> {
         record.outcome.metric("time").unwrap_or(f64::NAN),
         if leaders == 1 { "" } else { "s" },
         record.seed,
-    );
+    )?;
     Ok(0)
 }
 
@@ -520,9 +556,9 @@ fn cmd_sweep(args: &[String]) -> Result<i32, String> {
         // Configs are protocol-major: one chunk of the n-grid per protocol.
         for (k, configs) in artifact.configs.chunks(spec.ns.len()).enumerate() {
             if k > 0 {
-                println!();
+                outln!()?;
             }
-            println!("protocol: {}", configs[0].protocol.name());
+            outln!("protocol: {}", configs[0].protocol.name())?;
             let mut t = Table::new([
                 "n",
                 "trials",
@@ -541,7 +577,7 @@ fn cmd_sweep(args: &[String]) -> Result<i32, String> {
                 }
                 t.row(sweep_row(config, spec.trials));
             }
-            t.print();
+            out!("{}", t.render())?;
         }
     }
     emit_artifact(&artifact, &flags)?;
@@ -567,7 +603,7 @@ fn cmd_run(args: &[String]) -> Result<i32, String> {
         let record = replay_trial(&spec, config, trial)?;
         // The record in the exact shape it has inside an artifact's
         // `trials` array, so it can be diffed against the recorded one.
-        println!("{}", record.to_json().emit());
+        outln!("{}", record.to_json().emit())?;
         return Ok(0);
     }
 
@@ -584,7 +620,7 @@ fn cmd_run(args: &[String]) -> Result<i32, String> {
         );
     }
     if flags.get("--out") != Some("-") {
-        print_run_table(&artifact, spec.trials);
+        print_run_table(&artifact, spec.trials)?;
     }
     emit_artifact(&artifact, &flags)?;
     Ok(0)
@@ -640,7 +676,7 @@ fn cmd_work(args: &[String]) -> Result<i32, String> {
     );
     let text = output.to_json_string();
     if out == "-" {
-        print!("{text}");
+        out!("{text}")?;
     } else {
         // Atomic, so a worker killed mid-write leaves the previous file
         // (or none) for `--resume`, never a truncated one.
@@ -687,7 +723,7 @@ fn cmd_merge(args: &[String]) -> Result<i32, String> {
     };
 
     if flags.get("--out") != Some("-") {
-        print_run_table(&artifact, spec.trials);
+        print_run_table(&artifact, spec.trials)?;
     }
     emit_artifact(&artifact, &flags)?;
     Ok(0)
@@ -747,15 +783,15 @@ fn cmd_plan(args: &[String]) -> Result<i32, String> {
         ]);
         start = end;
     }
-    t.print();
-    println!(
+    out!("{}", t.render())?;
+    outln!(
         "total: {} trials, {total} cost units (~{} s single worker)",
         plan.len(),
         cost_secs(total)
-    );
+    )?;
 
     // Per-trial detail with the weighted-LPT shard each trial lands on.
-    println!();
+    outln!()?;
     let mut t = Table::new(["config", "trial", "seed", "cost", "shard"]);
     for (trial, shard) in plan.iter().zip(&assignment) {
         t.row([
@@ -766,10 +802,10 @@ fn cmd_plan(args: &[String]) -> Result<i32, String> {
             shard.to_string(),
         ]);
     }
-    t.print();
+    out!("{}", t.render())?;
 
     // Per-shard predicted loads and the k-worker makespan.
-    println!();
+    outln!()?;
     let mut loads = vec![0u128; k];
     let mut counts = vec![0usize; k];
     for (trial, &shard) in plan.iter().zip(&assignment) {
@@ -785,16 +821,16 @@ fn cmd_plan(args: &[String]) -> Result<i32, String> {
             cost_secs(load),
         ]);
     }
-    t.print();
+    out!("{}", t.render())?;
     let makespan = loads.iter().max().copied().unwrap_or(0);
-    println!(
+    outln!(
         "predicted makespan over {k} worker{}: {makespan} cost units (~{} s); \
          ideal total/k = {} (~{} s)",
         if k == 1 { "" } else { "s" },
         cost_secs(makespan),
         total / k as u128,
         cost_secs(total / k as u128)
-    );
+    )?;
     Ok(0)
 }
 
@@ -807,10 +843,10 @@ fn cmd_validate(args: &[String]) -> Result<i32, String> {
         .map_err(|e| format!("{path}: invalid JSON: {e}"))?;
     match Artifact::validate_json(&doc) {
         Ok(()) => {
-            println!(
+            outln!(
                 "{path}: valid {} artifact",
                 population_protocols::ppexp::SCHEMA
-            );
+            )?;
             Ok(0)
         }
         Err(e) => {
@@ -836,58 +872,44 @@ fn cmd_census(args: &[String]) -> Result<i32, String> {
     let proto = Gsu19::for_population(n);
     let params = *proto.params();
     let interactions = (at * n as f64) as u64;
+    let policy = spec.batch_policy();
     let c = if spec.compiled {
         let cp = proto.compiled();
         let decode = |s| cp.decode_state(s);
-        match engine {
-            EngineKind::Agent => {
-                let mut sim = AgentSim::new(cp.clone(), n as usize, seed);
-                sim.steps(interactions);
-                Census::of_with(&sim, &params, decode)
-            }
-            EngineKind::Urn => {
-                let mut sim = UrnSim::new(cp.clone(), n, seed);
-                sim.steps(interactions);
-                Census::of_with(&sim, &params, decode)
-            }
-            EngineKind::UrnBatched => {
-                let mut sim = UrnSim::new(cp.clone(), n, seed);
-                sim.steps_batched(interactions, &BatchPolicy::adaptive());
-                Census::of_with(&sim, &params, decode)
-            }
+        if engine == EngineKind::Agent {
+            let mut sim = AgentSim::new(cp.clone(), n as usize, seed);
+            sim.steps(interactions);
+            Census::of_with(&sim, &params, decode)
+        } else {
+            let mut sim = UrnSim::new(cp.clone(), n, seed).with_policy(policy);
+            sim.steps(interactions);
+            Census::of_with(&sim, &params, decode)
         }
+    } else if engine == EngineKind::Agent {
+        let mut sim = AgentSim::new(proto, n as usize, seed);
+        sim.steps(interactions);
+        Census::of(&sim, &params)
     } else {
-        match engine {
-            EngineKind::Agent => {
-                let mut sim = AgentSim::new(proto, n as usize, seed);
-                sim.steps(interactions);
-                Census::of(&sim, &params)
-            }
-            EngineKind::Urn => {
-                let mut sim = UrnSim::new(proto, n, seed);
-                sim.steps(interactions);
-                Census::of(&sim, &params)
-            }
-            EngineKind::UrnBatched => {
-                let mut sim = UrnSim::new(proto, n, seed);
-                sim.steps_batched(interactions, &BatchPolicy::adaptive());
-                Census::of(&sim, &params)
-            }
-        }
+        let mut sim = UrnSim::new(proto, n, seed).with_policy(policy);
+        sim.steps(interactions);
+        Census::of(&sim, &params)
     };
-    println!("census at parallel time {at} (n = {n}):");
-    println!("  zero / X / deactivated : {} / {} / {}", c.zero, c.x, c.d);
-    println!("  coins by level         : {:?}", c.coin_levels);
-    println!("  inhibitors by drag     : {:?}", c.inhibitor_drags);
-    println!("  high inhibitors        : {:?}", c.inhibitor_high);
-    println!(
+    outln!("census at parallel time {at} (n = {n}):")?;
+    outln!("  zero / X / deactivated : {} / {} / {}", c.zero, c.x, c.d)?;
+    outln!("  coins by level         : {:?}", c.coin_levels)?;
+    outln!("  inhibitors by drag     : {:?}", c.inhibitor_drags)?;
+    outln!("  high inhibitors        : {:?}", c.inhibitor_high)?;
+    outln!(
         "  leaders A/P/W          : {} / {} / {}",
-        c.active, c.passive, c.withdrawn
-    );
-    println!(
+        c.active,
+        c.passive,
+        c.withdrawn
+    )?;
+    outln!(
         "  max alive drag         : {:?}, leaders counter: {:?}",
-        c.max_alive_drag, c.max_cnt
-    );
+        c.max_alive_drag,
+        c.max_cnt
+    )?;
     Ok(0)
 }
 

@@ -24,8 +24,8 @@ use std::sync::Barrier;
 
 use population_protocols::core::{Census, Gsu19, Params};
 use population_protocols::ppsim::{
-    ks_critical, ks_statistic, run_trials_threads, run_until_stable, run_until_stable_with,
-    AgentSim, BatchPolicy, CompiledProtocol, EnumerableProtocol, Protocol, Simulator, UrnSim,
+    ks_critical, ks_statistic, run_trials_threads, run_until_stable, AgentSim, BatchPolicy,
+    CompiledProtocol, EnumerableProtocol, Protocol, Simulator, UrnSim,
 };
 
 /// Hand-built small parameters: every role component present, state space
@@ -181,11 +181,11 @@ fn compiled_batched_trajectory_is_bit_identical() {
     };
     let proto = Gsu19::for_population(n);
     let c = CompiledProtocol::new(proto);
-    let mut dynamic = UrnSim::new(proto, n, 777);
-    let mut compiled = UrnSim::new(c.clone(), n, 777);
+    let mut dynamic = UrnSim::new(proto, n, 777).with_policy(policy);
+    let mut compiled = UrnSim::new(c.clone(), n, 777).with_policy(policy);
     for _ in 0..5 {
-        dynamic.steps_batched(10 * n, &policy);
-        compiled.steps_batched(10 * n, &policy);
+        dynamic.steps(10 * n);
+        compiled.steps(10 * n);
         assert_eq!(dynamic.output_counts(), compiled.output_counts());
         let decoded: Vec<_> = compiled
             .nonzero_counts()
@@ -273,8 +273,8 @@ fn compiled_batched_urn_vs_dynamic_agent_ks() {
     });
     let compiled_times = run_trials_threads(trials, 8200, 2, |_, seed| {
         let proto = CompiledProtocol::new(Gsu19::for_population(n));
-        let mut sim = UrnSim::new(proto, n, seed);
-        let res = run_until_stable_with(&mut sim, &policy, budget);
+        let mut sim = UrnSim::new(proto, n, seed).with_policy(policy);
+        let res = run_until_stable(&mut sim, budget);
         assert!(res.converged);
         res.parallel_time
     });

@@ -7,8 +7,7 @@
 
 use population_protocols::core::{Census, Gsu19};
 use population_protocols::ppsim::{
-    run_until_stable, run_until_stable_with, split_seed, trial_seeds, AgentSim, BatchPolicy,
-    Simulator, UrnSim,
+    run_until_stable, split_seed, trial_seeds, AgentSim, BatchPolicy, Simulator, UrnSim,
 };
 
 #[test]
@@ -95,8 +94,8 @@ fn steps_batched_replays_bit_identical() {
     let n = 1u64 << 12;
     let policy = batched_policy();
     let run = |seed: u64| {
-        let mut sim = UrnSim::new(Gsu19::for_population(n), n, seed);
-        sim.steps_batched(40 * n, &policy);
+        let mut sim = UrnSim::new(Gsu19::for_population(n), n, seed).with_policy(policy);
+        sim.steps(40 * n);
         (
             sim.interactions(),
             sim.output_counts(),
@@ -106,8 +105,8 @@ fn steps_batched_replays_bit_identical() {
     let (i1, o1, c1) = run(0xBAD_CAFE);
     let (i2, o2, c2) = run(0xBAD_CAFE);
     assert_eq!(i1, i2);
-    assert_eq!(o1, o2, "output counts diverged under steps_batched");
-    assert_eq!(c1, c2, "configuration diverged under steps_batched");
+    assert_eq!(o1, o2, "output counts diverged under batched steps");
+    assert_eq!(c1, c2, "configuration diverged under batched steps");
 
     // A different seed gives a different configuration (overwhelmingly).
     let (_, _, c3) = run(0xBAD_CAFF);
@@ -122,11 +121,11 @@ fn batched_chunking_is_a_performance_knob_only() {
     let n = 1u64 << 12;
     let policy = batched_policy();
     let b = policy.batch_size(n);
-    let mut whole = UrnSim::new(Gsu19::for_population(n), n, 99);
-    let mut split = UrnSim::new(Gsu19::for_population(n), n, 99);
-    whole.steps_batched(8 * b, &policy);
+    let mut whole = UrnSim::new(Gsu19::for_population(n), n, 99).with_policy(policy);
+    let mut split = UrnSim::new(Gsu19::for_population(n), n, 99).with_policy(policy);
+    whole.steps(8 * b);
     for _ in 0..8 {
-        split.steps_batched(b, &policy);
+        split.steps(b);
     }
     assert_eq!(whole.interactions(), split.interactions());
     assert_eq!(whole.output_counts(), split.output_counts());
@@ -144,8 +143,8 @@ fn batched_stopping_time_is_reproducible() {
     let run = |seed: u64| {
         let proto = Gsu19::for_population(n);
         let params = *proto.params();
-        let mut sim = UrnSim::new(proto, n, seed);
-        let res = run_until_stable_with(&mut sim, &policy, 100_000 * n);
+        let mut sim = UrnSim::new(proto, n, seed).with_policy(policy);
+        let res = run_until_stable(&mut sim, 100_000 * n);
         assert!(res.converged, "seed {seed} did not converge");
         assert_eq!(
             res.interactions,

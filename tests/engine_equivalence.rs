@@ -3,7 +3,7 @@
 //! paper's protocol — beyond the structural snapshot agreement of
 //! `end_to_end.rs`, here we compare convergence-time distributions and
 //! trajectory marginals across [`AgentSim`], sequential [`UrnSim`] and the
-//! batched `UrnSim` path (`steps_batched`, see `ppsim::batch`).
+//! batched `UrnSim` path (`UrnSim::with_policy`, see `ppsim::batch`).
 //!
 //! The batched path carries a **bit-level gate**: the exact
 //! collision-resampling engine records its interaction trace as ordered
@@ -25,7 +25,7 @@ use population_protocols::baselines::SlowLe;
 use population_protocols::core::{Census, Gsu19};
 use population_protocols::ppsim::{
     chi_square_stat, ks_critical, ks_statistic, mean, run_trials_threads, run_until_stable,
-    run_until_stable_with, AgentSim, BatchPolicy, EnumerableProtocol, Simulator, UrnSim,
+    AgentSim, BatchPolicy, EnumerableProtocol, Simulator, UrnSim,
 };
 
 /// The default batch fraction, with `min_population` lowered so batching is
@@ -44,9 +44,9 @@ fn assert_trace_replays<P>(make: impl Fn() -> P, n: u64, seed: u64, k: u64, poli
 where
     P: EnumerableProtocol,
 {
-    let mut batched = UrnSim::new(make(), n, seed);
+    let mut batched = UrnSim::new(make(), n, seed).with_policy(*policy);
     let mut trace = Vec::new();
-    batched.steps_batched_traced(k, policy, &mut trace);
+    batched.steps_batched_traced(k, &mut trace);
     assert_eq!(trace.len() as u64, k, "trace must record every interaction");
     // Different seed on purpose: replay consumes no randomness.
     let mut replayed = UrnSim::new(make(), n, seed ^ 0xdead_beef);
@@ -188,8 +188,8 @@ fn batched_vs_sequential_stabilisation_times_ks() {
         res.parallel_time
     });
     let batched_times = run_trials_threads(trials, 1300, 2, |_, seed| {
-        let mut sim = UrnSim::new(Gsu19::for_population(n), n, seed);
-        let res = run_until_stable_with(&mut sim, &policy, budget);
+        let mut sim = UrnSim::new(Gsu19::for_population(n), n, seed).with_policy(policy);
+        let res = run_until_stable(&mut sim, budget);
         assert!(res.converged);
         assert_eq!(sim.leaders(), 1);
         res.parallel_time
@@ -228,8 +228,8 @@ fn batched_leader_count_distribution_chi_square() {
         sim.leaders()
     });
     let leaders_batched = run_trials_threads(trials, 2200, 4, |_, seed| {
-        let mut sim = UrnSim::new(SlowLe, n, seed);
-        sim.steps_batched(4 * n, &policy);
+        let mut sim = UrnSim::new(SlowLe, n, seed).with_policy(policy);
+        sim.steps(4 * n);
         sim.leaders()
     });
     // Common equal-width bins spanning both samples.
@@ -274,8 +274,8 @@ fn batched_convergence_time_mean_matches() {
         run_until_stable(&mut sim, budget).parallel_time
     });
     let batched_times = run_trials_threads(trials, 3200, 2, |_, seed| {
-        let mut sim = UrnSim::new(Gsu19::for_population(n), n, seed);
-        run_until_stable_with(&mut sim, &batched_policy(), budget).parallel_time
+        let mut sim = UrnSim::new(Gsu19::for_population(n), n, seed).with_policy(batched_policy());
+        run_until_stable(&mut sim, budget).parallel_time
     });
     let mu = mean(&urn_times);
     let mb = mean(&batched_times);
@@ -293,10 +293,9 @@ fn batched_census_totals_conserved() {
     let n = 1u64 << 12;
     let proto = Gsu19::for_population(n);
     let params = *proto.params();
-    let mut sim = UrnSim::new(proto, n, 4100);
-    let policy = batched_policy();
+    let mut sim = UrnSim::new(proto, n, 4100).with_policy(batched_policy());
     for _ in 0..10 {
-        sim.steps_batched(10 * n, &policy);
+        sim.steps(10 * n);
         assert_eq!(Census::of(&sim, &params).total(), n);
         assert_eq!(sim.output_counts().iter().sum::<u64>(), n);
     }
@@ -354,9 +353,9 @@ fn batched_stop_is_the_trace_first_hit_gsu19() {
     };
     let hit = |s: &UrnSim<Gsu19>| s.undecided() <= 100;
 
-    let mut traced = UrnSim::new(Gsu19::for_population(n), n, 5);
+    let mut traced = UrnSim::new(Gsu19::for_population(n), n, 5).with_policy(policy);
     let mut trace = Vec::new();
-    traced.steps_batched_traced(k, &policy, &mut trace);
+    traced.steps_batched_traced(k, &mut trace);
     let mut replayed = UrnSim::new(Gsu19::for_population(n), n, 1);
     let mut first_hit = None;
     for (j, &(r, i)) in trace.iter().enumerate() {
@@ -368,9 +367,9 @@ fn batched_stop_is_the_trace_first_hit_gsu19() {
     }
     let first_hit = first_hit.expect("trace long enough to hit");
 
-    let mut sim = UrnSim::new(Gsu19::for_population(n), n, 5);
+    let mut sim = UrnSim::new(Gsu19::for_population(n), n, 5).with_policy(policy);
     let mut calls = 0u64;
-    assert!(sim.steps_until(k, &policy, &mut |s: &UrnSim<Gsu19>| {
+    assert!(sim.steps_until(k, |s| {
         calls += 1;
         hit(s)
     }));
@@ -378,7 +377,7 @@ fn batched_stop_is_the_trace_first_hit_gsu19() {
     assert_eq!(sim.nonzero_counts(), replayed.nonzero_counts());
     assert_eq!(sim.output_counts(), replayed.output_counts());
     assert_eq!((first_hit, calls), (188_871, 641));
-    sim.steps_batched(50_000, &policy);
+    sim.steps(50_000);
     assert_eq!(sim.output_counts(), [83, 3933, 80]);
     assert_eq!(fingerprint(&sim), 0x74bc_1a04_4536_aabe);
 }

@@ -5,7 +5,8 @@
 
 use population_protocols::core::{Census, Gsu19};
 use population_protocols::ppsim::{
-    run_until_stable, AdversarialSim, AgentSim, Blackout, Simulator, Throttle,
+    run_until_stable, AdversarialSim, AgentSim, Blackout, EnumerableProtocol, Perturbation,
+    Simulator, Throttle,
 };
 
 #[test]
@@ -112,4 +113,44 @@ fn alive_invariant_holds_under_blackout() {
         }
     }
     assert!(seen_leader);
+}
+
+/// FNV-1a over every agent's state id, in agent order: a compact pin for
+/// one perturbed trajectory's final configuration.
+fn state_digest<V: Perturbation>(sim: &AdversarialSim<Gsu19, V>, proto: &Gsu19) -> u64 {
+    sim.states().iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &s| {
+        (h ^ proto.state_id(s) as u64).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+#[test]
+fn perturbed_schedulers_replay_pinned_streams() {
+    // A perturbed scheduler draws from the engine's RNG in a fixed order
+    // (the responder and its availability checks, then the initiator's),
+    // so one seeded run of each perturbation ends in pinned agent states
+    // and output counts: a stabilisation stop under a blackout, and a
+    // fixed horizon under a throttle.
+    let n = 256usize;
+    let proto = Gsu19::for_population(n as u64);
+    let blackout = Blackout {
+        k: n / 4,
+        from: 2_000,
+        until: 40_000,
+    };
+    let mut sim = AdversarialSim::new(proto, blackout, n, 21);
+    let res = run_until_stable(&mut sim, 60_000 * n as u64);
+    assert!(res.converged);
+    assert_eq!(res.interactions, 62_033);
+    assert_eq!(state_digest(&sim, &proto), 0xa69a_5c9d_dc46_acec);
+    assert_eq!(sim.output_counts(), [1, 255, 0]);
+
+    let throttle = Throttle {
+        k: n / 10,
+        rate: 0.25,
+    };
+    let mut sim = AdversarialSim::new(proto, throttle, n, 22);
+    sim.steps(20 * n as u64);
+    assert_eq!(sim.interactions(), 5_120);
+    assert_eq!(state_digest(&sim, &proto), 0xc236_d4a2_7a6b_48da);
+    assert_eq!(sim.output_counts(), [14, 217, 25]);
 }

@@ -355,6 +355,102 @@ fn ppctl_params_and_census_reject_bad_input_with_exit_2() {
     assert!(output.status.success(), "{output:?}");
 }
 
+/// A reader that closes stdout before `ppctl` writes to it ends the
+/// output, never the process: no panic, no backtrace, no exit 101.
+#[test]
+fn ppctl_treats_a_closed_stdout_as_the_end_of_output() {
+    for args in [
+        &["params", "--n", "4096"][..],
+        &["run", "--protocol", "gsu19", "--n", "256", "--trials", "2"][..],
+        &[
+            "run",
+            "--protocol",
+            "gsu19",
+            "--n",
+            "256",
+            "--trials",
+            "2",
+            "--out",
+            "-",
+        ][..],
+    ] {
+        let (reader, writer) = std::io::pipe().expect("pipe");
+        drop(reader);
+        let output = Command::new(env!("CARGO_BIN_EXE_ppctl"))
+            .args(args)
+            .stdout(writer)
+            .output()
+            .expect("ppctl spawns");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+        assert_ne!(output.status.code(), Some(101), "{args:?}: {stderr}");
+    }
+}
+
+/// `ppctl census` prints the same census for one seed on every engine,
+/// with and without compiled tables (whose trajectories are
+/// bit-identical). At n = 8192 `urn-batched` runs batched blocks, so its
+/// census differs from the sequential urn's.
+#[test]
+fn ppctl_census_output_is_pinned_on_every_engine() {
+    let pins = [
+        (
+            "agent",
+            concat!(
+                "census at parallel time 2 (n = 8192):\n",
+                "  zero / X / deactivated : 1588 / 1746 / 0\n",
+                "  coins by level         : [747, 31]\n",
+                "  inhibitors by drag     : [778, 0, 0, 0, 0, 0, 0]\n",
+                "  high inhibitors        : [0, 0, 0, 0, 0, 0, 0]\n",
+                "  leaders A/P/W          : 2240 / 0 / 1062\n",
+                "  max alive drag         : Some(0), leaders counter: Some(5)\n",
+            ),
+        ),
+        (
+            "urn",
+            concat!(
+                "census at parallel time 2 (n = 8192):\n",
+                "  zero / X / deactivated : 1606 / 1769 / 0\n",
+                "  coins by level         : [741, 21]\n",
+                "  inhibitors by drag     : [762, 0, 0, 0, 0, 0, 0]\n",
+                "  high inhibitors        : [0, 0, 0, 0, 0, 0, 0]\n",
+                "  leaders A/P/W          : 2179 / 0 / 1114\n",
+                "  max alive drag         : Some(0), leaders counter: Some(5)\n",
+            ),
+        ),
+        (
+            "urn-batched",
+            concat!(
+                "census at parallel time 2 (n = 8192):\n",
+                "  zero / X / deactivated : 1652 / 1688 / 0\n",
+                "  coins by level         : [761, 30]\n",
+                "  inhibitors by drag     : [791, 0, 0, 0, 0, 0, 0]\n",
+                "  high inhibitors        : [0, 0, 0, 0, 0, 0, 0]\n",
+                "  leaders A/P/W          : 2245 / 0 / 1025\n",
+                "  max alive drag         : Some(0), leaders counter: Some(5)\n",
+            ),
+        ),
+    ];
+    for (engine, expected) in pins {
+        for compiled in [&[][..], &["--compiled"][..]] {
+            let args = [
+                &[
+                    "census", "--n", "8192", "--at", "2", "--seed", "3", "--engine", engine,
+                ][..],
+                compiled,
+            ]
+            .concat();
+            let output = ppctl(&args);
+            assert!(output.status.success(), "{args:?}: {output:?}");
+            assert_eq!(
+                String::from_utf8_lossy(&output.stdout),
+                expected,
+                "{args:?}"
+            );
+        }
+    }
+}
+
 /// End-to-end through the binary: 3 `work` processes + `merge` equal the
 /// committed tiny golden byte-for-byte; verification failures exit 2
 /// with precise diagnostics; `--resume` reuses a complete prior file.
