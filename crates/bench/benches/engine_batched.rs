@@ -1,6 +1,6 @@
 //! Experiment ENG-B — batched vs sequential urn sampling (criterion).
 //!
-//! An urn built with a batch policy (`UrnSim::with_policy`, see
+//! An urn built with a block size (`UrnSim::with_block`, see
 //! `ppsim::batch`) samples interactions in *exact* sub-batches:
 //! collision-free runs drawn in bulk without replacement, alternating with
 //! individually resampled collision interactions, so the batched process is
@@ -18,7 +18,7 @@
 use baselines::SlowLe;
 use core_protocol::Gsu19;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use ppsim::{BatchPolicy, CompiledProtocol, Simulator, UrnSim};
+use ppsim::{CompiledProtocol, Simulator, UrnSim};
 
 /// Sequential path: enough steps to dominate timer noise.
 const SEQ_STEPS: u64 = 10_000;
@@ -66,25 +66,25 @@ fn urn_batched(c: &mut Criterion) {
     let steps = batch_steps();
     let mut g = c.benchmark_group("urn_batched");
     g.throughput(Throughput::Elements(steps));
-    let policy = BatchPolicy::adaptive();
+    // Blocks of n/16, as `ppsim::batched_block` sets them at these n.
     // 2^30 is out of reach for the sequential group but fine here: the
     // sub-batch size scales with √n, so the per-interaction sampling cost
     // stays bounded while the configuration stays count-sized.
     for &npow in batched_npows() {
         let n = 1u64 << npow;
         g.bench_function(BenchmarkId::new("gsu19", format!("2^{npow}")), |b| {
-            let mut sim = UrnSim::new(Gsu19::for_population(n), n, 1).with_policy(policy);
+            let mut sim = UrnSim::new(Gsu19::for_population(n), n, 1).with_block(n / 16);
             b.iter(|| sim.steps(steps));
         });
         g.bench_function(BenchmarkId::new("slow", format!("2^{npow}")), |b| {
-            let mut sim = UrnSim::new(SlowLe, n, 1).with_policy(policy);
+            let mut sim = UrnSim::new(SlowLe, n, 1).with_block(n / 16);
             b.iter(|| sim.steps(steps));
         });
         g.bench_function(
             BenchmarkId::new("gsu19-compiled", format!("2^{npow}")),
             |b| {
                 let proto = CompiledProtocol::new(Gsu19::for_population(n));
-                let mut sim = UrnSim::new(proto, n, 1).with_policy(policy);
+                let mut sim = UrnSim::new(proto, n, 1).with_block(n / 16);
                 b.iter(|| sim.steps(steps));
             },
         );

@@ -11,7 +11,7 @@
 
 use core_protocol::Gsu19;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use ppsim::{AgentSim, BatchPolicy, CompiledProtocol, Simulator, UrnSim};
+use ppsim::{AgentSim, CompiledProtocol, Simulator, UrnSim};
 
 /// Steps measured per iteration on the per-step engines.
 const STEPS: u64 = 1 << 20;
@@ -63,15 +63,14 @@ fn urn_batched_compiled_vs_dynamic(c: &mut Criterion) {
     let mut g = c.benchmark_group("urn_batched_compiled");
     g.throughput(Throughput::Elements(BATCH_STEPS));
     let n = 1u64 << 20;
-    let policy = BatchPolicy::adaptive();
     g.bench_function(BenchmarkId::new("gsu19-dynamic", "2^20"), |b| {
-        let mut sim = UrnSim::new(Gsu19::for_population(n), n, 1).with_policy(policy);
+        let mut sim = UrnSim::new(Gsu19::for_population(n), n, 1).with_block(n / 16);
         sim.steps(WARM_T * n);
         b.iter(|| sim.steps(BATCH_STEPS));
     });
     g.bench_function(BenchmarkId::new("gsu19-compiled", "2^20"), |b| {
         let proto = CompiledProtocol::new(Gsu19::for_population(n));
-        let mut sim = UrnSim::new(proto, n, 1).with_policy(policy);
+        let mut sim = UrnSim::new(proto, n, 1).with_block(n / 16);
         sim.steps(WARM_T * n);
         b.iter(|| sim.steps(BATCH_STEPS));
     });

@@ -9,23 +9,13 @@
 //! * [`junta`] — the level race of Section 5 ("coin preprocessing", after
 //!   GS18's junta election): agents climb levels while they keep meeting
 //!   agents at equal-or-higher levels; level-Φ agents form the junta.
-//! * [`epidemic`] — one-way epidemic (broadcast by infection), the
-//!   information-spreading primitive behind the heads-broadcast rules.
-//! * [`synth_coin`] — synthetic coins extracted from scheduler randomness
-//!   (after AAE+17): the interaction-parity bit used as a fair coin by the
-//!   GS18 baseline, and bias helpers for the paper's level-ℓ asymmetric
-//!   coins.
 //! * [`clock_protocol`] — a self-contained protocol (level race + clock +
 //!   round counter) used to validate Theorem 3.2 empirically.
 
 pub mod clock;
 pub mod clock_protocol;
-pub mod epidemic;
 pub mod junta;
-pub mod synth_coin;
 
 pub use clock::{Clock, ClockTick, Half};
 pub use clock_protocol::{ClockProtocol, ClockState};
-pub use epidemic::Epidemic;
 pub use junta::LevelRace;
-pub use synth_coin::{expected_level_fraction, ParityCoin};

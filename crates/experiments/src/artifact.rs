@@ -406,7 +406,6 @@ impl Artifact {
             "n",
             "trials",
             "seed",
-            "batch_shift",
             "stop",
             "observables",
             "sample_at",
@@ -415,6 +414,9 @@ impl Artifact {
                 return Err(format!("spec missing '{key}'"));
             }
         }
+        // Artifacts written before the batched urn's blocks became a
+        // function of n also echo a `batch_shift`; like every key not
+        // checked here, it is ignored.
         // round_every/init/gamma/phi/psi joined the spec after the first
         // ppexp/v1 artifacts shipped; they are optional so early-v1 files
         // keep validating, but malformed values are still rejected.

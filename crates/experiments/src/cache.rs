@@ -4,8 +4,8 @@
 //!
 //! * the **config identity** — the canonical JSON of everything that
 //!   affects a single trial of one grid point (protocol, n, engine,
-//!   effective batch policy, stop, observables, sample points, round
-//!   grid, init, parameter overrides). Deliberately *excluded*: the
+//!   which fixes the urn's blocks, stop, observables, sample points,
+//!   round grid, init, parameter overrides). Deliberately *excluded*: the
 //!   trial count, the master seed, the other grid points and the thread
 //!   count — none of them changes what one trial computes;
 //! * the **trial seed** — already a content address: `split_seed(seed,
@@ -31,7 +31,7 @@ use crate::artifact::TrialRecord;
 use crate::json;
 use crate::json::Json;
 use crate::registry::ProtocolKind;
-use crate::spec::{EngineKind, ExperimentSpec};
+use crate::spec::ExperimentSpec;
 
 /// Hit/miss counters of one cached run.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -73,19 +73,13 @@ impl Cache {
     /// Canonical identity of one (protocol, n) config under `spec` — the
     /// exact string that is hashed into the cache address.
     pub fn config_identity(spec: &ExperimentSpec, protocol: ProtocolKind, n: u64) -> String {
-        // The batch policy only shapes trials on the batched engine;
-        // canonicalise so flipping `batch_shift` under other engines does
-        // not invalidate their entries.
-        let policy = match spec.engine {
-            EngineKind::UrnBatched => format!("batched:{}", spec.batch_shift),
-            _ => "per-step".into(),
-        };
+        // The engine implies the urn's blocks (`ppsim::batched_block` on
+        // `urn-batched`, per step otherwise).
         Json::Obj(vec![
             ("protocol".into(), Json::Str(protocol.name().into())),
             ("n".into(), Json::Uint(n)),
             ("engine".into(), Json::Str(spec.engine.name().into())),
             ("compiled".into(), Json::Bool(spec.compiled)),
-            ("policy".into(), Json::Str(policy)),
             ("stop".into(), spec.stop.to_json()),
             (
                 "observables".into(),
@@ -210,6 +204,7 @@ pub fn write_atomic(path: &Path, contents: &str) -> Result<(), String> {
 mod tests {
     use super::*;
     use crate::registry::TrialOutcome;
+    use crate::spec::EngineKind;
 
     fn tmp_cache(tag: &str) -> Cache {
         let dir =
@@ -275,6 +270,11 @@ mod tests {
         let mut s = base.clone();
         s.gamma = 32;
         assert_ne!(id(&base), id(&s));
+        // The engine carries the urn's blocks (`batched_block` on
+        // `urn-batched`).
+        let mut s = base.clone();
+        s.engine = EngineKind::UrnBatched;
+        assert_ne!(id(&base), id(&s));
 
         // Plan-shaping edits do not.
         let mut s = base.clone();
@@ -282,16 +282,6 @@ mod tests {
         s.threads = 7;
         s.ns = vec![4096, 8192];
         assert_eq!(id(&base), id(&s));
-        // batch_shift is inert off the batched engine...
-        let mut s = base.clone();
-        s.batch_shift = 9;
-        assert_eq!(id(&base), id(&s));
-        // ...and part of the identity on it.
-        let mut batched = base.clone();
-        batched.engine = EngineKind::UrnBatched;
-        let mut shifted = batched.clone();
-        shifted.batch_shift = 9;
-        assert_ne!(id(&batched), id(&shifted));
     }
 
     #[test]

@@ -55,12 +55,11 @@ pub fn effective_threads(spec: &ExperimentSpec) -> usize {
     }
 }
 
-/// The per-trial execution shape a spec declares (engine, batching, stop,
+/// The per-trial execution shape a spec declares (engine, stop,
 /// observables) — everything [`Runnable::run`] needs besides the seed.
 fn run_shape(spec: &ExperimentSpec) -> RunShape<'_> {
     RunShape {
         engine: spec.engine,
-        policy: spec.batch_policy(),
         stop: spec.stop,
         sample_at: &spec.sample_at,
         observables: &spec.observables,
@@ -645,7 +644,9 @@ mod tests {
     fn validator_accepts_early_v1_artifacts() {
         // The first ppexp/v1 artifacts carried `observables` as a level
         // string and predate round_every/init/gamma/phi/psi and the
-        // aggregate `quantiles` tag; they must keep validating.
+        // aggregate `quantiles` tag, and every artifact before the batched
+        // urn's blocks became a function of n echoes `"batch_shift": 4`;
+        // they must keep validating.
         let artifact = run_experiment(&tiny_spec()).unwrap();
         let mut doc = crate::json::parse(&artifact.to_json_string()).unwrap();
         let crate::json::Json::Obj(fields) = &mut doc else {
@@ -657,6 +658,7 @@ mod tests {
                     spec.retain(|(k, _)| {
                         !matches!(k.as_str(), "round_every" | "init" | "gamma" | "phi" | "psi")
                     });
+                    spec.push(("batch_shift".into(), crate::json::Json::Uint(4)));
                     for (k, v) in spec.iter_mut() {
                         if k == "observables" {
                             *v = crate::json::Json::Str("core".into());

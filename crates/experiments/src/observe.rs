@@ -49,7 +49,7 @@ use std::collections::BTreeSet;
 
 use core_protocol::{Census, Params};
 use ppsim::trace::Series;
-use ppsim::{BatchPolicy, Simulator};
+use ppsim::Simulator;
 
 use crate::registry::TrialOutcome;
 use crate::spec::{EngineKind, StopCondition};
@@ -244,8 +244,6 @@ impl Observables {
 /// executes; shared by every config of a spec.
 pub(crate) struct RunShape<'a> {
     pub engine: EngineKind,
-    /// The batch policy the urn engines are built with.
-    pub policy: BatchPolicy,
     pub stop: StopCondition,
     pub sample_at: &'a [f64],
     pub observables: &'a Observables,

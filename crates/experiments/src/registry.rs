@@ -14,7 +14,7 @@ use core_protocol::{gamma_for, synthetic, AgentState, Census, Gsu19, Params};
 use ppsim::compiled::table_dims;
 use ppsim::rng::split_seed;
 use ppsim::trace::Series;
-use ppsim::{AgentSim, CompiledProtocol, EnumerableProtocol, Simulator, UrnSim};
+use ppsim::{batched_block, AgentSim, CompiledProtocol, EnumerableProtocol, Simulator, UrnSim};
 
 use crate::observe::{drive, Probe, RunShape, INIT_STREAM};
 use crate::spec::{EngineKind, ExperimentSpec, InitConfig};
@@ -447,15 +447,18 @@ where
             drive(&mut sim, shape, probe)
         }
         EngineKind::Urn | EngineKind::UrnBatched => {
-            let mut sim = match states {
+            let sim = match states {
                 Some(states) => {
                     let counts = states_to_counts(&proto, &states);
                     UrnSim::with_counts(proto, &counts, seed)
                 }
                 None => UrnSim::new(proto, n, seed),
-            }
-            .with_policy(shape.policy);
-            drive(&mut sim, shape, probe)
+            };
+            let block = match shape.engine {
+                EngineKind::UrnBatched => batched_block(n),
+                _ => 1,
+            };
+            drive(&mut sim.with_block(block), shape, probe)
         }
     }
 }
@@ -465,7 +468,6 @@ mod tests {
     use super::*;
     use crate::observe::{ObservableKind, Observables};
     use crate::spec::StopCondition;
-    use ppsim::BatchPolicy;
 
     fn shape<'a>(
         stop: StopCondition,
@@ -474,7 +476,6 @@ mod tests {
     ) -> RunShape<'a> {
         RunShape {
             engine: EngineKind::Agent,
-            policy: BatchPolicy::PerStep,
             stop,
             sample_at,
             observables,
@@ -720,10 +721,8 @@ mod tests {
             (EngineKind::Agent, 512, stabilize, &all, 0.5),
             (EngineKind::UrnBatched, 4096, stabilize, &all, 0.5),
         ] {
-            spec.engine = engine;
             let sh = RunShape {
                 engine,
-                policy: spec.batch_policy(),
                 round_every,
                 ..shape(stop, obs, &[])
             };

@@ -1,14 +1,12 @@
 //! Declarative experiment specifications.
 //!
 //! An [`ExperimentSpec`] names everything a study needs — protocols,
-//! engine, population grid, trial count, master seed, batching, stopping
-//! condition and observables — and nothing about *how* it executes: the
+//! engine, population grid, trial count, master seed, stopping condition
+//! and observables — and nothing about *how* it executes: the
 //! engine ([`crate::run_experiment`]) expands it into a deterministic plan
 //! of trial jobs. Specs parse from `key = value` lines (spec files, with
 //! `#` comments) and the same keys back every CLI flag of `ppctl run`, so
 //! a flag is exactly a one-line spec override.
-
-use ppsim::BatchPolicy;
 
 use crate::json::Json;
 use crate::observe::Observables;
@@ -21,7 +19,8 @@ pub enum EngineKind {
     Agent,
     /// Count-based urn, sequential sampling.
     Urn,
-    /// Count-based urn with exact batched sampling (`ppsim::batch`).
+    /// Count-based urn with exact batched sampling (`ppsim::batch`), in
+    /// blocks of [`ppsim::batched_block`] interactions.
     UrnBatched,
 }
 
@@ -282,7 +281,7 @@ impl InitConfig {
 const MAX_PLAN_TRIALS: usize = 1 << 20;
 
 /// A declarative experiment: protocols × population grid, with engine,
-/// trials, seed, batching, stopping condition and observables.
+/// trials, seed, stopping condition and observables.
 #[derive(Clone, PartialEq, Debug)]
 pub struct ExperimentSpec {
     /// Protocols under study; the config grid is `protocols × ns`.
@@ -303,9 +302,6 @@ pub struct ExperimentSpec {
     /// Worker threads; 0 means auto (the `PPSIM_THREADS` environment
     /// variable, falling back to the machine's parallelism).
     pub threads: usize,
-    /// Batch-size shift for the `urn-batched` engine: batches of
-    /// `n >> batch_shift` interactions (ignored by the other engines).
-    pub batch_shift: u32,
     /// Stopping condition shared by every config.
     pub stop: StopCondition,
     /// Named observables from the registry ([`crate::observe`]); the
@@ -340,7 +336,6 @@ impl Default for ExperimentSpec {
             trials: 8,
             seed: 42,
             threads: 0,
-            batch_shift: BatchPolicy::DEFAULT_SHIFT,
             stop: StopCondition::Stabilize {
                 budget_pt: 200_000.0,
             },
@@ -400,7 +395,6 @@ impl ExperimentSpec {
             "trials" => self.trials = parse_num(value, "trials")?,
             "seed" => self.seed = parse_num(value, "seed")?,
             "threads" => self.threads = parse_num(value, "threads")?,
-            "batch_shift" | "batch-shift" => self.batch_shift = parse_num(value, "batch_shift")?,
             "stop" => self.stop = StopCondition::parse(value)?,
             "budget" => {
                 self.stop = StopCondition::Stabilize {
@@ -556,12 +550,6 @@ impl ExperimentSpec {
                 self.round_every
             ));
         }
-        if self.batch_shift == 0 || self.batch_shift > 32 {
-            return Err(format!(
-                "batch_shift {} out of range (1..=32)",
-                self.batch_shift
-            ));
-        }
         if let StopCondition::DragReached { level, .. } = self.stop {
             if level == 0 {
                 return Err("stop = drag needs a level of at least 1".into());
@@ -616,18 +604,6 @@ impl ExperimentSpec {
         Ok(())
     }
 
-    /// The batch policy this spec's engine runs under: adaptive batches for
-    /// `urn-batched`, exact per-step scheduling otherwise.
-    pub fn batch_policy(&self) -> BatchPolicy {
-        match self.engine {
-            EngineKind::UrnBatched => BatchPolicy::Adaptive {
-                shift: self.batch_shift,
-                min_population: BatchPolicy::DEFAULT_MIN_POPULATION,
-            },
-            _ => BatchPolicy::PerStep,
-        }
-    }
-
     /// Canonical JSON form, embedded in every artifact so an artifact is
     /// self-describing and replayable.
     ///
@@ -657,7 +633,6 @@ impl ExperimentSpec {
             ),
             ("trials".into(), Json::Uint(self.trials as u64)),
             ("seed".into(), Json::Uint(self.seed)),
-            ("batch_shift".into(), Json::Uint(self.batch_shift as u64)),
             ("stop".into(), stop),
             (
                 "observables".into(),
@@ -775,6 +750,12 @@ mod tests {
         assert!(ExperimentSpec::parse("protocol = gsu20").is_err());
         assert!(ExperimentSpec::parse("stop = sometime").is_err());
         assert!(ExperimentSpec::parse("n = 8..4").is_err());
+        // No key sets the batched urn's blocks: they follow
+        // `ppsim::batched_block`.
+        for key in ["batch_shift", "batch-shift"] {
+            let err = ExperimentSpec::parse(&format!("{key} = 4")).unwrap_err();
+            assert!(err.contains("unknown spec key"), "{err}");
+        }
     }
 
     #[test]
@@ -1024,14 +1005,5 @@ mod tests {
             .map(|v| v.as_str().unwrap().to_string())
             .collect();
         assert_eq!(names, vec!["drag_times", "epoch_candidates"]);
-    }
-
-    #[test]
-    fn batch_policy_follows_engine() {
-        let mut spec = ExperimentSpec::default();
-        assert!(spec.batch_policy().is_per_step());
-        spec.engine = EngineKind::UrnBatched;
-        spec.batch_shift = 7;
-        assert_eq!(spec.batch_policy().batch_size(1 << 20), 1 << 13);
     }
 }

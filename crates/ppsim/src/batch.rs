@@ -28,109 +28,27 @@
 //! (`tests/engine_equivalence.rs`) gates the batched path against the
 //! sequential engine **bit for bit** under a shared interaction-trace
 //! decoding (the KS/chi-square comparisons remain only as a sanity layer).
-//! The [`BatchPolicy`] still falls back to per-step sampling for small
-//! populations, where per-batch bookkeeping would dominate.
+//! A batched [`crate::UrnSim`] ([`crate::UrnSim::with_block`]) still runs a
+//! block of fewer than 4 interactions one step at a time, and the default
+//! rule ([`crate::batched_block`]) keeps populations below 4096 per step,
+//! where per-batch bookkeeping would dominate.
 
 use rand::Rng;
 
-/// Above this expected value the samplers switch from the exact inverse-CDF
-/// walk (cost O(mean)) to an O(1) sampler: the binomial to a normal
-/// approximation, the hypergeometric to the exact HRUA rejection sampler
+/// Above this expected value [`hypergeometric`] switches from the exact
+/// inverse-CDF walk (cost O(mean)) to the exact HRUA rejection sampler
 /// (`hypergeometric_hrua` — *not* an approximation; the acceptance test
-/// evaluates the exact pmf). Public so the boundary can be pinned by
-/// regression tests: the exact batched engine consumes one conditional draw
-/// per occupied bucket per run, straddling this crossover constantly.
+/// evaluates the exact pmf), whose cost is O(1). Public so the boundary can
+/// be pinned by regression tests: the exact batched engine consumes one
+/// conditional draw per occupied bucket per run, straddling this crossover
+/// constantly.
 pub const BINV_MEAN_CUTOFF: f64 = 48.0;
 
-/// Below this trial count the samplers always use the exact inverse-CDF walk
-/// regardless of the mean: small draws are cheap to do exactly. Public for
-/// the same boundary-pinning reason as [`BINV_MEAN_CUTOFF`].
+/// Below this sample size [`hypergeometric`] always uses the exact
+/// inverse-CDF walk regardless of the mean: small draws are cheap to do
+/// exactly. Public for the same boundary-pinning reason as
+/// [`BINV_MEAN_CUTOFF`].
 pub const BINV_EXACT_N: u64 = 128;
-
-/// Sample from the binomial distribution `Bin(n, p)`.
-///
-/// Exact inverse-CDF ("BINV") when `n` is small or `n·min(p, 1-p)` is below
-/// [`BINV_MEAN_CUTOFF`]; otherwise a normal approximation with continuity
-/// correction whose result is clamped back into the support `0..=n`
-/// (the exactness fallback: an out-of-support normal draw can never produce
-/// an invalid count). `p` outside `[0, 1]` is treated as the nearer bound.
-pub fn binomial<R: Rng>(rng: &mut R, n: u64, p: f64) -> u64 {
-    if n == 0 || p <= 0.0 {
-        return 0;
-    }
-    if p >= 1.0 {
-        return n;
-    }
-    // Exploit symmetry so the exact walk always runs on the small tail.
-    if p > 0.5 {
-        return n - binomial(rng, n, 1.0 - p);
-    }
-    let mean = n as f64 * p;
-    if n <= BINV_EXACT_N || mean < BINV_MEAN_CUTOFF {
-        binomial_inverse_cdf(rng, n, p)
-    } else {
-        binomial_normal_approx(rng, n, p)
-    }
-}
-
-/// Exact inverse-CDF walk (Kachitvichyanukul & Schmeiser's "BINV").
-///
-/// Walks the probability mass function from 0 upward using the recurrence
-/// `P(x+1) = P(x) · (n-x)/(x+1) · p/q` until the cumulative mass passes a
-/// uniform draw. Expected cost O(1 + n·p). Requires `0 < p ≤ 0.5`.
-fn binomial_inverse_cdf<R: Rng>(rng: &mut R, n: u64, p: f64) -> u64 {
-    let q = 1.0 - p;
-    let s = p / q;
-    // `n as f64 + 1.0`, not `(n + 1) as f64`: the integer increment
-    // overflows at n = u64::MAX (tiny-p draws over the full-range
-    // population the urn engine advertises).
-    let a = (n as f64 + 1.0) * s;
-    // q^n via exp(n ln q): with n·p bounded by the caller this cannot
-    // underflow to a degenerate 0 (e^-48 ≈ 1e-21 ≫ f64::MIN_POSITIVE).
-    let mut f = (n as f64 * q.ln()).exp();
-    let mut u: f64 = rng.gen();
-    let mut x = 0u64;
-    loop {
-        if u <= f {
-            return x;
-        }
-        u -= f;
-        x += 1;
-        if x > n {
-            // Floating-point residue past the end of the support (total mass
-            // summed to slightly below 1); the leftover mass belongs to the
-            // upper tail, whose dominant point under p ≤ 0.5 is near n·p.
-            // Returning n keeps the value in-support; the event has
-            // probability ~1e-15 and is invisible to any statistical gate.
-            return n;
-        }
-        f *= a / x as f64 - s;
-    }
-}
-
-/// Normal approximation with continuity correction, clamped to the support.
-fn binomial_normal_approx<R: Rng>(rng: &mut R, n: u64, p: f64) -> u64 {
-    let mean = n as f64 * p;
-    let sd = (mean * (1.0 - p)).sqrt();
-    let x = (mean + sd * standard_normal(rng) + 0.5).floor();
-    if x <= 0.0 {
-        0
-    } else if x >= n as f64 {
-        n
-    } else {
-        x as u64
-    }
-}
-
-/// Standard normal draw via Box–Muller (one of the pair is discarded; the
-/// batched path consumes normals far too rarely for caching to matter).
-fn standard_normal<R: Rng>(rng: &mut R) -> f64 {
-    // First uniform must avoid 0 for the logarithm; `1 - u` maps [0,1) to
-    // (0,1].
-    let u1: f64 = 1.0 - rng.gen::<f64>();
-    let u2: f64 = rng.gen();
-    (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()
-}
 
 /// `ln Γ(x)` for `x > 0`. Needed to seed the exact hypergeometric walk at
 /// `ln P(0) = ln C(N−K, n) − ln C(N, n)` without an O(n) product, and by
@@ -202,8 +120,8 @@ fn ln_choose(n: u64, k: u64) -> f64 {
 /// Strategy: symmetry reductions so the walk runs on the small tail, then an
 /// exact inverse-CDF walk over the PMF (seeded via `hypergeometric_p0`,
 /// advanced by the ratio recurrence) when the mean is small, and the exact
-/// HRUA rejection sampler otherwise. Unlike [`binomial`] there is **no
-/// normal-approximation branch**: every parameter regime is sampled from the
+/// HRUA rejection sampler otherwise. There is **no normal-approximation
+/// branch**: every parameter regime is sampled from the
 /// exact distribution (up to f64 rounding), because this function sits on the
 /// exact batched engine's path and the bit-level equivalence gates assume
 /// distribution-exactness at every draw.
@@ -396,7 +314,7 @@ const RUN_WALK_LIMIT: u64 = 64;
 ///
 /// with `u = untouched`. This function inverts that CDF with a single
 /// uniform draw (exact up to f64 rounding — the same convention as the
-/// inverse-CDF walks of [`binomial`] and [`hypergeometric`]): a
+/// inverse-CDF walk of [`hypergeometric`]): a
 /// multiply-compare walk for the first `RUN_WALK_LIMIT` steps, then a
 /// binary search on the closed form `ln P(L ≥ j) = ln Γ(u+1) − ln Γ(u−2j+1)
 /// − j·ln(n(n−1))` so astronomically long runs (small batches in huge
@@ -569,188 +487,11 @@ pub fn draw_without_replacement_sparse<R: Rng>(
     debug_assert_eq!(draws_left, 0);
 }
 
-/// How a [`crate::UrnSim`] schedules interactions between predicate checks;
-/// set where the urn is built ([`crate::UrnSim::with_policy`]).
-///
-/// The policy answers one question — how many interactions may be executed
-/// as one opaque block. Since the batched engine became exact (collision
-/// resampling, see the module docs), the block size is purely a
-/// *scheduling* knob: it bounds how much work happens between predicate
-/// checks and observation points, but no longer trades accuracy for speed.
-/// Stop detection is still block-granular, yet the engines rewind and
-/// replay the hitting block ([`crate::protocol::Simulator::steps_until`]),
-/// so reported stopping times are exact first hits, not block-quantised.
-/// Within a block the engine is free to subdivide into whatever internal
-/// sub-batches sample fastest (≈√n for [`crate::UrnSim`]).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum BatchPolicy {
-    /// One interaction at a time — the exact sequential reference. The urn
-    /// checks predicates after every interaction and never batches.
-    PerStep,
-    /// Blocks of `population >> shift` interactions, falling back to
-    /// per-step sampling when the population is below `min_population`
-    /// (where per-block bookkeeping is not worth it).
-    Adaptive {
-        /// Block size is `population >> shift`. Must keep
-        /// `2·batch ≤ population`, i.e. `shift ≥ 1` — [`Self::batch_size`]
-        /// clamps a literal-built `shift: 0` up to 1 (documented clamp
-        /// policy); [`Self::adaptive_with`] rejects it loudly instead.
-        shift: u32,
-        /// Populations strictly below this run per-step.
-        min_population: u64,
-    },
-}
-
-impl BatchPolicy {
-    /// Default block fraction: 1/16 of the population per scheduling block.
-    ///
-    /// The exact collision-resampling engine has no within-block bias, so
-    /// the block size sits well inside the n/2 validity bound and the engine
-    /// subdivides each block internally for sampling efficiency. The only
-    /// trade-off is stop-detection granularity, which the rewind-and-replay
-    /// exact stops make invisible in reported times.
-    pub const DEFAULT_SHIFT: u32 = 4;
-    /// Default small-population cutoff for the per-step fallback.
-    pub const DEFAULT_MIN_POPULATION: u64 = 4096;
-
-    /// The default batching configuration
-    /// (`Adaptive { shift: 4, min_population: 4096 }`).
-    pub const fn adaptive() -> Self {
-        BatchPolicy::Adaptive {
-            shift: Self::DEFAULT_SHIFT,
-            min_population: Self::DEFAULT_MIN_POPULATION,
-        }
-    }
-
-    /// Validated constructor for hand-built adaptive policies.
-    ///
-    /// # Panics
-    /// Panics unless `1 ≤ shift < 64`: `shift: 0` would ask for batches of
-    /// the whole population, violating the `2·batch ≤ population` cap the
-    /// engine's pair sampling needs, and `shift ≥ 64` always degenerates to
-    /// per-step. (Building the enum literally bypasses this check;
-    /// [`Self::batch_size`] then clamps `shift` to at least 1.)
-    pub fn adaptive_with(shift: u32, min_population: u64) -> Self {
-        assert!(
-            (1..64).contains(&shift),
-            "BatchPolicy shift must be in 1..64, got {shift}: shift 0 violates \
-             2·batch ≤ population and shifts ≥ 64 always produce batch size 1"
-        );
-        BatchPolicy::Adaptive {
-            shift,
-            min_population,
-        }
-    }
-
-    /// Check the cap invariant without constructing: `Ok` for [`PerStep`]
-    /// and for adaptive shifts in `1..64`, `Err` with a
-    /// description otherwise. Lets spec layers validate user-supplied
-    /// policies before the clamp in [`Self::batch_size`] silently papers
-    /// over them.
-    ///
-    /// [`PerStep`]: BatchPolicy::PerStep
-    pub fn validate(&self) -> Result<(), String> {
-        match *self {
-            BatchPolicy::PerStep => Ok(()),
-            BatchPolicy::Adaptive { shift, .. } if (1..64).contains(&shift) => Ok(()),
-            BatchPolicy::Adaptive { shift, .. } => {
-                Err(format!("batch shift must be in 1..64, got {shift}"))
-            }
-        }
-    }
-
-    /// Number of interactions to execute as one block for population `n`.
-    /// `1` means per-step sampling.
-    pub fn batch_size(&self, n: u64) -> u64 {
-        match *self {
-            BatchPolicy::PerStep => 1,
-            BatchPolicy::Adaptive {
-                shift,
-                min_population,
-            } => {
-                if n < min_population.max(4) {
-                    1
-                } else {
-                    // shift ≥ 1 keeps 2·batch ≤ n; enforce even for
-                    // hand-built policies.
-                    (n >> shift.max(1)).max(1)
-                }
-            }
-        }
-    }
-
-    /// `true` when this policy never batches, i.e. it is
-    /// [`BatchPolicy::PerStep`] and every block is a single interaction.
-    pub fn is_per_step(&self) -> bool {
-        matches!(self, BatchPolicy::PerStep)
-    }
-}
-
-impl Default for BatchPolicy {
-    fn default() -> Self {
-        Self::adaptive()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
-
-    #[test]
-    fn binomial_degenerate_parameters() {
-        let mut rng = SmallRng::seed_from_u64(1);
-        assert_eq!(binomial(&mut rng, 0, 0.5), 0);
-        assert_eq!(binomial(&mut rng, 100, 0.0), 0);
-        assert_eq!(binomial(&mut rng, 100, 1.0), 100);
-        assert_eq!(binomial(&mut rng, 100, -0.5), 0);
-        assert_eq!(binomial(&mut rng, 100, 1.5), 100);
-    }
-
-    #[test]
-    fn binomial_stays_in_support() {
-        let mut rng = SmallRng::seed_from_u64(2);
-        for &(n, p) in &[(1u64, 0.5), (7, 0.01), (1000, 0.999), (1 << 40, 0.5)] {
-            for _ in 0..200 {
-                assert!(binomial(&mut rng, n, p) <= n);
-            }
-        }
-    }
-
-    #[test]
-    fn binomial_mean_small_regime() {
-        // Exact inverse-CDF regime: n·p < cutoff.
-        let mut rng = SmallRng::seed_from_u64(3);
-        let (n, p, draws) = (100u64, 0.1, 40_000);
-        let sum: u64 = (0..draws).map(|_| binomial(&mut rng, n, p)).sum();
-        let mean = sum as f64 / draws as f64;
-        // SE of the mean = sqrt(np(1-p)/draws) = 0.015; allow 6 SE.
-        assert!((mean - 10.0).abs() < 0.09, "mean {mean}");
-    }
-
-    #[test]
-    fn binomial_mean_normal_regime() {
-        let mut rng = SmallRng::seed_from_u64(4);
-        let (n, p, draws) = (1u64 << 20, 0.25, 20_000);
-        let expect = n as f64 * p;
-        let sd = (expect * (1.0 - p)).sqrt();
-        let sum: u64 = (0..draws).map(|_| binomial(&mut rng, n, p)).sum();
-        let mean = sum as f64 / draws as f64;
-        let se = sd / (draws as f64).sqrt();
-        assert!((mean - expect).abs() < 6.0 * se, "mean {mean} vs {expect}");
-    }
-
-    #[test]
-    fn binomial_symmetry_at_high_p() {
-        // p > 0.5 routes through the complement; the mean must come out
-        // right on both sides of the cutoff.
-        let mut rng = SmallRng::seed_from_u64(5);
-        let (n, p, draws) = (300u64, 0.9, 30_000);
-        let sum: u64 = (0..draws).map(|_| binomial(&mut rng, n, p)).sum();
-        let mean = sum as f64 / draws as f64;
-        assert!((mean - 270.0).abs() < 0.5, "mean {mean}");
-    }
 
     #[test]
     fn ln_choose_matches_direct_computation() {
@@ -1119,21 +860,6 @@ mod tests {
     }
 
     #[test]
-    fn binomial_full_range_population_no_overflow() {
-        let mut rng = SmallRng::seed_from_u64(41);
-        // Tiny p keeps the draw in the exact inverse-CDF branch, where the
-        // old `(n + 1)` seed wrapped at n = u64::MAX.
-        for _ in 0..100 {
-            let x = binomial(&mut rng, u64::MAX, 1e-21);
-            assert!(x < 1_000, "binomial(u64::MAX, 1e-21) = {x}");
-        }
-        // Normal branch at astronomical mean: stays in support, no panic.
-        for _ in 0..100 {
-            let _ = binomial(&mut rng, u64::MAX, 0.75);
-        }
-    }
-
-    #[test]
     fn draw_without_replacement_huge_pools_no_overflow() {
         // Near-total draws from pools summing to ~u64::MAX: the support
         // lower bound used to be computed as `draws + c`, which wraps.
@@ -1162,102 +888,5 @@ mod tests {
         let expect = n as f64 * 0.5;
         let se = (expect * 0.5 / reps as f64).sqrt();
         assert!((mean - expect).abs() < 6.0 * se, "mean {mean} vs {expect}");
-    }
-
-    #[test]
-    fn adaptive_boundary_at_default_min_population() {
-        // Pin the fallback boundary semantics: populations *strictly
-        // below* `min_population` run per-step; at exactly 4096 the
-        // default policy batches 4096 >> 4 = 256.
-        let p = BatchPolicy::adaptive();
-        assert_eq!(p.batch_size(4095), 1);
-        assert_eq!(p.batch_size(4096), 256);
-        assert_eq!(p.batch_size(4097), 256);
-    }
-
-    #[test]
-    fn adaptive_shift_one_sits_exactly_on_the_half_population_cap() {
-        // Pin the n/2 boundary the way the 4095/4096 min_population
-        // boundary is pinned above: shift 1 is the largest legal batch
-        // fraction, and its blocks must never exceed ⌊n/2⌋ — for even and
-        // odd populations alike — so `2·batch ≤ n` holds with equality at
-        // even n.
-        let p = BatchPolicy::adaptive_with(1, 2);
-        assert_eq!(p.batch_size(4096), 2048);
-        assert_eq!(p.batch_size(4097), 2048); // ⌊4097/2⌋
-        assert_eq!(p.batch_size(7), 3);
-        assert_eq!(p.batch_size(4), 2);
-        for n in [4u64, 5, 7, 4096, 4097, (1 << 40) - 1] {
-            assert!(2 * p.batch_size(n) <= n, "cap violated at n={n}");
-        }
-    }
-
-    #[test]
-    fn adaptive_with_accepts_the_legal_shift_range() {
-        assert_eq!(
-            BatchPolicy::adaptive_with(1, 64),
-            BatchPolicy::Adaptive {
-                shift: 1,
-                min_population: 64
-            }
-        );
-        assert!(BatchPolicy::adaptive_with(63, 64).validate().is_ok());
-        assert!(BatchPolicy::PerStep.validate().is_ok());
-    }
-
-    #[test]
-    #[should_panic(expected = "shift must be in 1..64")]
-    fn adaptive_with_rejects_shift_zero() {
-        let _ = BatchPolicy::adaptive_with(0, 4096);
-    }
-
-    #[test]
-    #[should_panic(expected = "shift must be in 1..64")]
-    fn adaptive_with_rejects_shift_64() {
-        let _ = BatchPolicy::adaptive_with(64, 4096);
-    }
-
-    #[test]
-    fn validate_flags_hand_built_cap_violations() {
-        let bad = BatchPolicy::Adaptive {
-            shift: 0,
-            min_population: 2,
-        };
-        let err = bad.validate().unwrap_err();
-        assert!(err.contains("1..64"), "unexpected message: {err}");
-        // The documented clamp still keeps literal-built policies safe.
-        assert_eq!(bad.batch_size(8), 4);
-    }
-
-    #[test]
-    fn adaptive_batch_size_one_above_cutoff() {
-        // A shift so large that n >> shift = 0 degenerates to batch size
-        // 1 (per-step) even above min_population — never 0.
-        let p = BatchPolicy::Adaptive {
-            shift: 63,
-            min_population: 4096,
-        };
-        assert_eq!(p.batch_size(1 << 20), 1);
-        assert_eq!(p.batch_size(u64::MAX), 1);
-    }
-
-    #[test]
-    fn policy_batch_sizes() {
-        assert_eq!(BatchPolicy::PerStep.batch_size(1 << 20), 1);
-        let p = BatchPolicy::adaptive();
-        assert_eq!(p.batch_size(1 << 20), 1 << 16);
-        assert_eq!(p.batch_size(100), 1); // below min_population
-        let tiny = BatchPolicy::Adaptive {
-            shift: 0, // invalid: clamped to 1 so 2·batch ≤ n
-            min_population: 2,
-        };
-        assert_eq!(tiny.batch_size(8), 4);
-    }
-
-    #[test]
-    fn default_policy_is_adaptive() {
-        assert_eq!(BatchPolicy::default(), BatchPolicy::adaptive());
-        assert!(!BatchPolicy::default().is_per_step());
-        assert!(BatchPolicy::PerStep.is_per_step());
     }
 }

@@ -34,8 +34,8 @@
 //! injection, [`AdversarialSim`] swaps `AgentSim`'s uniform pair choice for
 //! a perturbed scheduler (module [`adversary`]).
 //!
-//! An urn built with a [`batch::BatchPolicy`] ([`UrnSim::with_policy`],
-//! module [`batch`]) steps in **batched** blocks: interactions are drawn in
+//! An urn built with a block size ([`UrnSim::with_block`], module
+//! [`batch`]) steps in **batched** blocks: interactions are drawn in
 //! exact sub-batches that alternate collision-free runs (bulk
 //! without-replacement draws, transitions applied per pair-bucket) with
 //! individually-resampled collision interactions, so a batch is *exactly*
@@ -44,7 +44,9 @@
 //! [`UrnSim::replay_interaction`]). Its stopping times are still exact
 //! first hits — a predicate hit inside a block is located by rewinding the
 //! block, re-sampling it with its interaction trace on and replaying that
-//! trace.
+//! trace. The block size only sets how often a stop predicate is probed;
+//! [`batched_block`] is the default rule, n/16 from n = 4096 up and per
+//! step below.
 //!
 //! Orthogonally, protocols whose transition factors through a
 //! (role bucket, clock phase) state split can be **compiled** into dense
@@ -95,7 +97,6 @@ pub mod urn;
 
 pub use adversary::{AdversarialSim, Blackout, Perturbation, Throttle};
 pub use agent_sim::AgentSim;
-pub use batch::BatchPolicy;
 pub use compiled::{CompiledProtocol, FactoredProtocol};
 pub use fenwick::Fenwick;
 pub use parallel::{default_threads, run_trials, run_trials_threads};
@@ -107,16 +108,15 @@ pub use stats::{
     std_dev, Summary,
 };
 pub use trace::Series;
-pub use urn::UrnSim;
+pub use urn::{batched_block, UrnSim};
 
 /// Convenience prelude: `use ppsim::prelude::*;`.
 pub mod prelude {
     pub use crate::agent_sim::AgentSim;
-    pub use crate::batch::BatchPolicy;
     pub use crate::compiled::{CompiledProtocol, FactoredProtocol};
     pub use crate::parallel::run_trials;
     pub use crate::protocol::{EnumerableProtocol, Output, Protocol, Simulator};
     pub use crate::runner::{run_until, run_until_stable, RunResult};
     pub use crate::stats::Summary;
-    pub use crate::urn::UrnSim;
+    pub use crate::urn::{batched_block, UrnSim};
 }

@@ -122,10 +122,11 @@ pub trait Simulator {
     /// interaction count at which `pred` is satisfied — no batch or
     /// checkpoint quantisation. The default runs [`Simulator::step`] and
     /// checks after every interaction; [`crate::UrnSim`] overrides it to
-    /// run its batch policy's blocks, probing at block granularity and
-    /// reconstructing the exact hit from the recorded interaction trace
-    /// (exact for the monotone stop predicates used in this repository; see
-    /// the override's documentation for the non-monotone caveat).
+    /// run its blocks ([`crate::UrnSim::with_block`]), probing at block
+    /// granularity and reconstructing the exact hit from the recorded
+    /// interaction trace (exact for the monotone stop predicates used in
+    /// this repository; see the override's documentation for the
+    /// non-monotone caveat).
     fn steps_until<F>(&mut self, k: u64, mut pred: F) -> bool
     where
         Self: Sized,

@@ -2,8 +2,8 @@
 //!
 //! Both drivers delegate to [`Simulator::steps_until`], so stopping times
 //! are **exact first hits** on every engine: the per-step engines check
-//! after every interaction, and an urn with a batch policy
-//! ([`crate::UrnSim::with_policy`]) probes the predicate at block
+//! after every interaction, and an urn with a block size
+//! ([`crate::UrnSim::with_block`]) probes the predicate at block
 //! boundaries but, on a hit, rewinds the block and replays its recorded
 //! interaction trace to the exact first interaction satisfying the
 //! predicate.
@@ -58,7 +58,6 @@ pub fn run_until_stable<S: Simulator>(sim: &mut S, max_interactions: u64) -> Run
 mod tests {
     use super::*;
     use crate::agent_sim::AgentSim;
-    use crate::batch::BatchPolicy;
     use crate::protocol::{Output, Protocol};
 
     struct Slow;
@@ -128,15 +127,8 @@ mod tests {
         // rewinds the block and replays its trace: the reported time is the
         // exact first hit, with zero overshoot, even when the target sits
         // strictly inside a block.
-        let policy = BatchPolicy::Adaptive {
-            shift: 6,
-            min_population: 64,
-        };
-        let n = 4096u64;
-        let block = policy.batch_size(n);
-        assert_eq!(block, 64);
         let target = 1_000u64; // deliberately not a multiple of the block
-        let mut sim = crate::UrnSim::new(Slow, n, 3).with_policy(policy);
+        let mut sim = crate::UrnSim::new(Slow, 4096, 3).with_block(64);
         let converged = sim.steps_until(1 << 20, |s| s.interactions() >= target);
         assert!(converged);
         assert_eq!(sim.interactions(), target, "stop overshot the first hit");

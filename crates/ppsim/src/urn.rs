@@ -16,11 +16,22 @@
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-use crate::batch::{
-    collision_free_run, draw_without_replacement_sparse, hypergeometric, BatchPolicy,
-};
+use crate::batch::{collision_free_run, draw_without_replacement_sparse, hypergeometric};
 use crate::fenwick::Fenwick;
 use crate::protocol::{EnumerableProtocol, Output, Simulator, NUM_OUTPUTS};
+
+/// The block size of a batched urn over `n` agents, and so of the
+/// `urn-batched` engine: n/16 interactions from n = 4096 up, and 1 (per
+/// step) below, where per-block bookkeeping would dominate. Every
+/// sub-batch of a block is exact, so the block size only sets how often a
+/// stop predicate is probed ([`UrnSim::with_block`]).
+pub fn batched_block(n: u64) -> u64 {
+    if n < 4096 {
+        1
+    } else {
+        n / 16
+    }
+}
 
 /// Scale factor for the engine's internal sampling batches: sub-batches are
 /// `INNER_BATCH_SCALE · √n`, rounded down to a power of two. Per-sub-batch
@@ -251,7 +262,7 @@ pub struct UrnSim<P: EnumerableProtocol> {
     output_of: Vec<Output>,
     population: u64,
     /// How many interactions [`Simulator::steps_until`] runs as one block.
-    policy: BatchPolicy,
+    block: u64,
     rng: SmallRng,
     interactions: u64,
     output_counts: [u64; NUM_OUTPUTS],
@@ -268,8 +279,7 @@ impl<P: EnumerableProtocol> UrnSim<P> {
     const BUCKETIZED_RUN_FACTOR: f64 = 3.0;
 
     /// Create an urn with `n` agents in the initial state. It steps one
-    /// interaction at a time ([`BatchPolicy::PerStep`]) unless
-    /// [`UrnSim::with_policy`] says otherwise.
+    /// interaction at a time unless [`UrnSim::with_block`] says otherwise.
     ///
     /// # Panics
     /// Panics if `n < 2` or if the protocol's encode/decode pair is not
@@ -309,7 +319,7 @@ impl<P: EnumerableProtocol> UrnSim<P> {
             state_of,
             output_of,
             population: n,
-            policy: BatchPolicy::PerStep,
+            block: 1,
             rng: SmallRng::seed_from_u64(seed),
             interactions: 0,
             output_counts,
@@ -382,33 +392,34 @@ impl<P: EnumerableProtocol> UrnSim<P> {
             .collect()
     }
 
-    /// Set the batch policy every later [`Simulator::steps_until`] (and so
-    /// [`Simulator::steps`]) runs under.
+    /// Set the block size every later [`Simulator::steps_until`] (and so
+    /// [`Simulator::steps`]) runs under; [`batched_block`] is the default
+    /// rule.
     ///
-    /// Under [`BatchPolicy::Adaptive`] the urn samples whole blocks of
-    /// interactions at once, each *exactly* equivalent in distribution to
-    /// the same number of sequential [`Simulator::step`]s (see
-    /// [`crate::batch`]): a block alternates collision-free runs of fresh
-    /// agents with individually-sampled collision interactions whose repeat
+    /// The urn then samples whole blocks of `block` interactions at once,
+    /// each *exactly* equivalent in distribution to the same number of
+    /// sequential [`Simulator::step`]s (see [`crate::batch`]): a block
+    /// alternates collision-free runs of fresh agents with
+    /// individually-sampled collision interactions whose repeat
     /// participants are resampled from the post-update touched multiset, so
     /// the block is bit-for-bit a sequential chain under the shared trace
     /// decoding. The block size is a *scheduling* granularity only —
     /// internally each block is split into `inner_batch_size` sub-batches
     /// (≈√n) so sampling cost stays optimal however coarse the blocks are.
-    /// A block of fewer than 4 interactions (per-step policy, small
-    /// population, the tail of a run) or of more than n/2 runs per step.
+    /// A block of fewer than 4 interactions (block 1, the tail of a run)
+    /// or of more than n/2 runs per step, so any `block` is valid.
     ///
-    /// Deterministic: a fixed (seed, policy) pair always produces the same
+    /// Deterministic: a fixed (seed, block) pair always produces the same
     /// trajectory, however a run is split into calls at block-aligned
     /// points. The RNG consumption differs from the sequential path's, so
     /// batched and per-step runs of the same seed are different (equally
     /// valid) samples of the process.
-    pub fn with_policy(mut self, policy: BatchPolicy) -> Self {
-        self.policy = policy;
+    pub fn with_block(mut self, block: u64) -> Self {
+        self.block = block;
         self
     }
 
-    /// Execute `k` interactions under the urn's policy, like
+    /// Execute `k` interactions in the urn's blocks, like
     /// [`Simulator::steps`], and append their implicit sequential trace —
     /// the ordered (responder, initiator) state-id pairs of every
     /// interaction — to `out`. Replaying the trace pair-by-pair with
@@ -433,13 +444,14 @@ impl<P: EnumerableProtocol> UrnSim<P> {
     }
 
     /// The next scheduling block of at most `left` interactions, or `None`
-    /// when the next interaction runs per step: the block would be below 4
+    /// when the next interaction runs per step: the urn's block is below 4
     /// interactions (too small to be worth batching) or above n/2 (too many
-    /// distinct agents for one batch). The half-check divides rather than
-    /// doubling so hand-built policies can never wrap it.
+    /// distinct agents for one batch), or fewer than 4 are left. The
+    /// half-check divides rather than doubling so no block size can wrap
+    /// it.
     fn next_block(&self, left: u64) -> Option<u64> {
-        let block = self.policy.batch_size(self.population).min(left);
-        (4..=self.population / 2).contains(&block).then_some(block)
+        let block = self.block.min(left);
+        ((4..=self.population / 2).contains(&self.block) && block >= 4).then_some(block)
     }
 
     /// Run one scheduling block of `block` interactions as
@@ -1018,8 +1030,8 @@ impl<P: EnumerableProtocol> Simulator for UrnSim<P> {
         self.finish_pair(r_id, i_id);
     }
 
-    /// The urn's stepping path: per step, or in blocks of its batch policy
-    /// (see [`UrnSim::with_policy`]), with *exact* first-hit stops.
+    /// The urn's stepping path: per step, or in blocks of its block size
+    /// (see [`UrnSim::with_block`]), with *exact* first-hit stops.
     ///
     /// Blocks are executed keeping only their undo log (O(occupied) entries
     /// per sub-batch); the predicate is probed at block granularity (cheap).
@@ -1192,14 +1204,13 @@ mod tests {
 
     #[test]
     fn for_each_state_visits_each_occupied_state_once_across_rewinds() {
-        let policy = test_policy();
-        let mut sim = UrnSim::new(Cycle, 4096, 61).with_policy(policy);
+        let mut sim = UrnSim::new(Cycle, 4096, 61).with_block(256);
         assert!(sim.steps_until(1 << 22, |s| {
             assert_visits_each_occupied_state_once(s);
             s.count_of_id(15) >= 64
         }));
         // The stop fell inside a block, which was rewound and replayed.
-        assert_ne!(sim.interactions() % policy.batch_size(4096), 0);
+        assert_ne!(sim.interactions() % 256, 0);
         assert_visits_each_occupied_state_once(&sim);
         sim.steps(100_000);
         assert_visits_each_occupied_state_once(&sim);
@@ -1256,17 +1267,9 @@ mod tests {
         assert!(rel < 0.35, "urn {mu:.1} vs agent {ma:.1}");
     }
 
-    /// Policy forcing batches even at unit-test populations.
-    fn test_policy() -> BatchPolicy {
-        BatchPolicy::Adaptive {
-            shift: 4,
-            min_population: 64,
-        }
-    }
-
     #[test]
     fn batched_conserves_population_and_outputs() {
-        let mut sim = UrnSim::new(Slow, 10_000, 3).with_policy(test_policy());
+        let mut sim = UrnSim::new(Slow, 10_000, 3).with_block(625);
         sim.steps(200_000);
         assert_eq!(sim.interactions(), 200_000);
         let total: u64 = sim.nonzero_counts().iter().map(|&(_, c)| c).sum();
@@ -1283,7 +1286,7 @@ mod tests {
 
     #[test]
     fn batched_slow_converges_to_one_leader() {
-        let mut sim = UrnSim::new(Slow, 4096, 17).with_policy(test_policy());
+        let mut sim = UrnSim::new(Slow, 4096, 17).with_block(256);
         let res = run_until_stable(&mut sim, 1 << 32);
         assert!(res.converged);
         assert_eq!(sim.leaders(), 1);
@@ -1299,7 +1302,7 @@ mod tests {
         // follow it just like the sequential one (the batch sampler is
         // exact, so the tolerance only covers sampling noise).
         let n = 1u64 << 14;
-        let mut sim = UrnSim::new(Slow, n, 9).with_policy(test_policy());
+        let mut sim = UrnSim::new(Slow, n, 9).with_block(n / 16);
         for k in 1..=6u64 {
             sim.steps(2 * n);
             let t = 2.0 * k as f64;
@@ -1311,15 +1314,14 @@ mod tests {
 
     #[test]
     fn batched_at_exactly_min_population_batches() {
-        // n = 4096 = DEFAULT_MIN_POPULATION: the boundary is "strictly
-        // below", so at exactly 4096 the default policy batches (256 per
+        // n = 4096 is the default rule's cutoff: the per-step range is
+        // "strictly below", so at exactly 4096 the urn batches (256 per
         // block). Stops are still exact — blocks are a scheduling
         // granularity, and the stop rewinds/replays to the first hit — so
         // the stopping time need not land on a block boundary.
         let n = 4096u64;
-        let policy = BatchPolicy::adaptive();
-        assert_eq!(policy.batch_size(n), 256);
-        let mut sim = UrnSim::new(Slow, n, 77).with_policy(policy);
+        assert_eq!(batched_block(n), 256);
+        let mut sim = UrnSim::new(Slow, n, 77).with_block(batched_block(n));
         let res = run_until_stable(&mut sim, 1 << 40);
         assert!(res.converged);
         assert_eq!(sim.leaders(), 1);
@@ -1332,7 +1334,7 @@ mod tests {
         // (responder, initiator) trace, replayed pair-by-pair on a fresh
         // urn, must reproduce the batched configuration bit for bit.
         let n = 4096u64;
-        let mut batched = UrnSim::new(Slow, n, 41).with_policy(test_policy());
+        let mut batched = UrnSim::new(Slow, n, 41).with_block(n / 16);
         let mut trace = Vec::new();
         batched.steps_batched_traced(10_000, &mut trace);
         assert_eq!(trace.len(), 10_000);
@@ -1351,9 +1353,8 @@ mod tests {
         // must equal the first-hit index in the recorded trace of the same
         // seeded run.
         let n = 4096u64;
-        let policy = test_policy();
         let target = 40u64;
-        let mut traced = UrnSim::new(Slow, n, 53).with_policy(policy);
+        let mut traced = UrnSim::new(Slow, n, 53).with_block(n / 16);
         let mut trace = Vec::new();
         traced.steps_batched_traced(1 << 22, &mut trace);
         let mut replayed = UrnSim::new(Slow, n, 1);
@@ -1366,7 +1367,7 @@ mod tests {
             }
         }
         let first_hit = first_hit.expect("trace long enough to hit target");
-        let mut sim = UrnSim::new(Slow, n, 53).with_policy(policy);
+        let mut sim = UrnSim::new(Slow, n, 53).with_block(n / 16);
         assert!(sim.steps_until(1 << 22, |s| s.leaders() <= target));
         assert_eq!(sim.interactions(), first_hit);
         assert_eq!(sim.leaders(), target);
@@ -1381,8 +1382,7 @@ mod tests {
         // occupancy order a stop leaves behind fix every later draw, so a
         // continuation must reach the same configuration.
         let n = 4096u64;
-        let policy = test_policy();
-        let mut sim = UrnSim::new(Slow, n, 53).with_policy(policy);
+        let mut sim = UrnSim::new(Slow, n, 53).with_block(n / 16);
         let mut calls = 0u64;
         assert!(sim.steps_until(1 << 22, |s| {
             calls += 1;
@@ -1401,7 +1401,7 @@ mod tests {
         // Horizon stops run `steps_until` under a never-true predicate. Only
         // a block whose end satisfies the predicate is re-sampled with its
         // trace, so such a run never allocates one.
-        let mut sim = UrnSim::new(Slow, 4096, 7).with_policy(test_policy());
+        let mut sim = UrnSim::new(Slow, 4096, 7).with_block(256);
         assert!(!sim.steps_until(1 << 20, |_| false));
         assert_eq!(sim.interactions(), 1 << 20);
         assert_eq!(sim.scratch.trace.capacity(), 0);
@@ -1412,22 +1412,17 @@ mod tests {
         // When the predicate never fires the budget must be consumed
         // exactly, with no partial-block overshoot.
         let n = 4096u64;
-        let mut sim = UrnSim::new(Slow, n, 7).with_policy(test_policy());
+        let mut sim = UrnSim::new(Slow, n, 7).with_block(n / 16);
         assert!(!sim.steps_until(12_345, |_| false));
         assert_eq!(sim.interactions(), 12_345);
     }
 
     #[test]
     fn batch_size_one_consumes_rng_like_per_step() {
-        // An adaptive policy whose batch degenerates to 1 (huge shift)
-        // must take the exact sequential path: bit-identical
-        // configurations, not just statistical agreement.
-        let policy = BatchPolicy::Adaptive {
-            shift: 63,
-            min_population: 2,
-        };
-        assert_eq!(policy.batch_size(4096), 1);
-        let mut batched = UrnSim::new(Slow, 4096, 23).with_policy(policy);
+        // `with_block(1)` must take the exact sequential path of
+        // `UrnSim::new`: bit-identical configurations, not just
+        // statistical agreement.
+        let mut batched = UrnSim::new(Slow, 4096, 23).with_block(1);
         let mut sequential = UrnSim::new(Slow, 4096, 23);
         batched.steps(10_000);
         sequential.steps(10_000);
@@ -1438,13 +1433,11 @@ mod tests {
 
     #[test]
     fn batched_falls_back_to_per_step_below_min_population() {
-        // Identical RNG consumption to the sequential path when the policy
-        // says "don't batch": the configurations must match bit for bit.
-        let policy = BatchPolicy::Adaptive {
-            shift: 4,
-            min_population: 1 << 20,
-        };
-        let mut batched = UrnSim::new(Slow, 500, 23).with_policy(policy);
+        // Identical RNG consumption to the sequential path when the
+        // default rule says "don't batch": the configurations must match
+        // bit for bit.
+        assert_eq!(batched_block(500), 1);
+        let mut batched = UrnSim::new(Slow, 500, 23).with_block(batched_block(500));
         let mut sequential = UrnSim::new(Slow, 500, 23);
         batched.steps(5_000);
         sequential.steps(5_000);
@@ -1455,11 +1448,56 @@ mod tests {
     #[test]
     fn batched_heterogeneous_start() {
         let counts = [(true, 64u64), (false, 4032)];
-        let mut sim = UrnSim::with_counts(Slow, &counts, 31).with_policy(test_policy());
+        let mut sim = UrnSim::with_counts(Slow, &counts, 31).with_block(256);
         assert_eq!(sim.leaders(), 64);
         let res = run_until_stable(&mut sim, 1 << 32);
         assert!(res.converged);
         assert_eq!(sim.leaders(), 1);
+    }
+
+    #[test]
+    fn batched_block_is_a_sixteenth_of_n_from_4096_up() {
+        assert_eq!(batched_block(100), 1);
+        assert_eq!(batched_block(4095), 1);
+        assert_eq!(batched_block(4096), 256);
+        assert_eq!(batched_block(4097), 256);
+        assert_eq!(batched_block(1 << 20), 1 << 16);
+        assert_eq!(batched_block(1 << 30), 1 << 26);
+    }
+
+    #[test]
+    fn no_sampled_batch_exceeds_half_the_population() {
+        // A block batches exactly when it is at least 4 and at most
+        // ⌊n/2⌋, for even and odd n alike, and its sub-batches never
+        // exceed ⌊n/2⌋ either (`step_batch_*` also assert `2b ≤ n` on
+        // every sub-batch the runs below sample).
+        for n in [4u64, 5, 7, 8, 9, 4096, 4097, (1 << 40) - 1] {
+            let half = n / 2;
+            assert!(inner_batch_size(n) <= half, "n = {n}");
+            for block in [0, 1, 3, 4, half, half + 1, n, u64::MAX] {
+                let next = UrnSim::new(Slow, n, 5)
+                    .with_block(block)
+                    .next_block(u64::MAX);
+                let batched = (4..=half).contains(&block);
+                assert_eq!(next, batched.then_some(block), "n = {n}, block {block}");
+            }
+        }
+        // At the cap the urn batches; one above it, it is the sequential
+        // urn bit for bit, to the last interaction of the run.
+        for n in [8u64, 9, 4096, 4097] {
+            let mut at_cap = UrnSim::new(Slow, n, 5).with_block(n / 2);
+            at_cap.steps(8 * n);
+            assert_eq!(at_cap.interactions(), 8 * n);
+            let mut over = UrnSim::new(Slow, n, 5).with_block(n / 2 + 1);
+            let mut sequential = UrnSim::new(Slow, n, 5);
+            over.steps(8 * n);
+            sequential.steps(8 * n);
+            assert_eq!(
+                over.nonzero_counts(),
+                sequential.nonzero_counts(),
+                "n = {n}"
+            );
+        }
     }
 
     #[test]

@@ -3,8 +3,8 @@
 //! (default 64; CI's stress job runs 256).
 
 use ppsim::batch::{
-    binomial, collision_free_run, draw_without_replacement, draw_without_replacement_sparse,
-    hypergeometric, BatchPolicy, BINV_EXACT_N, BINV_MEAN_CUTOFF,
+    collision_free_run, draw_without_replacement, draw_without_replacement_sparse, hypergeometric,
+    BINV_EXACT_N, BINV_MEAN_CUTOFF,
 };
 use ppsim::{quantile, EnumerableProtocol, Fenwick, Output, Protocol, Simulator, UrnSim};
 use proptest::prelude::*;
@@ -170,59 +170,6 @@ proptest! {
     }
 
     #[test]
-    fn binomial_always_in_support(seed in any::<u64>(), n in 0u64..1_000_000, p in -0.2f64..1.2) {
-        let mut rng = SmallRng::seed_from_u64(seed);
-        let x = binomial(&mut rng, n, p);
-        prop_assert!(x <= n, "binomial({n}, {p}) = {x}");
-        if p <= 0.0 { prop_assert_eq!(x, 0); }
-        if p >= 1.0 { prop_assert_eq!(x, n); }
-    }
-
-    #[test]
-    fn binomial_empirical_mean_tracks_np(
-        seed in any::<u64>(),
-        n in 1u64..200_000,
-        p in 0.001f64..0.999,
-    ) {
-        // One modest empirical check per generated (n, p): the sample mean
-        // of k draws must sit within 6 standard errors of n·p. Catches
-        // regressions in either sampling regime (exact walk and normal
-        // approximation) across the parameter sweep proptest generates.
-        let mut rng = SmallRng::seed_from_u64(seed);
-        let k = 200u64;
-        let sum: u64 = (0..k).map(|_| binomial(&mut rng, n, p)).sum();
-        let mean = sum as f64 / k as f64;
-        let expect = n as f64 * p;
-        let se = (expect * (1.0 - p) / k as f64).sqrt();
-        // 6 SE two-sided + 1 absolute slack for the tiny-variance corner.
-        prop_assert!(
-            (mean - expect).abs() < 6.0 * se + 1.0,
-            "Bin({n}, {p}): mean {mean} vs {expect} (se {se})"
-        );
-    }
-
-    #[test]
-    fn binomial_empirical_variance_in_range(
-        seed in any::<u64>(),
-        n in 100u64..100_000,
-        p in 0.05f64..0.95,
-    ) {
-        let mut rng = SmallRng::seed_from_u64(seed);
-        let k = 300usize;
-        let xs: Vec<f64> = (0..k).map(|_| binomial(&mut rng, n, p) as f64).collect();
-        let mean = xs.iter().sum::<f64>() / k as f64;
-        let var = xs.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / (k - 1) as f64;
-        let expect = n as f64 * p * (1.0 - p);
-        // Sample variance of k draws has sd ≈ expect·√(2/k) ≈ 0.082·expect;
-        // allow ±50% — generous, but a broken sampler (e.g. missing the
-        // (1-p) factor or a constant output) lands far outside.
-        prop_assert!(
-            var > 0.5 * expect && var < 1.5 * expect,
-            "Bin({n}, {p}): var {var} vs {expect}"
-        );
-    }
-
-    #[test]
     fn multinomial_sums_and_never_exceeds_counts(
         seed in any::<u64>(),
         pool_template in prop::collection::vec(0u64..5_000, 1..40),
@@ -347,11 +294,10 @@ proptest! {
 
     #[test]
     fn batch_size_one_is_bitwise_per_step(seed in any::<u64>(), n in 2u64..2_000, k in 0u64..3_000) {
-        // Degenerate b = 1: a policy whose batch collapses to one
-        // interaction must take the sequential path bit for bit, for every
-        // seed and population — not just statistically.
-        let policy = BatchPolicy::Adaptive { shift: 63, min_population: 2 };
-        let mut batched = UrnSim::new(Slow, n, seed).with_policy(policy);
+        // Degenerate b = 1: a block of one interaction must take the
+        // sequential path bit for bit, for every seed and population — not
+        // just statistically.
+        let mut batched = UrnSim::new(Slow, n, seed).with_block(1);
         let mut sequential = UrnSim::new(Slow, n, seed);
         batched.steps(k);
         sequential.steps(k);
@@ -371,8 +317,7 @@ proptest! {
         // and seeds: the recorded (responder, initiator) trace of a batched
         // run, replayed sequentially, reproduces the batched configuration
         // bit for bit.
-        let policy = BatchPolicy::Adaptive { shift, min_population: 2 };
-        let mut batched = UrnSim::new(Slow, n, seed).with_policy(policy);
+        let mut batched = UrnSim::new(Slow, n, seed).with_block(n >> shift);
         let mut trace = Vec::new();
         batched.steps_batched_traced(k, &mut trace);
         prop_assert_eq!(trace.len() as u64, k);
@@ -386,47 +331,13 @@ proptest! {
     }
 
     #[test]
-    fn binomial_is_continuous_across_the_binv_boundaries(
-        seed in any::<u64>(),
-        side in 0u64..4,
-    ) {
-        // Regression pin for the BINV/normal crossover: the exact engine
-        // consumes far more binomial draws per batch than the legacy one,
-        // so the sampler must stay in-support and on-mean on *both* sides
-        // of `BINV_MEAN_CUTOFF` (mean crossover) and `BINV_EXACT_N`
-        // (small-n always-exact crossover).
-        let (n, p) = match side {
-            // n·p just below / above the mean cutoff at large n.
-            0 => (100_000u64, (BINV_MEAN_CUTOFF - 0.5) / 100_000.0),
-            1 => (100_000u64, (BINV_MEAN_CUTOFF + 0.5) / 100_000.0),
-            // n just below / above the always-exact population cutoff, at a
-            // mean far beyond the cutoff (p picked so n·p > cutoff).
-            2 => (BINV_EXACT_N - 1, 0.6),
-            _ => (BINV_EXACT_N + 1, 0.6),
-        };
-        let mut rng = SmallRng::seed_from_u64(seed);
-        let reps = 400u64;
-        let xs: Vec<f64> = (0..reps).map(|_| {
-            let x = binomial(&mut rng, n, p);
-            assert!(x <= n);
-            x as f64
-        }).collect();
-        let mean = xs.iter().sum::<f64>() / reps as f64;
-        let expect = n as f64 * p;
-        let se = (expect * (1.0 - p) / reps as f64).sqrt();
-        prop_assert!(
-            (mean - expect).abs() < 6.0 * se + 0.5,
-            "Bin({n}, {p}) at crossover: mean {mean} vs {expect}"
-        );
-    }
-
-    #[test]
     fn hypergeometric_is_continuous_across_the_crossover(
         seed in any::<u64>(),
         side in 0u64..2,
     ) {
-        // Same pin for the hypergeometric sampler: draws·K/N within half a
-        // unit of the mean cutoff on either side.
+        // Regression pin for the inverse-CDF/HRUA crossover: the sampler
+        // stays in-support and on-mean with draws·K/N within half a unit
+        // of the mean cutoff on either side.
         let total = 100_000u64;
         let marked = total / 2;
         let mean_target = if side == 0 {

@@ -25,6 +25,7 @@ use population_protocols::core::Gsu19;
 use population_protocols::ppexp::{
     run_experiment, EngineKind, ExperimentSpec, Observables, ProtocolKind, StopCondition,
 };
+use population_protocols::ppsim::batched_block;
 use population_protocols::ppsim::table::Table;
 
 fn main() {
@@ -95,6 +96,6 @@ fn main() {
          --observables census --replay 0:0",
         record.outcome.metric("interactions").unwrap_or(f64::NAN) as u64,
         params.num_states(),
-        spec.batch_policy().batch_size(n),
+        batched_block(n),
     );
 }

@@ -36,7 +36,7 @@ use population_protocols::ppexp::{
     ExperimentSpec, ShardOutput,
 };
 use population_protocols::ppsim::table::{fnum, Table};
-use population_protocols::ppsim::{AgentSim, Simulator, UrnSim};
+use population_protocols::ppsim::{batched_block, AgentSim, Simulator, UrnSim};
 
 /// Write to stdout: the one path every command's output takes. A reader
 /// that closes the pipe early (`ppctl params | head -1`) ends the output:
@@ -75,6 +75,21 @@ macro_rules! outln {
     };
 }
 
+/// Write a line to stderr: the one path every note and error takes. A
+/// closed stderr drops the line, as a closed stdout ends [`write_out`]'s
+/// output: the command still finishes and keeps its exit code. A failed
+/// write to stderr has nowhere left to be reported, so it is dropped too.
+fn write_err(args: std::fmt::Arguments) {
+    let _ = writeln!(std::io::stderr(), "{args}");
+}
+
+/// `eprintln!` through [`write_err`].
+macro_rules! errln {
+    ($($arg:tt)*) => {
+        write_err(format_args!($($arg)*))
+    };
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let code = match args.first().map(String::as_str) {
@@ -94,10 +109,10 @@ fn main() {
                 "help",
             ];
             match suggest(other, &commands) {
-                Some(hint) => eprintln!("unknown command: {other} (did you mean '{hint}'?)"),
-                None => eprintln!("unknown command: {other}"),
+                Some(hint) => errln!("unknown command: {other} (did you mean '{hint}'?)"),
+                None => errln!("unknown command: {other}"),
             }
-            eprintln!("run 'ppctl help' for usage");
+            errln!("run 'ppctl help' for usage");
             2
         }
     };
@@ -109,7 +124,7 @@ fn report(result: Result<i32, String>) -> i32 {
     match result {
         Ok(code) => code,
         Err(message) => {
-            eprintln!("error: {message}");
+            errln!("error: {message}");
             2
         }
     }
@@ -146,7 +161,7 @@ fn print_help() -> Result<(), String> {
          \x20 --engine E --compiled --n GRID --trials T --seed S --threads K\n\
          \x20 --budget PT | --at PT | --stop stabilize:B|horizon:T|drag:L:B|\n\
          \x20 active:K:B|settled:B --sample-at T1,T2,... --observables LIST\n\
-         \x20 --batch-shift B --round-every R --init fresh|final-epoch:K[lg]\n\
+         \x20 --round-every R --init fresh|final-epoch:K[lg]\n\
          \x20 --gamma G --phi P --psi P\n\n\
          observables: core (none) or a comma list of census | level_sizes |\n\
          \x20 junta_size | drag_histogram | round_census | drag_times |\n\
@@ -158,7 +173,8 @@ fn print_help() -> Result<(), String> {
          \x20 with no shard files at all\n\n\
          protocols: gsu19 (default) | gsu19-no-drag | gsu19-no-backup |\n\
          \x20          gsu19-direct | gs18 | bkko18 | slow | clock\n\
-         engines:   agent (default) | urn | urn-batched\n\
+         engines:   agent (default) | urn | urn-batched (exact blocks of n/16\n\
+         \x20          interactions from n = 4096 up, per step below)\n\
          threads:   --threads K or the PPSIM_THREADS environment variable\n\
          --compiled runs the engine on compiled transition tables\n\
          \x20          (ppsim::compiled; gsu19 and gs18 only)"
@@ -312,7 +328,6 @@ const SPEC_FLAGS: &[(&str, &str)] = &[
     ("--stop", "stop"),
     ("--sample-at", "sample_at"),
     ("--observables", "observables"),
-    ("--batch-shift", "batch_shift"),
     ("--round-every", "round_every"),
     ("--init", "init"),
     ("--gamma", "gamma"),
@@ -410,12 +425,12 @@ fn emit_artifact(artifact: &Artifact, flags: &Flags) -> Result<(), String> {
             out!("{text}")?;
         } else {
             write_atomic(Path::new(path), &text)?;
-            eprintln!("wrote artifact to {path}");
+            errln!("wrote artifact to {path}");
         }
     }
     if let Some(path) = flags.get("--csv") {
         write_atomic(Path::new(path), &artifact.to_csv())?;
-        eprintln!("wrote CSV to {path}");
+        errln!("wrote CSV to {path}");
     }
     Ok(())
 }
@@ -492,7 +507,7 @@ fn cmd_elect(args: &[String]) -> Result<i32, String> {
     let config = &artifact.configs[0];
     let record = &config.trials[0];
     if !record.outcome.converged {
-        eprintln!("did not stabilise within the budget");
+        errln!("did not stabilise within the budget");
         return Ok(1);
     }
     let leaders = record.outcome.metric("leaders").unwrap_or(0.0) as u64;
@@ -570,9 +585,11 @@ fn cmd_sweep(args: &[String]) -> Result<i32, String> {
             ]);
             for config in configs {
                 if config.failures > 0 {
-                    eprintln!(
+                    errln!(
                         "note: n={}: {} of {} trials missed the budget",
-                        config.n, config.failures, spec.trials
+                        config.n,
+                        config.failures,
+                        spec.trials
                     );
                 }
                 t.row(sweep_row(config, spec.trials));
@@ -610,7 +627,7 @@ fn cmd_run(args: &[String]) -> Result<i32, String> {
     let cache = cache_flag(&flags);
     let (artifact, stats) = run_experiment_cached(&spec, cache.as_ref())?;
     if let Some(cache) = &cache {
-        eprintln!(
+        errln!(
             "cache: {} hit{}, {} miss{} ({})",
             stats.hits,
             if stats.hits == 1 { "" } else { "s" },
@@ -666,7 +683,7 @@ fn cmd_work(args: &[String]) -> Result<i32, String> {
 
     let cache = cache_flag(&flags);
     let (output, stats) = run_shard(&spec, shard, of, cache.as_ref(), prior.as_ref())?;
-    eprintln!(
+    errln!(
         "shard {shard}/{of}: {} trial{} ({} resumed, {} cached, {} fresh)",
         stats.planned,
         if stats.planned == 1 { "" } else { "s" },
@@ -681,7 +698,7 @@ fn cmd_work(args: &[String]) -> Result<i32, String> {
         // Atomic, so a worker killed mid-write leaves the previous file
         // (or none) for `--resume`, never a truncated one.
         write_atomic(Path::new(out), &text)?;
-        eprintln!("wrote shard output to {out}");
+        errln!("wrote shard output to {out}");
     }
     Ok(0)
 }
@@ -850,7 +867,7 @@ fn cmd_validate(args: &[String]) -> Result<i32, String> {
             Ok(0)
         }
         Err(e) => {
-            eprintln!("{path}: schema violation: {e}");
+            errln!("{path}: schema violation: {e}");
             Ok(1)
         }
     }
@@ -872,7 +889,10 @@ fn cmd_census(args: &[String]) -> Result<i32, String> {
     let proto = Gsu19::for_population(n);
     let params = *proto.params();
     let interactions = (at * n as f64) as u64;
-    let policy = spec.batch_policy();
+    let block = match engine {
+        EngineKind::UrnBatched => batched_block(n),
+        _ => 1,
+    };
     let c = if spec.compiled {
         let cp = proto.compiled();
         let decode = |s| cp.decode_state(s);
@@ -881,7 +901,7 @@ fn cmd_census(args: &[String]) -> Result<i32, String> {
             sim.steps(interactions);
             Census::of_with(&sim, &params, decode)
         } else {
-            let mut sim = UrnSim::new(cp.clone(), n, seed).with_policy(policy);
+            let mut sim = UrnSim::new(cp.clone(), n, seed).with_block(block);
             sim.steps(interactions);
             Census::of_with(&sim, &params, decode)
         }
@@ -890,7 +910,7 @@ fn cmd_census(args: &[String]) -> Result<i32, String> {
         sim.steps(interactions);
         Census::of(&sim, &params)
     } else {
-        let mut sim = UrnSim::new(proto, n, seed).with_policy(policy);
+        let mut sim = UrnSim::new(proto, n, seed).with_block(block);
         sim.steps(interactions);
         Census::of(&sim, &params)
     };

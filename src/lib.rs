@@ -7,7 +7,7 @@
 //! * [`ppsim`] — the population-protocol simulation engine (random scheduler,
 //!   agent-array and urn simulators, parallel trial executor, statistics);
 //! * [`components`] — reusable protocol building blocks (junta election,
-//!   junta-driven phase clock, one-way epidemic, synthetic coins);
+//!   junta-driven phase clock);
 //! * [`core`] — the paper's three-epoch leader-election protocol;
 //! * [`baselines`] — the competing protocols of the paper's Table 1;
 //! * [`ppexp`] — the declarative experiment engine (specs, sharded trial

@@ -24,8 +24,8 @@ use std::sync::Barrier;
 
 use population_protocols::core::{Census, Gsu19, Params};
 use population_protocols::ppsim::{
-    ks_critical, ks_statistic, run_trials_threads, run_until_stable, AgentSim, BatchPolicy,
-    CompiledProtocol, EnumerableProtocol, Protocol, Simulator, UrnSim,
+    ks_critical, ks_statistic, run_trials_threads, run_until_stable, AgentSim, CompiledProtocol,
+    EnumerableProtocol, Protocol, Simulator, UrnSim,
 };
 
 /// Hand-built small parameters: every role component present, state space
@@ -175,14 +175,10 @@ fn compiled_urn_trajectory_is_bit_identical() {
 #[test]
 fn compiled_batched_trajectory_is_bit_identical() {
     let n = 1u64 << 12;
-    let policy = BatchPolicy::Adaptive {
-        shift: BatchPolicy::DEFAULT_SHIFT,
-        min_population: 256,
-    };
     let proto = Gsu19::for_population(n);
     let c = CompiledProtocol::new(proto);
-    let mut dynamic = UrnSim::new(proto, n, 777).with_policy(policy);
-    let mut compiled = UrnSim::new(c.clone(), n, 777).with_policy(policy);
+    let mut dynamic = UrnSim::new(proto, n, 777).with_block(n / 16);
+    let mut compiled = UrnSim::new(c.clone(), n, 777).with_block(n / 16);
     for _ in 0..5 {
         dynamic.steps(10 * n);
         compiled.steps(10 * n);
@@ -261,10 +257,6 @@ fn compiled_batched_urn_vs_dynamic_agent_ks() {
     let n = 1u64 << 9;
     let trials = 14;
     let budget = 100_000 * n;
-    let policy = BatchPolicy::Adaptive {
-        shift: BatchPolicy::DEFAULT_SHIFT,
-        min_population: 256,
-    };
     let agent_times = run_trials_threads(trials, 8100, 2, |_, seed| {
         let mut sim = AgentSim::new(Gsu19::for_population(n), n as usize, seed);
         let res = run_until_stable(&mut sim, budget);
@@ -273,7 +265,7 @@ fn compiled_batched_urn_vs_dynamic_agent_ks() {
     });
     let compiled_times = run_trials_threads(trials, 8200, 2, |_, seed| {
         let proto = CompiledProtocol::new(Gsu19::for_population(n));
-        let mut sim = UrnSim::new(proto, n, seed).with_policy(policy);
+        let mut sim = UrnSim::new(proto, n, seed).with_block(n / 16);
         let res = run_until_stable(&mut sim, budget);
         assert!(res.converged);
         res.parallel_time

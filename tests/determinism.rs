@@ -7,7 +7,7 @@
 
 use population_protocols::core::{Census, Gsu19};
 use population_protocols::ppsim::{
-    run_until_stable, split_seed, trial_seeds, AgentSim, BatchPolicy, Simulator, UrnSim,
+    run_until_stable, split_seed, trial_seeds, AgentSim, Simulator, UrnSim,
 };
 
 #[test]
@@ -79,22 +79,13 @@ fn full_run_replays_to_identical_census() {
     );
 }
 
-/// A policy that actually batches at test-sized populations.
-fn batched_policy() -> BatchPolicy {
-    BatchPolicy::Adaptive {
-        shift: 4,
-        min_population: 256,
-    }
-}
-
 #[test]
 fn steps_batched_replays_bit_identical() {
-    // The batched path is a function of (protocol, n, seed, k, policy) only:
-    // two runs must agree on every counter, not just statistically.
+    // The batched path is a function of (protocol, n, seed, k, block)
+    // only: two runs must agree on every counter, not just statistically.
     let n = 1u64 << 12;
-    let policy = batched_policy();
     let run = |seed: u64| {
-        let mut sim = UrnSim::new(Gsu19::for_population(n), n, seed).with_policy(policy);
+        let mut sim = UrnSim::new(Gsu19::for_population(n), n, seed).with_block(n / 16);
         sim.steps(40 * n);
         (
             sim.interactions(),
@@ -119,10 +110,9 @@ fn batched_chunking_is_a_performance_knob_only() {
     // consumes the RNG stream identically: one call of 8 batches must equal
     // eight calls of one batch, bit for bit.
     let n = 1u64 << 12;
-    let policy = batched_policy();
-    let b = policy.batch_size(n);
-    let mut whole = UrnSim::new(Gsu19::for_population(n), n, 99).with_policy(policy);
-    let mut split = UrnSim::new(Gsu19::for_population(n), n, 99).with_policy(policy);
+    let b = n / 16;
+    let mut whole = UrnSim::new(Gsu19::for_population(n), n, 99).with_block(b);
+    let mut split = UrnSim::new(Gsu19::for_population(n), n, 99).with_block(b);
     whole.steps(8 * b);
     for _ in 0..8 {
         split.steps(b);
@@ -134,16 +124,15 @@ fn batched_chunking_is_a_performance_knob_only() {
 
 #[test]
 fn batched_stopping_time_is_reproducible() {
-    // Under a batching policy the stopping predicate is probed at block
+    // On a batched urn the stopping predicate is probed at block
     // boundaries but the engine rewinds and replays the recorded trace to
     // the exact first hit, so the reported stabilisation time is the true
     // first satisfying interaction — and it must be identical on every run.
     let n = 1u64 << 12;
-    let policy = batched_policy();
     let run = |seed: u64| {
         let proto = Gsu19::for_population(n);
         let params = *proto.params();
-        let mut sim = UrnSim::new(proto, n, seed).with_policy(policy);
+        let mut sim = UrnSim::new(proto, n, seed).with_block(n / 16);
         let res = run_until_stable(&mut sim, 100_000 * n);
         assert!(res.converged, "seed {seed} did not converge");
         assert_eq!(

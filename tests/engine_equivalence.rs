@@ -3,7 +3,7 @@
 //! paper's protocol — beyond the structural snapshot agreement of
 //! `end_to_end.rs`, here we compare convergence-time distributions and
 //! trajectory marginals across [`AgentSim`], sequential [`UrnSim`] and the
-//! batched `UrnSim` path (`UrnSim::with_policy`, see `ppsim::batch`).
+//! batched `UrnSim` path (`UrnSim::with_block`, see `ppsim::batch`).
 //!
 //! The batched path carries a **bit-level gate**: the exact
 //! collision-resampling engine records its interaction trace as ordered
@@ -25,26 +25,16 @@ use population_protocols::baselines::SlowLe;
 use population_protocols::core::{Census, Gsu19};
 use population_protocols::ppsim::{
     chi_square_stat, ks_critical, ks_statistic, mean, run_trials_threads, run_until_stable,
-    AgentSim, BatchPolicy, EnumerableProtocol, Simulator, UrnSim,
+    AgentSim, EnumerableProtocol, Simulator, UrnSim,
 };
-
-/// The default batch fraction, with `min_population` lowered so batching is
-/// actually exercised at test-sized populations (the default cutoff of 4096
-/// would fall back to per-step below that).
-fn batched_policy() -> BatchPolicy {
-    BatchPolicy::Adaptive {
-        shift: BatchPolicy::DEFAULT_SHIFT,
-        min_population: 256,
-    }
-}
 
 /// Replays a batched run's recorded trace on a fresh simulator and asserts
 /// the configurations agree bit for bit.
-fn assert_trace_replays<P>(make: impl Fn() -> P, n: u64, seed: u64, k: u64, policy: &BatchPolicy)
+fn assert_trace_replays<P>(make: impl Fn() -> P, n: u64, seed: u64, k: u64, block: u64)
 where
     P: EnumerableProtocol,
 {
-    let mut batched = UrnSim::new(make(), n, seed).with_policy(*policy);
+    let mut batched = UrnSim::new(make(), n, seed).with_block(block);
     let mut trace = Vec::new();
     batched.steps_batched_traced(k, &mut trace);
     assert_eq!(trace.len() as u64, k, "trace must record every interaction");
@@ -64,21 +54,18 @@ where
 
 #[test]
 fn batched_trace_replay_bit_identical_exhaustive_tiny() {
-    // Exhaustive sweep over tiny populations, block granularities (shift 1
-    // gives blocks of n/2, the engine's maximum batch; larger shifts force
-    // block splits and per-step fallbacks) and seeds, on both the paper's
+    // Exhaustive sweep over tiny populations, block granularities (n >> 1
+    // is n/2, the engine's maximum batch; smaller blocks force block
+    // splits and per-step fallbacks) and seeds, on both the paper's
     // protocol and the slow baseline.
     for n in [4u64, 6, 8, 16, 32, 64] {
         for shift in [1u32, 2, 3, 5] {
-            let policy = BatchPolicy::Adaptive {
-                shift,
-                min_population: 2,
-            };
+            let block = n >> shift;
             for seed in 0..4u64 {
-                assert_trace_replays(|| SlowLe, n, seed, 40 * n, &policy);
+                assert_trace_replays(|| SlowLe, n, seed, 40 * n, block);
                 if n >= 16 {
                     // Gsu19's parameter derivation needs n ≥ 16.
-                    assert_trace_replays(|| Gsu19::for_population(n), n, seed, 40 * n, &policy);
+                    assert_trace_replays(|| Gsu19::for_population(n), n, seed, 40 * n, block);
                 }
             }
         }
@@ -90,11 +77,7 @@ fn batched_trace_replay_bit_identical_large() {
     // Seeded large-population gate: one n = 2^20 run of the paper's
     // protocol, long enough that every block runs many exact sub-batches.
     let n = 1u64 << 20;
-    let policy = BatchPolicy::Adaptive {
-        shift: BatchPolicy::DEFAULT_SHIFT,
-        min_population: 256,
-    };
-    assert_trace_replays(|| Gsu19::for_population(n), n, 97, 4 * n, &policy);
+    assert_trace_replays(|| Gsu19::for_population(n), n, 97, 4 * n, n / 16);
 }
 
 #[test]
@@ -174,7 +157,6 @@ fn batched_vs_sequential_stabilisation_times_ks() {
     let n = 1u64 << 10;
     let trials = 20;
     let budget = 100_000 * n;
-    let policy = batched_policy();
     let agent_times = run_trials_threads(trials, 1100, 2, |_, seed| {
         let mut sim = AgentSim::new(Gsu19::for_population(n), n as usize, seed);
         let res = run_until_stable(&mut sim, budget);
@@ -188,7 +170,8 @@ fn batched_vs_sequential_stabilisation_times_ks() {
         res.parallel_time
     });
     let batched_times = run_trials_threads(trials, 1300, 2, |_, seed| {
-        let mut sim = UrnSim::new(Gsu19::for_population(n), n, seed).with_policy(policy);
+        // Blocks of n/16, the default rule's fraction, below its cutoff.
+        let mut sim = UrnSim::new(Gsu19::for_population(n), n, seed).with_block(n / 16);
         let res = run_until_stable(&mut sim, budget);
         assert!(res.converged);
         assert_eq!(sim.leaders(), 1);
@@ -221,14 +204,13 @@ fn batched_leader_count_distribution_chi_square() {
     // seeded trials of each engine over common bins and test homogeneity.
     let n = 1u64 << 12;
     let trials = 60;
-    let policy = batched_policy();
     let leaders_seq = run_trials_threads(trials, 2100, 4, |_, seed| {
         let mut sim = UrnSim::new(SlowLe, n, seed);
         sim.steps(4 * n);
         sim.leaders()
     });
     let leaders_batched = run_trials_threads(trials, 2200, 4, |_, seed| {
-        let mut sim = UrnSim::new(SlowLe, n, seed).with_policy(policy);
+        let mut sim = UrnSim::new(SlowLe, n, seed).with_block(n / 16);
         sim.steps(4 * n);
         sim.leaders()
     });
@@ -274,7 +256,7 @@ fn batched_convergence_time_mean_matches() {
         run_until_stable(&mut sim, budget).parallel_time
     });
     let batched_times = run_trials_threads(trials, 3200, 2, |_, seed| {
-        let mut sim = UrnSim::new(Gsu19::for_population(n), n, seed).with_policy(batched_policy());
+        let mut sim = UrnSim::new(Gsu19::for_population(n), n, seed).with_block(n / 16);
         run_until_stable(&mut sim, budget).parallel_time
     });
     let mu = mean(&urn_times);
@@ -293,7 +275,7 @@ fn batched_census_totals_conserved() {
     let n = 1u64 << 12;
     let proto = Gsu19::for_population(n);
     let params = *proto.params();
-    let mut sim = UrnSim::new(proto, n, 4100).with_policy(batched_policy());
+    let mut sim = UrnSim::new(proto, n, 4100).with_block(n / 16);
     for _ in 0..10 {
         sim.steps(10 * n);
         assert_eq!(Census::of(&sim, &params).total(), n);
@@ -347,13 +329,10 @@ fn batched_stop_is_the_trace_first_hit_gsu19() {
     let n = 4096u64;
     let k = 1u64 << 18;
     // Blocks of four 256-interaction sub-batches.
-    let policy = BatchPolicy::Adaptive {
-        shift: 2,
-        min_population: 256,
-    };
+    let block = n / 4;
     let hit = |s: &UrnSim<Gsu19>| s.undecided() <= 100;
 
-    let mut traced = UrnSim::new(Gsu19::for_population(n), n, 5).with_policy(policy);
+    let mut traced = UrnSim::new(Gsu19::for_population(n), n, 5).with_block(block);
     let mut trace = Vec::new();
     traced.steps_batched_traced(k, &mut trace);
     let mut replayed = UrnSim::new(Gsu19::for_population(n), n, 1);
@@ -367,7 +346,7 @@ fn batched_stop_is_the_trace_first_hit_gsu19() {
     }
     let first_hit = first_hit.expect("trace long enough to hit");
 
-    let mut sim = UrnSim::new(Gsu19::for_population(n), n, 5).with_policy(policy);
+    let mut sim = UrnSim::new(Gsu19::for_population(n), n, 5).with_block(block);
     let mut calls = 0u64;
     assert!(sim.steps_until(k, |s| {
         calls += 1;

@@ -387,6 +387,78 @@ fn ppctl_treats_a_closed_stdout_as_the_end_of_output() {
     }
 }
 
+/// A reader that closes stderr before `ppctl` writes a note or an error
+/// to it drops those lines, never the process: a usage error still exits
+/// 2, and a run still writes its artifact and exits 0.
+#[test]
+fn ppctl_treats_a_closed_stderr_as_the_end_of_its_notes() {
+    let dir = tmp_dir("closed-stderr");
+    let out = dir.join("slow.json");
+    for (args, code) in [
+        (&["params", "--n", "8"][..], 2),
+        (
+            &[
+                "run",
+                "--protocol",
+                "slow",
+                "--n",
+                "64",
+                "--trials",
+                "2",
+                "--out",
+                path_str(&out),
+            ][..],
+            0,
+        ),
+    ] {
+        let (reader, writer) = std::io::pipe().expect("pipe");
+        drop(reader);
+        let output = Command::new(env!("CARGO_BIN_EXE_ppctl"))
+            .args(args)
+            .stderr(writer)
+            .output()
+            .expect("ppctl spawns");
+        assert_eq!(output.status.code(), Some(code), "{args:?}");
+    }
+    let artifact = std::fs::read_to_string(&out).expect("run wrote its artifact");
+    assert!(artifact.contains("\"schema\": \"ppexp/v1\""));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The batched urn's blocks follow `ppsim::batched_block`: the block-size
+/// key that artifacts written before it still echo is an unknown spec key
+/// and an unknown flag, a usage error either way.
+#[test]
+fn ppctl_refuses_the_removed_batch_shift_knob_with_exit_2() {
+    let dir = tmp_dir("batch-shift");
+    let spec = dir.join("shift.spec");
+    std::fs::write(&spec, "protocol = slow\nn = 64\nbatch_shift = 4\n").unwrap();
+    for (args, needle) in [
+        (
+            &["run", "--spec", path_str(&spec)][..],
+            "unknown spec key 'batch_shift'",
+        ),
+        (
+            &[
+                "run",
+                "--protocol",
+                "slow",
+                "--n",
+                "64",
+                "--batch-shift",
+                "4",
+            ][..],
+            "unknown flag: --batch-shift",
+        ),
+    ] {
+        let output = ppctl(args);
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(output.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(stderr.contains(needle), "{args:?}: {stderr}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// `ppctl census` prints the same census for one seed on every engine,
 /// with and without compiled tables (whose trajectories are
 /// bit-identical). At n = 8192 `urn-batched` runs batched blocks, so its
