@@ -39,8 +39,6 @@ fn main() {
     let combos: &[(&str, EngineKind, bool)] = &[
         ("agent", EngineKind::Agent, false),
         ("agent --compiled", EngineKind::Agent, true),
-        ("urn", EngineKind::Urn, false),
-        ("urn --compiled", EngineKind::Urn, true),
         ("urn-batched", EngineKind::UrnBatched, false),
         ("urn-batched --compiled", EngineKind::UrnBatched, true),
     ];

@@ -416,7 +416,8 @@ impl Artifact {
         }
         // Artifacts written before the batched urn's blocks became a
         // function of n also echo a `batch_shift`; like every key not
-        // checked here, it is ignored.
+        // checked here, it is ignored. `engine` is checked for presence
+        // only, so artifacts of the removed `urn` engine still validate.
         // round_every/init/gamma/phi/psi joined the spec after the first
         // ppexp/v1 artifacts shipped; they are optional so early-v1 files
         // keep validating, but malformed values are still rejected.

@@ -74,7 +74,7 @@ impl Cache {
     /// exact string that is hashed into the cache address.
     pub fn config_identity(spec: &ExperimentSpec, protocol: ProtocolKind, n: u64) -> String {
         // The engine implies the urn's blocks (`ppsim::batched_block` on
-        // `urn-batched`, per step otherwise).
+        // `urn-batched`).
         Json::Obj(vec![
             ("protocol".into(), Json::Str(protocol.name().into())),
             ("n".into(), Json::Uint(n)),

@@ -133,7 +133,6 @@ pub fn throughput_ipus(engine: EngineKind, compiled: bool) -> u64 {
                 20
             }
         }
-        EngineKind::Urn => 4,
         EngineKind::UrnBatched => {
             if compiled {
                 14
@@ -253,14 +252,7 @@ mod tests {
         let agent = trial_cost_units(&spec, ProtocolKind::Gsu19, n);
         spec.compiled = true;
         let compiled = trial_cost_units(&spec, ProtocolKind::Gsu19, n);
-        spec.compiled = false;
-        spec.engine = EngineKind::Urn;
-        let urn = trial_cost_units(&spec, ProtocolKind::Gsu19, n);
-        spec.engine = EngineKind::UrnBatched;
-        let batched = trial_cost_units(&spec, ProtocolKind::Gsu19, n);
         assert!(compiled < agent);
-        assert!(agent < urn);
-        assert!(batched < urn);
     }
 
     #[test]

@@ -18,6 +18,7 @@
 //! trial)` address.
 
 use std::cmp::Reverse;
+use std::io::Write;
 
 use ppsim::parallel::{default_threads, run_trials_threads};
 use ppsim::rng::{split_seed, trial_seeds};
@@ -263,7 +264,11 @@ pub(crate) fn run_pool(
     }
     store_failures.sort_unstable_by_key(|&(config, _, _)| config);
     for (config, count, first) in store_failures {
-        eprintln!("warning: config {config}: {count} trial cache store(s) failed: {first}");
+        // A closed stderr drops the warning; the run's results stand.
+        let _ = writeln!(
+            std::io::stderr(),
+            "warning: config {config}: {count} trial cache store(s) failed: {first}"
+        );
     }
     Ok(())
 }
@@ -511,7 +516,7 @@ mod tests {
         let mut spec = tiny_spec();
         spec.protocols = vec![ProtocolKind::Gsu19];
         spec.ns = vec![128];
-        spec.engine = EngineKind::Urn;
+        spec.engine = EngineKind::UrnBatched;
         spec.observables = crate::observe::Observables::parse("census").unwrap();
         spec.stop = StopCondition::Horizon { at_pt: 10.0 };
         spec.sample_at = vec![2.0, 10.0];
@@ -644,9 +649,10 @@ mod tests {
     fn validator_accepts_early_v1_artifacts() {
         // The first ppexp/v1 artifacts carried `observables` as a level
         // string and predate round_every/init/gamma/phi/psi and the
-        // aggregate `quantiles` tag, and every artifact before the batched
-        // urn's blocks became a function of n echoes `"batch_shift": 4`;
-        // they must keep validating.
+        // aggregate `quantiles` tag, every artifact before the batched
+        // urn's blocks became a function of n echoes `"batch_shift": 4`,
+        // and artifacts of the removed sequential engine echo
+        // `"engine": "urn"`; they must keep validating.
         let artifact = run_experiment(&tiny_spec()).unwrap();
         let mut doc = crate::json::parse(&artifact.to_json_string()).unwrap();
         let crate::json::Json::Obj(fields) = &mut doc else {
@@ -660,8 +666,10 @@ mod tests {
                     });
                     spec.push(("batch_shift".into(), crate::json::Json::Uint(4)));
                     for (k, v) in spec.iter_mut() {
-                        if k == "observables" {
-                            *v = crate::json::Json::Str("core".into());
+                        match k.as_str() {
+                            "observables" => *v = crate::json::Json::Str("core".into()),
+                            "engine" => *v = crate::json::Json::Str("urn".into()),
+                            _ => {}
                         }
                     }
                 }

@@ -545,10 +545,10 @@ pub(crate) fn drive<S: Simulator>(
 
     // The stopping predicate handed to `steps_until`. Census-based stops
     // take a census at every check: after every interaction on `agent`
-    // and `urn` (and on `urn-batched` below its batching cutoff), else at
-    // every block end and every replayed pair. A census walks all n agents
-    // on `AgentSim` but only the occupied states on `UrnSim`, which is why
-    // large-n census-stop specs belong on an urn engine.
+    // and on `urn-batched` below its batching cutoff, else at every block
+    // end and every replayed pair. A census walks all n agents on
+    // `AgentSim` but only the occupied states on `UrnSim`, which is why
+    // large-n census-stop specs belong on `urn-batched`.
     let mut stop_pred = |s: &S| -> bool {
         match shape.stop {
             StopCondition::Stabilize { .. } => s.is_stably_elected(),

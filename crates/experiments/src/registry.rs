@@ -446,7 +446,7 @@ where
             };
             drive(&mut sim, shape, probe)
         }
-        EngineKind::Urn | EngineKind::UrnBatched => {
+        EngineKind::UrnBatched => {
             let sim = match states {
                 Some(states) => {
                     let counts = states_to_counts(&proto, &states);
@@ -454,11 +454,7 @@ where
                 }
                 None => UrnSim::new(proto, n, seed),
             };
-            let block = match shape.engine {
-                EngineKind::UrnBatched => batched_block(n),
-                _ => 1,
-            };
-            drive(&mut sim.with_block(block), shape, probe)
+            drive(&mut sim.with_block(batched_block(n)), shape, probe)
         }
     }
 }
@@ -570,7 +566,7 @@ mod tests {
         let obs = Observables::parse("census").unwrap();
         let sample_at = [1.0, 2.0, 4.0];
         let mut sh = shape(StopCondition::Horizon { at_pt: 4.0 }, &obs, &sample_at);
-        sh.engine = EngineKind::Urn;
+        sh.engine = EngineKind::UrnBatched;
         let r = Runnable::build(ProtocolKind::Gsu19, 256, &gsu_spec()).unwrap();
         let out = r.run(256, 3, &sh, &InitConfig::Fresh);
         assert!(out.converged);

@@ -17,10 +17,9 @@ use crate::registry::{check_compiled_dims, ProtocolKind};
 pub enum EngineKind {
     /// Explicit agent array; exact sequential reference.
     Agent,
-    /// Count-based urn, sequential sampling.
-    Urn,
     /// Count-based urn with exact batched sampling (`ppsim::batch`), in
-    /// blocks of [`ppsim::batched_block`] interactions.
+    /// blocks of [`ppsim::batched_block`] interactions: one interaction at
+    /// a time below n = 4096, so there it is the sequential urn.
     UrnBatched,
 }
 
@@ -29,10 +28,9 @@ impl EngineKind {
     pub fn parse(s: &str) -> Result<Self, String> {
         match s {
             "agent" => Ok(EngineKind::Agent),
-            "urn" => Ok(EngineKind::Urn),
             "urn-batched" => Ok(EngineKind::UrnBatched),
             other => Err(format!(
-                "unknown engine '{other}' (expected agent | urn | urn-batched)"
+                "unknown engine '{other}' (expected agent | urn-batched)"
             )),
         }
     }
@@ -41,7 +39,6 @@ impl EngineKind {
     pub fn name(self) -> &'static str {
         match self {
             EngineKind::Agent => "agent",
-            EngineKind::Urn => "urn",
             EngineKind::UrnBatched => "urn-batched",
         }
     }
@@ -597,7 +594,7 @@ impl ExperimentSpec {
         if self.engine == EngineKind::Agent {
             if let Some(&n) = self.ns.iter().find(|&&n| n > (1 << 27)) {
                 return Err(format!(
-                    "n = {n} needs gigabytes as an agent array; use engine = urn or urn-batched"
+                    "n = {n} needs gigabytes as an agent array; use engine = urn-batched"
                 ));
             }
         }

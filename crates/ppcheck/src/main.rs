@@ -13,6 +13,7 @@
 //! fixture CLI tests drive. Exit status: 0 when clean, 1 on any
 //! unsuppressed finding, 2 on usage or I/O errors.
 
+use std::io::{ErrorKind, Write};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -43,16 +44,19 @@ fn main() -> ExitCode {
                 Err(e) => return usage(&e),
             },
             "--help" | "-h" => {
-                print!(
+                let help = write_out(
                     "ppcheck: workspace determinism-and-soundness lint pass\n\n\
                      usage: ppcheck [--root DIR] [--json PATH] [--file FILE --as REL_PATH]\n\n\
                      Scans every workspace .rs file (skipping target/, .git/ and rule\n\
                      fixtures) and reports violations of the project invariants; see\n\
                      README 'Static guarantees' for the rule table and pragma syntax.\n\
                      PPCHECK_JSON=<path> (or --json) additionally writes a JSONL report.\n\
-                     Exits 1 on any unsuppressed finding.\n"
+                     Exits 1 on any unsuppressed finding.\n",
                 );
-                return ExitCode::SUCCESS;
+                return match help {
+                    Ok(()) => ExitCode::SUCCESS,
+                    Err(e) => fail(&e),
+                };
             }
             other => return usage(&format!("unknown argument '{other}'")),
         }
@@ -81,7 +85,9 @@ fn main() -> ExitCode {
         }
     };
 
-    print!("{}", ppcheck::report::human(&findings, files_scanned));
+    if let Err(e) = write_out(&ppcheck::report::human(&findings, files_scanned)) {
+        return fail(&e);
+    }
     if let Some(path) = json_path {
         if let Err(e) = std::fs::write(&path, ppcheck::report::jsonl(&findings)) {
             return fail(&format!("writing {}: {e}", path.display()));
@@ -95,12 +101,27 @@ fn main() -> ExitCode {
     }
 }
 
-fn usage(msg: &str) -> ExitCode {
-    eprintln!("ppcheck: {msg} (try --help)");
-    ExitCode::from(2)
+/// Write `text` to stdout. A reader that closed the pipe early drops the
+/// text: the JSONL report and the exit status still follow. Any other
+/// write error is an I/O error.
+fn write_out(text: &str) -> Result<(), String> {
+    let mut stdout = std::io::stdout().lock();
+    match stdout
+        .write_all(text.as_bytes())
+        .and_then(|()| stdout.flush())
+    {
+        Err(e) if e.kind() == ErrorKind::BrokenPipe => Ok(()),
+        result => result.map_err(|e| format!("writing to stdout: {e}")),
+    }
 }
 
+fn usage(msg: &str) -> ExitCode {
+    fail(&format!("{msg} (try --help)"))
+}
+
+/// Report an error on stderr and exit 2. A closed stderr drops the
+/// message; the exit status still carries the failure.
 fn fail(msg: &str) -> ExitCode {
-    eprintln!("ppcheck: {msg}");
+    let _ = writeln!(std::io::stderr(), "ppcheck: {msg}");
     ExitCode::from(2)
 }

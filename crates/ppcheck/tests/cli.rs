@@ -109,3 +109,31 @@ fn usage_errors_exit_two() {
         .unwrap();
     assert_eq!(out.status.code(), Some(2));
 }
+
+/// A reader that closes stdout or stderr early drops the report or the
+/// usage note, never the process: the scan still writes its JSONL report
+/// and every exit status stands.
+#[test]
+fn closed_pipes_drop_output_and_keep_the_exit_status() {
+    let json = std::env::temp_dir().join(format!("ppcheck-closed-{}.jsonl", std::process::id()));
+    let _ = std::fs::remove_file(&json);
+    let (reader, writer) = std::io::pipe().unwrap();
+    drop(reader);
+    let out = bin()
+        .arg("--root")
+        .arg(workspace_root())
+        .arg("--json")
+        .arg(&json)
+        .stdout(writer)
+        .output()
+        .unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "closed stdout: {stderr}");
+    assert!(json.is_file(), "closed stdout: no JSONL report");
+    let _ = std::fs::remove_file(&json);
+
+    let (reader, writer) = std::io::pipe().unwrap();
+    drop(reader);
+    let out = bin().arg("--bogus").stderr(writer).output().unwrap();
+    assert_eq!(out.status.code(), Some(2), "closed stderr");
+}

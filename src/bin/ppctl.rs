@@ -15,9 +15,9 @@
 //! engine — `sweep` is a preset that expands to a spec, and `run` takes
 //! the spec directly (a `key = value` file via `--spec`, with every key
 //! also available as a flag override). Engines: `agent` (exact agent
-//! array), `urn` (count-based), `urn-batched` (exact batched sampling,
-//! the only engine interactive at n ≥ 2^30). `--compiled` runs
-//! the chosen engine on compiled transition tables (gsu19 and gs18).
+//! array) and `urn-batched` (count-based, exact batched sampling, the
+//! only engine interactive at n ≥ 2^30). `--compiled` runs the chosen
+//! engine on compiled transition tables (gsu19 and gs18).
 //!
 //! Argument parsing is hand-rolled (the repository keeps its dependency
 //! set to the simulation essentials) but strict: unknown commands and
@@ -28,7 +28,7 @@ use std::io::{ErrorKind, Write};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
 
-use population_protocols::core::{Census, Gsu19};
+use population_protocols::core::{AgentState, Census, Gsu19, Params};
 use population_protocols::ppexp::cache::write_atomic;
 use population_protocols::ppexp::{
     merge_from_cache, merge_shards, replay_trial, run_experiment, run_experiment_cached, run_shard,
@@ -36,7 +36,7 @@ use population_protocols::ppexp::{
     ExperimentSpec, ShardOutput,
 };
 use population_protocols::ppsim::table::{fnum, Table};
-use population_protocols::ppsim::{batched_block, AgentSim, Simulator, UrnSim};
+use population_protocols::ppsim::{batched_block, AgentSim, EnumerableProtocol, Simulator, UrnSim};
 
 /// Write to stdout: the one path every command's output takes. A reader
 /// that closes the pipe early (`ppctl params | head -1`) ends the output:
@@ -136,7 +136,7 @@ fn print_help() -> Result<(), String> {
          commands:\n\
          \x20 params --n N                         show derived parameters\n\
          \x20 elect  --protocol P --n N [--seed S] [--engine E] [--compiled]\n\
-         \x20        [--budget PT]                 run one election\n\
+         \x20        [--threads K] [--budget PT]   run one election\n\
          \x20 sweep  --protocol P[,P...] --n A..B [--trials T] [--seed S]\n\
          \x20        [--engine E] [--compiled] [--threads K] [--budget PT]\n\
          \x20        [--out F] [--csv F]           convergence table per protocol\n\
@@ -173,7 +173,7 @@ fn print_help() -> Result<(), String> {
          \x20 with no shard files at all\n\n\
          protocols: gsu19 (default) | gsu19-no-drag | gsu19-no-backup |\n\
          \x20          gsu19-direct | gs18 | bkko18 | slow | clock\n\
-         engines:   agent (default) | urn | urn-batched (exact blocks of n/16\n\
+         engines:   agent (default) | urn-batched (exact blocks of n/16\n\
          \x20          interactions from n = 4096 up, per step below)\n\
          threads:   --threads K or the PPSIM_THREADS environment variable\n\
          --compiled runs the engine on compiled transition tables\n\
@@ -452,10 +452,10 @@ fn single_population(spec: &ExperimentSpec) -> Result<u64, String> {
 
 fn cmd_params(args: &[String]) -> Result<i32, String> {
     let flags = Flags::parse(args, &["--n"], &[])?;
-    // The parameters do not depend on the engine; an urn engine's spec
-    // admits any n, where the agent array is capped.
+    // The parameters do not depend on the engine; the urn's spec admits
+    // any n, where the agent array is capped.
     let mut spec = ExperimentSpec {
-        engine: EngineKind::Urn,
+        engine: EngineKind::UrnBatched,
         ..ExperimentSpec::default()
     };
     apply_spec_flags(&mut spec, &flags)?;
@@ -885,34 +885,13 @@ fn cmd_census(args: &[String]) -> Result<i32, String> {
     spec.apply("at", "100")?;
     apply_spec_flags(&mut spec, &flags)?;
     let n = single_population(&spec)?;
-    let (at, seed, engine) = (spec.stop.budget_pt(), spec.seed, spec.engine);
+    let at = spec.stop.budget_pt();
     let proto = Gsu19::for_population(n);
-    let params = *proto.params();
-    let interactions = (at * n as f64) as u64;
-    let block = match engine {
-        EngineKind::UrnBatched => batched_block(n),
-        _ => 1,
-    };
     let c = if spec.compiled {
         let cp = proto.compiled();
-        let decode = |s| cp.decode_state(s);
-        if engine == EngineKind::Agent {
-            let mut sim = AgentSim::new(cp.clone(), n as usize, seed);
-            sim.steps(interactions);
-            Census::of_with(&sim, &params, decode)
-        } else {
-            let mut sim = UrnSim::new(cp.clone(), n, seed).with_block(block);
-            sim.steps(interactions);
-            Census::of_with(&sim, &params, decode)
-        }
-    } else if engine == EngineKind::Agent {
-        let mut sim = AgentSim::new(proto, n as usize, seed);
-        sim.steps(interactions);
-        Census::of(&sim, &params)
+        census_at(cp.clone(), &spec, n, |s| cp.decode_state(s))
     } else {
-        let mut sim = UrnSim::new(proto, n, seed).with_block(block);
-        sim.steps(interactions);
-        Census::of(&sim, &params)
+        census_at(proto, &spec, n, |s| s)
     };
     outln!("census at parallel time {at} (n = {n}):")?;
     outln!("  zero / X / deactivated : {} / {} / {}", c.zero, c.x, c.d)?;
@@ -931,6 +910,30 @@ fn cmd_census(args: &[String]) -> Result<i32, String> {
         c.max_cnt
     )?;
     Ok(0)
+}
+
+/// The census of `proto` (`Gsu19::for_population(n)`, or its compiled form
+/// read through `decode`) after a fresh run on `spec`'s engine to its horizon.
+fn census_at<P: EnumerableProtocol>(
+    proto: P,
+    spec: &ExperimentSpec,
+    n: u64,
+    decode: impl Fn(P::State) -> AgentState,
+) -> Census {
+    let params = Params::for_population(n);
+    let interactions = (spec.stop.budget_pt() * n as f64) as u64;
+    match spec.engine {
+        EngineKind::Agent => {
+            let mut sim = AgentSim::new(proto, n as usize, spec.seed);
+            sim.steps(interactions);
+            Census::of_with(&sim, &params, decode)
+        }
+        EngineKind::UrnBatched => {
+            let mut sim = UrnSim::new(proto, n, spec.seed).with_block(batched_block(n));
+            sim.steps(interactions);
+            Census::of_with(&sim, &params, decode)
+        }
+    }
 }
 
 #[cfg(test)]

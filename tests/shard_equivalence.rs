@@ -387,13 +387,17 @@ fn ppctl_treats_a_closed_stdout_as_the_end_of_output() {
     }
 }
 
-/// A reader that closes stderr before `ppctl` writes a note or an error
-/// to it drops those lines, never the process: a usage error still exits
-/// 2, and a run still writes its artifact and exits 0.
+/// A reader that closes stderr before `ppctl` writes a note, a warning
+/// or an error to it drops those lines, never the process: a usage error
+/// still exits 2, and a run still writes its artifact and exits 0, also
+/// when its cache stores fail (a cache dir that is a regular file).
 #[test]
 fn ppctl_treats_a_closed_stderr_as_the_end_of_its_notes() {
     let dir = tmp_dir("closed-stderr");
     let out = dir.join("slow.json");
+    let cached_out = dir.join("slow-cached.json");
+    let not_a_dir = dir.join("not-a-dir");
+    std::fs::write(&not_a_dir, "").unwrap();
     for (args, code) in [
         (&["params", "--n", "8"][..], 2),
         (
@@ -410,6 +414,23 @@ fn ppctl_treats_a_closed_stderr_as_the_end_of_its_notes() {
             ][..],
             0,
         ),
+        (
+            &[
+                "run",
+                "--protocol",
+                "slow",
+                "--n",
+                "64",
+                "--trials",
+                "2",
+                "--cache",
+                "--cache-dir",
+                path_str(&not_a_dir),
+                "--out",
+                path_str(&cached_out),
+            ][..],
+            0,
+        ),
     ] {
         let (reader, writer) = std::io::pipe().expect("pipe");
         drop(reader);
@@ -420,19 +441,24 @@ fn ppctl_treats_a_closed_stderr_as_the_end_of_its_notes() {
             .expect("ppctl spawns");
         assert_eq!(output.status.code(), Some(code), "{args:?}");
     }
-    let artifact = std::fs::read_to_string(&out).expect("run wrote its artifact");
-    assert!(artifact.contains("\"schema\": \"ppexp/v1\""));
+    for path in [&out, &cached_out] {
+        let artifact = std::fs::read_to_string(path).expect("run wrote its artifact");
+        assert!(artifact.contains("\"schema\": \"ppexp/v1\""));
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// The batched urn's blocks follow `ppsim::batched_block`: the block-size
-/// key that artifacts written before it still echo is an unknown spec key
-/// and an unknown flag, a usage error either way.
+/// The batched urn's blocks follow `ppsim::batched_block`, and
+/// `urn-batched` is the only urn engine: the block-size key and the
+/// sequential `urn` engine that artifacts written before them still echo
+/// are usage errors, in a spec file and as a flag.
 #[test]
-fn ppctl_refuses_the_removed_batch_shift_knob_with_exit_2() {
-    let dir = tmp_dir("batch-shift");
+fn ppctl_refuses_the_removed_batch_shift_and_urn_engine_with_exit_2() {
+    let dir = tmp_dir("removed-knobs");
     let spec = dir.join("shift.spec");
     std::fs::write(&spec, "protocol = slow\nn = 64\nbatch_shift = 4\n").unwrap();
+    let urn_spec = dir.join("urn.spec");
+    std::fs::write(&urn_spec, "protocol = slow\nn = 64\nengine = urn\n").unwrap();
     for (args, needle) in [
         (
             &["run", "--spec", path_str(&spec)][..],
@@ -450,6 +476,14 @@ fn ppctl_refuses_the_removed_batch_shift_knob_with_exit_2() {
             ][..],
             "unknown flag: --batch-shift",
         ),
+        (
+            &["run", "--spec", path_str(&urn_spec)][..],
+            "unknown engine 'urn' (expected agent | urn-batched)",
+        ),
+        (
+            &["run", "--protocol", "slow", "--n", "64", "--engine", "urn"][..],
+            "unknown engine 'urn' (expected agent | urn-batched)",
+        ),
     ] {
         let output = ppctl(args);
         let stderr = String::from_utf8_lossy(&output.stderr);
@@ -461,8 +495,7 @@ fn ppctl_refuses_the_removed_batch_shift_knob_with_exit_2() {
 
 /// `ppctl census` prints the same census for one seed on every engine,
 /// with and without compiled tables (whose trajectories are
-/// bit-identical). At n = 8192 `urn-batched` runs batched blocks, so its
-/// census differs from the sequential urn's.
+/// bit-identical). At n = 8192 `urn-batched` runs batched blocks.
 #[test]
 fn ppctl_census_output_is_pinned_on_every_engine() {
     let pins = [
@@ -475,18 +508,6 @@ fn ppctl_census_output_is_pinned_on_every_engine() {
                 "  inhibitors by drag     : [778, 0, 0, 0, 0, 0, 0]\n",
                 "  high inhibitors        : [0, 0, 0, 0, 0, 0, 0]\n",
                 "  leaders A/P/W          : 2240 / 0 / 1062\n",
-                "  max alive drag         : Some(0), leaders counter: Some(5)\n",
-            ),
-        ),
-        (
-            "urn",
-            concat!(
-                "census at parallel time 2 (n = 8192):\n",
-                "  zero / X / deactivated : 1606 / 1769 / 0\n",
-                "  coins by level         : [741, 21]\n",
-                "  inhibitors by drag     : [762, 0, 0, 0, 0, 0, 0]\n",
-                "  high inhibitors        : [0, 0, 0, 0, 0, 0, 0]\n",
-                "  leaders A/P/W          : 2179 / 0 / 1114\n",
                 "  max alive drag         : Some(0), leaders counter: Some(5)\n",
             ),
         ),
