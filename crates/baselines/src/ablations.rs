@@ -1,6 +1,6 @@
 //! Ablations of the GSU19 protocol — each removes one design element the
 //! paper argues is load-bearing, so the benches can show what that element
-//! buys (experiment `ABL` in EXPERIMENTS.md).
+//! buys (bench `ablation`).
 
 use core_protocol::{Gsu19, Params};
 

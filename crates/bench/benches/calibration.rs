@@ -1,7 +1,7 @@
 //! Experiment CAL — sensitivity of the concrete parameter choices that
-//! DESIGN.md §3 documents as deviations/calibrations, swept through the
-//! spec-level `gamma`/`phi`/`psi` overrides (one `ppexp` preset per
-//! swept value):
+//! `core_protocol::params` derives from `n` (deviations from the paper's
+//! asymptotic choices), swept through the spec-level `gamma`/`phi`/`psi`
+//! overrides (one `ppexp` preset per swept value):
 //!
 //! 1. **Γ (clock modulus)**: sweep around `gamma_for(n)`. Too small and the
 //!    late half-round cannot fit the heads broadcast (rounds go void, more

@@ -55,7 +55,7 @@ fn trajectory_panel(title: &str, protocol: ProtocolKind, n: u64, trials: usize, 
         ) else {
             break;
         };
-        if val.count < converged {
+        if val.n < converged {
             break; // not every trial got this far before stabilising
         }
         let cnt = params.cnt_init().saturating_sub(val.mean.round() as u8);

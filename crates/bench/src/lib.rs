@@ -1,10 +1,10 @@
 //! Shared machinery for the benchmark harness.
 //!
 //! Every table/figure/lemma of the paper has one bench target under
-//! `benches/`; see DESIGN.md §5 for the experiment index and
-//! EXPERIMENTS.md for paper-vs-measured results. All targets honour the
-//! `PP_SCALE` environment variable: `quick` (CI smoke), `default`, or
-//! `large` (bigger grids and more trials).
+//! `benches/`; the README's "Benches and experiments" section maps each
+//! target to its spec preset. All targets honour the `PP_SCALE`
+//! environment variable: `quick` (CI smoke), `default`, or `large`
+//! (bigger grids and more trials).
 //!
 //! Since the observable-registry migration, no bench drives a simulator
 //! by hand: every measurement is an [`ExperimentSpec`] preset executed

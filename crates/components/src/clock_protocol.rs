@@ -1,5 +1,5 @@
 //! A self-contained protocol exercising the junta-driven phase clock, used
-//! to validate Theorem 3.2 empirically (experiment `CLK` in EXPERIMENTS.md).
+//! to validate Theorem 3.2 empirically (bench `clock`).
 //!
 //! The population is partitioned exactly as in Section 4 of the paper
 //! (`0 + 0 → X + _`, `X + X → Racer + _`), so racers make up ≈ 1/4 of the

@@ -70,7 +70,7 @@ impl LevelRace {
 /// `f_Φ ≥ n^{−0.55}`, which lands the junta size inside the paper's
 /// `[n^{0.45}, n^{0.77}]` window (Lemma 5.3) at practical population sizes.
 /// The paper's asymptotic choice Φ = ⌊log log n⌋ − 3 is recovered up to the
-/// additive constant; see DESIGN.md §3.
+/// additive constant; bench `calibration` sweeps Φ around this choice.
 pub fn phi_for(n: u64, base_fraction: f64) -> u8 {
     assert!(n >= 4, "population too small for a level race");
     assert!(base_fraction > 0.0 && base_fraction <= 1.0);

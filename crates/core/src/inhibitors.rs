@@ -11,7 +11,7 @@
 //!
 //!    *Note*: the displayed rules in Section 7 have the two cases swapped
 //!    (increment on non-coin); Lemma 7.1 and its Appendix-A proof require
-//!    success = "meeting a coin". We follow the lemma — see DESIGN.md §3.
+//!    success = "meeting a coin". We follow the lemma.
 //!
 //! 2. **Elevation** (final epoch): a stopped, low inhibitor meeting an
 //!    *active* leader of its own drag value turns `high` (rule (8)), and

@@ -7,7 +7,8 @@
 //! * **Φ** — the coin level cap. The paper's asymptotic choice
 //!   `⌊log log n⌋ − 3` collapses for feasible `n`; we use the largest Φ whose
 //!   expected junta fraction stays ≥ `n^{−0.55}`, reproducing the
-//!   Lemma 5.3 window `n^{0.45} ≤ C_Φ ≤ n^{0.77}` (see DESIGN.md §3).
+//!   Lemma 5.3 window `n^{0.45} ≤ C_Φ ≤ n^{0.77}` (bench `calibration`
+//!   sweeps Φ around it).
 //! * **Ψ** — the drag cap, Θ(log log n): `⌈log₂ log₂ n⌉ + 2`, so that the
 //!   slowest drag tick `Θ(4^Ψ n log n)` lies beyond the `O(n log² n)` whp
 //!   horizon the counter must cover (Section 7).

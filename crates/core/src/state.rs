@@ -148,17 +148,6 @@ impl AgentState {
             }
         )
     }
-
-    /// Active leader candidate (mode `A`).
-    pub fn is_active_leader(&self) -> bool {
-        matches!(
-            self.role,
-            Role::L {
-                mode: LeaderMode::A,
-                ..
-            }
-        )
-    }
 }
 
 /// Seniority key of an alive leader for the backup rule (11), Section 8:
@@ -354,7 +343,13 @@ mod tests {
     fn fresh_leader_is_active_with_full_counter() {
         let p = params();
         let s = AgentState::fresh_leader(&p, 3);
-        assert!(s.is_active_leader());
+        assert!(matches!(
+            s.role,
+            Role::L {
+                mode: LeaderMode::A,
+                ..
+            }
+        ));
         assert!(s.is_alive_leader());
         match s.role {
             Role::L {

@@ -20,6 +20,13 @@ use rand::{Rng, SeedableRng};
 use crate::params::{Params, COIN_BASE_FRACTION};
 use crate::state::{AgentState, Flip, LeaderMode, Role};
 
+/// Leader sub-population of a [`final_epoch_config`] of `n` agents, once
+/// ⌊n/4⌋ coins and ⌊n/4⌋ inhibitors are placed: the most active
+/// candidates it can hold.
+pub fn final_epoch_leaders(n: u64) -> u64 {
+    n - 2 * (n / 4)
+}
+
 /// Build a settled **final-epoch** configuration:
 ///
 /// * ≈ n/4 coins with levels following the `f_{ℓ+1} = f_ℓ²/2` recursion
@@ -31,12 +38,13 @@ use crate::state::{AgentState, Flip, LeaderMode, Role};
 /// * every clock phase at 0.
 ///
 /// # Panics
-/// Panics if `k_active` exceeds the leader sub-population (≈ n/2).
+/// Panics if `k_active` exceeds the leader sub-population
+/// ([`final_epoch_leaders`]).
 pub fn final_epoch_config(params: &Params, n: u64, k_active: u64, seed: u64) -> Vec<AgentState> {
     let mut rng = SmallRng::seed_from_u64(seed);
     let n_coins = n / 4;
     let n_inhibitors = n / 4;
-    let n_leaders = n - n_coins - n_inhibitors;
+    let n_leaders = final_epoch_leaders(n);
     assert!(
         k_active <= n_leaders,
         "cannot place {k_active} actives among {n_leaders} leaders"

@@ -1,231 +1,9 @@
-//! Online aggregators: results stream through these as trials finish (in
-//! trial order, so every statistic is deterministic across thread counts).
-//!
-//! * [`OnlineStats`] — count/mean/variance via Welford's update, plus
-//!   min/max.
-//! * [`P2Quantile`] — the Jain–Chlamtac P² streaming quantile estimator
-//!   (five markers, O(1) memory); exact below five observations.
-//! * [`survival_curve`] — survival function of stabilisation time as a
-//!   [`Series`], with budget failures treated as right-censored.
+//! Survival analysis of a config's stopping times: [`survival_curve`],
+//! with budget failures treated as right-censored. (Per-metric aggregates
+//! are [`ppsim::stats::Summary`] values, exact over the whole sample; see
+//! [`crate::artifact`].)
 
 use ppsim::trace::Series;
-
-/// Streaming count/mean/variance/min/max (Welford's algorithm).
-#[derive(Clone, Debug)]
-pub struct OnlineStats {
-    count: usize,
-    mean: f64,
-    m2: f64,
-    min: f64,
-    max: f64,
-}
-
-// Not derived: a derived Default would zero `min`/`max` instead of the
-// ±infinity identities `push` folds against.
-impl Default for OnlineStats {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl OnlineStats {
-    /// Fresh accumulator.
-    pub fn new() -> Self {
-        Self {
-            count: 0,
-            mean: 0.0,
-            m2: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-        }
-    }
-
-    /// Fold one observation in.
-    pub fn push(&mut self, x: f64) {
-        self.count += 1;
-        let delta = x - self.mean;
-        self.mean += delta / self.count as f64;
-        self.m2 += delta * (x - self.mean);
-        self.min = self.min.min(x);
-        self.max = self.max.max(x);
-    }
-
-    /// Number of observations so far.
-    pub fn count(&self) -> usize {
-        self.count
-    }
-
-    /// Arithmetic mean; NaN before the first observation.
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            f64::NAN
-        } else {
-            self.mean
-        }
-    }
-
-    /// Unbiased sample variance; 0 below two observations.
-    pub fn variance(&self) -> f64 {
-        if self.count < 2 {
-            0.0
-        } else {
-            self.m2 / (self.count - 1) as f64
-        }
-    }
-
-    /// Unbiased sample standard deviation.
-    pub fn std_dev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
-    /// Half-width of the normal-approximation 95% CI; infinite below two
-    /// observations (matches `ppsim::stats::mean_ci95`).
-    pub fn ci95(&self) -> f64 {
-        if self.count < 2 {
-            f64::INFINITY
-        } else {
-            1.96 * self.std_dev() / (self.count as f64).sqrt()
-        }
-    }
-
-    /// Smallest observation; NaN before the first.
-    pub fn min(&self) -> f64 {
-        if self.count == 0 {
-            f64::NAN
-        } else {
-            self.min
-        }
-    }
-
-    /// Largest observation; NaN before the first.
-    pub fn max(&self) -> f64 {
-        if self.count == 0 {
-            f64::NAN
-        } else {
-            self.max
-        }
-    }
-}
-
-/// Jain–Chlamtac P² streaming estimator of a single quantile `q`.
-///
-/// Keeps five markers whose heights approximate the `0, q/2, q, (1+q)/2, 1`
-/// quantiles, adjusted with a piecewise-parabolic update per observation.
-/// Below five observations the estimate is exact (computed from the stored
-/// sample via `ppsim::stats::quantile`). Insertion order dependence is fine
-/// here: trials stream through in trial order, which is deterministic.
-#[derive(Clone, Debug)]
-pub struct P2Quantile {
-    q: f64,
-    /// Marker heights (first `count` entries are the raw sample while
-    /// `count < 5`).
-    heights: [f64; 5],
-    /// Marker positions (1-based observation ranks).
-    positions: [f64; 5],
-    count: usize,
-}
-
-impl P2Quantile {
-    /// Estimator for quantile `q ∈ [0, 1]`.
-    pub fn new(q: f64) -> Self {
-        assert!((0.0..=1.0).contains(&q), "quantile out of range: {q}");
-        Self {
-            q,
-            heights: [0.0; 5],
-            positions: [1.0, 2.0, 3.0, 4.0, 5.0],
-            count: 0,
-        }
-    }
-
-    /// Fold one observation in.
-    pub fn push(&mut self, x: f64) {
-        if self.count < 5 {
-            self.heights[self.count] = x;
-            self.count += 1;
-            if self.count == 5 {
-                self.heights
-                    .sort_by(|a, b| a.partial_cmp(b).expect("NaN in P2"));
-            }
-            return;
-        }
-        self.count += 1;
-
-        // Locate the cell containing x and clamp the extreme markers.
-        let cell = if x < self.heights[0] {
-            self.heights[0] = x;
-            0
-        } else if x >= self.heights[4] {
-            self.heights[4] = x;
-            3
-        } else {
-            // heights[0] <= x < heights[4]: find k with h[k] <= x < h[k+1].
-            (0..4)
-                .rfind(|&k| self.heights[k] <= x)
-                .expect("h[0] <= x by the branch above")
-        };
-
-        for p in &mut self.positions[cell + 1..] {
-            *p += 1.0;
-        }
-
-        // Desired positions for markers 1..=3 given q and the new count.
-        let nm1 = (self.count - 1) as f64;
-        let desired = [
-            1.0,
-            1.0 + self.q / 2.0 * nm1,
-            1.0 + self.q * nm1,
-            1.0 + (1.0 + self.q) / 2.0 * nm1,
-            self.count as f64,
-        ];
-
-        for i in 1..4 {
-            let d = desired[i] - self.positions[i];
-            let right = self.positions[i + 1] - self.positions[i];
-            let left = self.positions[i - 1] - self.positions[i];
-            if (d >= 1.0 && right > 1.0) || (d <= -1.0 && left < -1.0) {
-                let d = d.signum();
-                let candidate = self.parabolic(i, d);
-                self.heights[i] =
-                    if self.heights[i - 1] < candidate && candidate < self.heights[i + 1] {
-                        candidate
-                    } else {
-                        self.linear(i, d)
-                    };
-                self.positions[i] += d;
-            }
-        }
-    }
-
-    fn parabolic(&self, i: usize, d: f64) -> f64 {
-        let (h, p) = (&self.heights, &self.positions);
-        h[i] + d / (p[i + 1] - p[i - 1])
-            * ((p[i] - p[i - 1] + d) * (h[i + 1] - h[i]) / (p[i + 1] - p[i])
-                + (p[i + 1] - p[i] - d) * (h[i] - h[i - 1]) / (p[i] - p[i - 1]))
-    }
-
-    fn linear(&self, i: usize, d: f64) -> f64 {
-        let j = if d > 0.0 { i + 1 } else { i - 1 };
-        self.heights[i]
-            + d * (self.heights[j] - self.heights[i]) / (self.positions[j] - self.positions[i])
-    }
-
-    /// Current estimate; NaN before the first observation, exact for fewer
-    /// than five observations and for the extreme quantiles (the outer
-    /// markers track the exact min/max).
-    pub fn value(&self) -> f64 {
-        if self.count == 0 {
-            f64::NAN
-        } else if self.count < 5 {
-            ppsim::stats::quantile(&self.heights[..self.count], self.q)
-        } else if self.q == 0.0 {
-            self.heights[0]
-        } else if self.q == 1.0 {
-            self.heights[4]
-        } else {
-            self.heights[2]
-        }
-    }
-}
 
 /// Survival curve of stabilisation time: `S(t)` = fraction of all `total`
 /// trials still running strictly after time `t`, sampled at each observed
@@ -257,100 +35,6 @@ pub fn survival_curve(times: &[f64], total: usize) -> Series {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ppsim::stats;
-
-    #[test]
-    fn online_stats_match_batch_reference() {
-        let xs: Vec<f64> = (0..100).map(|i| ((i * 37) % 101) as f64 * 0.5).collect();
-        let mut acc = OnlineStats::new();
-        for &x in &xs {
-            acc.push(x);
-        }
-        assert_eq!(acc.count(), xs.len());
-        assert!((acc.mean() - stats::mean(&xs)).abs() < 1e-9);
-        assert!((acc.std_dev() - stats::std_dev(&xs)).abs() < 1e-9);
-        let (_, ci) = stats::mean_ci95(&xs);
-        assert!((acc.ci95() - ci).abs() < 1e-9);
-        assert_eq!(acc.min(), 0.0);
-        assert_eq!(acc.max(), 50.0);
-    }
-
-    #[test]
-    fn default_matches_new() {
-        // A derived Default would zero min/max; pin the identities.
-        let mut acc = OnlineStats::default();
-        acc.push(-3.0);
-        acc.push(-1.0);
-        assert_eq!(acc.min(), -3.0);
-        assert_eq!(acc.max(), -1.0);
-    }
-
-    #[test]
-    fn online_stats_degenerate_counts() {
-        let mut acc = OnlineStats::new();
-        assert!(acc.mean().is_nan());
-        acc.push(3.0);
-        assert_eq!(acc.mean(), 3.0);
-        assert_eq!(acc.variance(), 0.0);
-        assert!(acc.ci95().is_infinite());
-    }
-
-    #[test]
-    fn p2_is_exact_below_five_samples() {
-        let mut est = P2Quantile::new(0.5);
-        assert!(est.value().is_nan());
-        for x in [5.0, 1.0, 3.0] {
-            est.push(x);
-        }
-        assert_eq!(est.value(), 3.0);
-    }
-
-    #[test]
-    fn p2_median_tracks_true_median() {
-        // A deterministic pseudo-random stream; P² should land within a few
-        // percent of the exact median.
-        let mut state = 9u64;
-        let xs: Vec<f64> = (0..2000)
-            .map(|_| (ppsim::rng::splitmix64(&mut state) >> 11) as f64 / (1u64 << 53) as f64)
-            .collect();
-        let mut est = P2Quantile::new(0.5);
-        for &x in &xs {
-            est.push(x);
-        }
-        let exact = stats::median(&xs);
-        assert!(
-            (est.value() - exact).abs() < 0.02,
-            "P2 {} vs exact {exact}",
-            est.value()
-        );
-    }
-
-    #[test]
-    fn p2_quartiles_on_sorted_ramp() {
-        for (q, want) in [(0.25, 250.0), (0.5, 500.0), (0.75, 750.0)] {
-            let mut est = P2Quantile::new(q);
-            for i in 0..=1000 {
-                est.push(i as f64);
-            }
-            assert!(
-                (est.value() - want).abs() < 25.0,
-                "q={q}: {} vs {want}",
-                est.value()
-            );
-        }
-    }
-
-    #[test]
-    fn p2_extremes_are_exact() {
-        let mut lo = P2Quantile::new(0.0);
-        let mut hi = P2Quantile::new(1.0);
-        for i in 0..100 {
-            lo.push(i as f64);
-            hi.push(i as f64);
-        }
-        assert_eq!(lo.value(), 0.0);
-        assert_eq!(hi.value(), 99.0);
-    }
 
     #[test]
     fn survival_curve_shape() {

@@ -26,46 +26,29 @@
 //!     "aggregates": {"time": {"count": 8, "mean": ..., "std": ...,
 //!                             "ci95": ..., "min": ..., "max": ...,
 //!                             "q25": ..., "median": ..., "q75": ...,
-//!                             "quantiles": "exact" | "p2"}},
+//!                             "quantiles": "exact"}},
 //!     "mean_traces": {"leaders": {"t": [..], "v": [..]}},  // iff traces
 //!     "survival": {"t": [..], "v": [..]}  // iff budgeted stop
 //!   }]
 //! }
 //! ```
 //!
-//! `quantiles` records the provenance of `q25`/`median`/`q75`: `"exact"`
-//! below five samples, `"p2"` (Jain–Chlamtac streaming estimates) from
-//! five on — downstream consumers that need exact quantiles at larger
-//! counts can always recompute them from the embedded per-trial metrics.
+//! Each aggregate is the [`Summary`] of one metric's values over the
+//! converged trials, in trial order. Its quartiles are exact, and
+//! `quantiles` says so: `"p2"` (streaming Jain–Chlamtac estimates from
+//! five values on) appears only in artifacts written before aggregates
+//! were computed from the whole sample, and still validates.
 //! `mean_traces` is the pointwise mean of the per-trial trace series
 //! (sound because every trial samples on a shared deterministic grid;
 //! [`Series::mean_of`] asserts alignment).
 
+use ppsim::stats::Summary;
 use ppsim::trace::Series;
 
-use crate::aggregate::{survival_curve, OnlineStats, P2Quantile};
+use crate::aggregate::survival_curve;
 use crate::json::Json;
 use crate::registry::{ProtocolKind, TrialOutcome};
 use crate::spec::{ExperimentSpec, StopCondition};
-
-/// How a [`MetricAggregate`]'s quantile columns were computed.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum QuantileKind {
-    /// Computed exactly from the stored sample (fewer than five values).
-    Exact,
-    /// Jain–Chlamtac P² streaming estimates (five values or more).
-    P2,
-}
-
-impl QuantileKind {
-    /// Canonical name, as emitted in artifacts.
-    pub fn name(self) -> &'static str {
-        match self {
-            QuantileKind::Exact => "exact",
-            QuantileKind::P2 => "p2",
-        }
-    }
-}
 
 /// Current artifact schema tag.
 pub const SCHEMA: &str = "ppexp/v1";
@@ -162,22 +145,6 @@ impl TrialRecord {
     }
 }
 
-/// Aggregate of one metric over the converged trials of a config.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct MetricAggregate {
-    pub count: usize,
-    pub mean: f64,
-    pub std: f64,
-    pub ci95: f64,
-    pub min: f64,
-    pub max: f64,
-    pub q25: f64,
-    pub median: f64,
-    pub q75: f64,
-    /// Provenance of the three quantile columns.
-    pub quantiles: QuantileKind,
-}
-
 /// Results of one (protocol, n) grid point.
 #[derive(Clone, Debug)]
 pub struct ConfigResult {
@@ -189,8 +156,9 @@ pub struct ConfigResult {
     pub failures: usize,
     /// All trials, ordered by trial index.
     pub trials: Vec<TrialRecord>,
-    /// Per-metric aggregates over converged trials, in metric order.
-    pub aggregates: Vec<(String, MetricAggregate)>,
+    /// Per-metric summaries over converged trials, in first-seen metric
+    /// order.
+    pub aggregates: Vec<(String, Summary)>,
     /// Pointwise mean of the per-trial trace series, one per series name
     /// (empty when the spec records no traces). Sound because all trials
     /// of a config sample on the same deterministic grid.
@@ -200,8 +168,7 @@ pub struct ConfigResult {
 }
 
 impl ConfigResult {
-    /// Assemble a config result by streaming `trials` (already in trial
-    /// order) through the online aggregators.
+    /// Assemble a config result from `trials` (already in trial order).
     ///
     /// The single aggregation path: `run_experiment` feeds it trials it
     /// just ran, [`crate::shard`]'s merge feeds it records collected from
@@ -214,62 +181,30 @@ impl ConfigResult {
         trials: Vec<TrialRecord>,
         stop: StopCondition,
     ) -> Self {
-        let mut stats: Vec<(String, OnlineStats, [P2Quantile; 3])> = Vec::new();
+        let mut samples: Vec<(String, Vec<f64>)> = Vec::new();
         let mut failures = 0usize;
-        let mut times = Vec::new();
         for record in &trials {
             if !record.outcome.converged {
                 failures += 1;
                 continue;
             }
-            if let Some(t) = record.outcome.metric("time") {
-                times.push(t);
-            }
             for (name, value) in &record.outcome.metrics {
-                let slot = match stats.iter_mut().find(|(k, _, _)| k == name) {
-                    Some(slot) => slot,
-                    None => {
-                        stats.push((
-                            name.clone(),
-                            OnlineStats::new(),
-                            [
-                                P2Quantile::new(0.25),
-                                P2Quantile::new(0.5),
-                                P2Quantile::new(0.75),
-                            ],
-                        ));
-                        stats.last_mut().expect("just pushed")
-                    }
-                };
-                slot.1.push(*value);
-                for q in &mut slot.2 {
-                    q.push(*value);
+                match samples.iter_mut().find(|(k, _)| k == name) {
+                    Some((_, xs)) => xs.push(*value),
+                    None => samples.push((name.clone(), vec![*value])),
                 }
             }
         }
-        let aggregates = stats
+        let survival = (stop.has_survival() && !trials.is_empty()).then(|| {
+            let times = samples
+                .iter()
+                .find(|(k, _)| k == "time")
+                .map_or(&[][..], |(_, xs)| xs);
+            survival_curve(times, trials.len())
+        });
+        let aggregates = samples
             .into_iter()
-            .map(|(name, acc, [q25, median, q75])| {
-                (
-                    name,
-                    MetricAggregate {
-                        count: acc.count(),
-                        mean: acc.mean(),
-                        std: acc.std_dev(),
-                        ci95: acc.ci95(),
-                        min: acc.min(),
-                        max: acc.max(),
-                        q25: q25.value(),
-                        median: median.value(),
-                        q75: q75.value(),
-                        quantiles: if acc.count() >= 5 {
-                            QuantileKind::P2
-                        } else {
-                            QuantileKind::Exact
-                        },
-                    },
-                )
-            })
+            .map(|(name, xs)| (name, Summary::of(&xs)))
             .collect();
         // Mean traces: every trial records the same series (by name, in
         // order) on a shared grid; average pointwise across all trials —
@@ -294,11 +229,6 @@ impl ConfigResult {
                 }
             }
         }
-        let survival = if stop.has_survival() && !trials.is_empty() {
-            Some(survival_curve(&times, trials.len()))
-        } else {
-            None
-        };
         Self {
             protocol,
             n,
@@ -312,7 +242,7 @@ impl ConfigResult {
     }
 
     /// Aggregate of a metric by name.
-    pub fn aggregate(&self, name: &str) -> Option<&MetricAggregate> {
+    pub fn aggregate(&self, name: &str) -> Option<&Summary> {
         self.aggregates
             .iter()
             .find(|(k, _)| k == name)
@@ -540,7 +470,8 @@ impl Artifact {
                     }
                 }
                 // Optional (absent in early-v1 artifacts), but a present
-                // provenance tag must be one of the two known values.
+                // provenance tag must be one of the two known values;
+                // only artifacts older than exact aggregates say `p2`.
                 if let Some(q) = agg.get("quantiles") {
                     q.as_str()
                         .filter(|q| matches!(*q, "exact" | "p2"))
@@ -593,7 +524,7 @@ fn config_json(config: &ConfigResult) -> Json {
             (
                 name.clone(),
                 Json::Obj(vec![
-                    ("count".into(), Json::Uint(a.count as u64)),
+                    ("count".into(), Json::Uint(a.n as u64)),
                     ("mean".into(), Json::Num(a.mean)),
                     ("std".into(), Json::Num(a.std)),
                     ("ci95".into(), Json::Num(a.ci95)),
@@ -602,7 +533,7 @@ fn config_json(config: &ConfigResult) -> Json {
                     ("q25".into(), Json::Num(a.q25)),
                     ("median".into(), Json::Num(a.median)),
                     ("q75".into(), Json::Num(a.q75)),
-                    ("quantiles".into(), Json::Str(a.quantiles.name().into())),
+                    ("quantiles".into(), Json::Str("exact".into())),
                 ]),
             )
         })

@@ -11,7 +11,7 @@
 //! ([`run_trials_threads`]) in a deterministic longest-expected-cost-
 //! first permutation (the [`crate::cost`] model), so no thread idles at
 //! a per-config barrier while a straggler finishes. Results land in
-//! canonical plan slots and stream through the online aggregators in
+//! canonical plan slots and each config is summarised from its records in
 //! trial order, so scheduling never leaks into the bytes: the same spec
 //! and seed give a byte-identical artifact at any thread count, and any
 //! single trial replays bit-identically from its `(seed, config,
@@ -299,7 +299,7 @@ pub(crate) fn assemble(spec: &ExperimentSpec, records: Vec<TrialRecord>) -> Arti
 /// Validates the spec, compiles each config's protocol once (trials share
 /// the tables through cheap clones), shards trials over worker threads
 /// (`spec.threads`, `0` = the `PPSIM_THREADS` environment variable or the
-/// machine's parallelism), and aggregates results online.
+/// machine's parallelism), and summarises each config's records.
 pub fn run_experiment(spec: &ExperimentSpec) -> Result<Artifact, String> {
     run_experiment_cached(spec, None).map(|(artifact, _)| artifact)
 }
@@ -477,18 +477,43 @@ mod tests {
 
     #[test]
     fn aggregates_match_per_trial_records() {
-        let spec = tiny_spec();
+        // Eight trials, enough values per metric for approximate quartiles
+        // to show: every aggregate must be exact over its records.
+        let spec = ExperimentSpec {
+            trials: 8,
+            ..tiny_spec()
+        };
         let artifact = run_experiment(&spec).unwrap();
-        for config in &artifact.configs {
-            let times: Vec<f64> = config
-                .trials
-                .iter()
-                .filter(|r| r.outcome.converged)
-                .filter_map(|r| r.outcome.metric("time"))
-                .collect();
-            let agg = config.aggregate("time").unwrap();
-            assert_eq!(agg.count, times.len());
-            assert!((agg.mean - ppsim::mean(&times)).abs() < 1e-9);
+        let doc = crate::json::parse(&artifact.to_json_string()).unwrap();
+        let docs = doc.get("configs").unwrap().as_arr().unwrap();
+        for (config, config_doc) in artifact.configs.iter().zip(docs) {
+            assert_eq!(config.failures, 0);
+            assert!(!config.aggregates.is_empty());
+            for (name, agg) in &config.aggregates {
+                let xs: Vec<f64> = config
+                    .trials
+                    .iter()
+                    .filter(|r| r.outcome.converged)
+                    .filter_map(|r| r.outcome.metric(name))
+                    .collect();
+                assert!(xs.len() >= 5, "{name}: {} values", xs.len());
+                assert_eq!(agg.n, xs.len(), "{name}");
+                for (got, q) in [
+                    (agg.min, 0.0),
+                    (agg.q25, 0.25),
+                    (agg.median, 0.5),
+                    (agg.q75, 0.75),
+                    (agg.max, 1.0),
+                ] {
+                    assert_eq!(got, ppsim::quantile(&xs, q), "{name} q{q}");
+                }
+                assert!((agg.mean - ppsim::mean(&xs)).abs() < 1e-9, "{name}");
+                let agg_doc = config_doc.get("aggregates").unwrap().get(name).unwrap();
+                assert_eq!(
+                    agg_doc.get("quantiles").and_then(crate::json::Json::as_str),
+                    Some("exact")
+                );
+            }
             let survival = config.survival.as_ref().unwrap();
             assert_eq!(survival.v.last(), Some(&0.0), "all trials converged");
         }
@@ -697,6 +722,13 @@ mod tests {
             }
         }
         Artifact::validate_json(&doc).expect("early-v1 shape must stay valid");
+        // Aggregates written before they were exact carry `"p2"` quartiles.
+        let p2 = artifact
+            .to_json_string()
+            .replace("\"quantiles\": \"exact\"", "\"quantiles\": \"p2\"");
+        assert!(p2.contains("\"p2\""));
+        let doc = crate::json::parse(&p2).unwrap();
+        Artifact::validate_json(&doc).expect("p2 quartiles must stay valid");
     }
 
     #[test]

@@ -6,12 +6,11 @@
 //!
 //! * an [`ExperimentSpec`] *declares* a study — protocols × population
 //!   grid, engine (including compiled tables), trials, master seed,
-//!   batching, stopping condition, observables, optional trajectory
-//!   sample points;
+//!   stopping condition, observables, optional trajectory sample points;
 //! * [`run_experiment`] expands it into a deterministic plan of trial
-//!   jobs, shards them over `ppsim::run_trials_threads`, streams results
-//!   through online aggregators ([`aggregate`]) and returns a versioned
-//!   [`Artifact`];
+//!   jobs, shards them over `ppsim::run_trials_threads`, summarises each
+//!   config's records (exact `ppsim::Summary` aggregates and a survival
+//!   curve, [`aggregate`]) and returns a versioned [`Artifact`];
 //! * artifacts serialise to deterministic JSON/CSV ([`artifact`],
 //!   [`json`]) with full seed provenance, so the same spec and seed give
 //!   byte-identical bytes at any thread count and [`replay_trial`]
@@ -43,8 +42,8 @@ pub mod registry;
 pub mod shard;
 pub mod spec;
 
-pub use aggregate::{survival_curve, OnlineStats, P2Quantile};
-pub use artifact::{Artifact, ConfigResult, MetricAggregate, TrialRecord, SCHEMA};
+pub use aggregate::survival_curve;
+pub use artifact::{Artifact, ConfigResult, TrialRecord, SCHEMA};
 pub use cache::{Cache, CacheStats, ConfigCache};
 pub use cost::{expected_interactions, expected_stabilization_pt, trial_cost_units};
 pub use engine::{

@@ -32,10 +32,10 @@
 //!   as the population maximum of `Protocol::epoch_of` (GSU19 reports its
 //!   fast-elimination countdown, the clock component its round counter).
 //!
-//! Scalar results stream into the artifact's Welford/P² aggregates like
-//! any other metric; `round_census` produces per-trial trace series on a
-//! grid shared across trials, which is what makes the artifact-level
-//! mean-trace aggregation sound.
+//! Scalar results join the artifact's exact per-metric aggregates
+//! (`ppsim::Summary`) like any other metric; `round_census` produces
+//! per-trial trace series on a grid shared across trials, which is what
+//! makes the artifact-level mean-trace aggregation sound.
 //!
 //! Cost: each round checkpoint, and the stop point of a trial with round or
 //! epoch observables, makes one pass over the configuration, folding it

@@ -492,6 +492,15 @@ impl ExperimentSpec {
                     p.name()
                 ));
             }
+            for &n in &self.ns {
+                let leaders = core_protocol::synthetic::final_epoch_leaders(n);
+                if let Some(k) = self.init.actives_for(n).filter(|&k| k > leaders) {
+                    return Err(format!(
+                        "init = {} places {k} actives at n = {n}, which has only {leaders} leaders",
+                        self.init.canonical()
+                    ));
+                }
+            }
         }
         if self.gamma != 0 {
             if let Some(p) = self
@@ -831,6 +840,35 @@ mod tests {
             ..ExperimentSpec::default()
         };
         assert!(spec.validate().unwrap_err().contains("gsu19"));
+
+        // ...and no more actives than the synthetic configuration has
+        // leaders (n − 2⌊n/4⌋ = 128 at n = 256), counted or scaled; the
+        // error names the grid point that overflows.
+        for (k, times_log2, ns) in [
+            (100_000, false, vec![256]),
+            (100, true, vec![256]),
+            (129, false, vec![1024, 256]),
+        ] {
+            let spec = ExperimentSpec {
+                ns,
+                init: InitConfig::FinalEpoch { k, times_log2 },
+                ..ExperimentSpec::default()
+            };
+            let err = spec.validate().unwrap_err();
+            assert!(
+                err.contains("at n = 256, which has only 128 leaders"),
+                "{err}"
+            );
+        }
+        let spec = ExperimentSpec {
+            ns: vec![256],
+            init: InitConfig::FinalEpoch {
+                k: 128,
+                times_log2: false,
+            },
+            ..ExperimentSpec::default()
+        };
+        spec.validate().unwrap();
 
         // The clock component never stabilises.
         let spec = ExperimentSpec {

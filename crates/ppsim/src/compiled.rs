@@ -52,7 +52,7 @@ use crate::protocol::{EnumerableProtocol, Output, Protocol};
 /// Implementations guarantee, for every reachable state pair:
 ///
 /// 1. **Dense factored ids**: `state_id = bucket * phase_count() + phase`
-///    with `num_states() = bucket_count * phase_count()`.
+///    with `num_states() = B * phase_count()` for `B` buckets.
 /// 2. **Initiator phase is preserved** by the transition.
 /// 3. **Responder phase update** is a function of
 ///    `(phase_class(responder bucket), responder phase, initiator phase)`
@@ -363,11 +363,6 @@ impl<P: FactoredProtocol> CompiledProtocol<P> {
         self.tables.phase.len() + self.tables.role_resp.len() + self.tables.role_init.len()
     }
 
-    /// Number of buckets `B`.
-    pub fn bucket_count(&self) -> usize {
-        self.buckets as usize
-    }
-
     /// Inner-protocol state of a packed id.
     pub fn decode_state(&self, s: u32) -> P::State {
         let b = (s >> self.pb) as usize;
@@ -650,7 +645,7 @@ mod tests {
         let c = CompiledProtocol::new(p);
         // 1 class × (16 padded phases)² + 2 × (9 pairs × 2 padded ticks).
         assert_eq!(c.table_entries(), 256 + 36);
-        assert_eq!(c.bucket_count(), 3);
+        assert_eq!(table_dims(c.inner()).unwrap().buckets, 3);
     }
 
     /// Raw role-table words: responder entries, initiator entries and

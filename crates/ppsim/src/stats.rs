@@ -32,11 +32,20 @@ pub fn mean_ci95(xs: &[f64]) -> (f64, f64) {
 /// Quantile with linear interpolation; `q` in `[0, 1]`.
 /// Returns `NaN` on an empty slice.
 pub fn quantile(xs: &[f64], q: f64) -> f64 {
-    if xs.is_empty() {
+    sorted_quantile(&sorted(xs), q)
+}
+
+fn sorted(xs: &[f64]) -> Vec<f64> {
+    let mut sorted = xs.to_vec();
+    sorted.sort_by(|a, b| a.partial_cmp(b).expect("NaN in quantile input"));
+    sorted
+}
+
+/// [`quantile`] of an ascending sample.
+fn sorted_quantile(sorted: &[f64], q: f64) -> f64 {
+    if sorted.is_empty() {
         return f64::NAN;
     }
-    let mut sorted: Vec<f64> = xs.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).expect("NaN in quantile input"));
     let pos = q.clamp(0.0, 1.0) * (sorted.len() - 1) as f64;
     let lo = pos.floor() as usize;
     let hi = pos.ceil() as usize;
@@ -53,7 +62,8 @@ pub fn median(xs: &[f64]) -> f64 {
     quantile(xs, 0.5)
 }
 
-/// Five-number-style summary of a sample.
+/// Summary statistics of a sample: the per-metric aggregates of every
+/// experiment artifact, and the benches' tables.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Summary {
     /// Sample size.
@@ -77,30 +87,42 @@ pub struct Summary {
 }
 
 impl Summary {
-    /// Summarise a sample. Returns a NaN-filled summary on empty input.
+    /// Summarise a sample.
+    ///
+    /// Mean and variance follow Welford's recurrence in sample order, so
+    /// the same values in the same order give the same bits (artifact
+    /// aggregates are byte-compared); within rounding they equal [`mean`],
+    /// [`std_dev`] and [`mean_ci95`], including their values below two
+    /// samples. The order statistics are exact: one sort, interpolated as
+    /// [`quantile`] does. An empty sample has NaN mean and order
+    /// statistics.
     pub fn of(xs: &[f64]) -> Self {
-        let (mean, ci95) = mean_ci95(xs);
-        Self {
-            n: xs.len(),
-            mean,
-            std: std_dev(xs),
-            ci95,
-            min: quantile(xs, 0.0),
-            q25: quantile(xs, 0.25),
-            median: quantile(xs, 0.5),
-            q75: quantile(xs, 0.75),
-            max: quantile(xs, 1.0),
+        let (mut mean, mut m2) = (0.0, 0.0);
+        for (i, &x) in xs.iter().enumerate() {
+            let delta = x - mean;
+            mean += delta / (i + 1) as f64;
+            m2 += delta * (x - mean);
         }
-    }
-}
-
-impl std::fmt::Display for Summary {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "n={} mean={:.3}±{:.3} med={:.3} [{:.3}, {:.3}]",
-            self.n, self.mean, self.ci95, self.median, self.min, self.max
-        )
+        let n = xs.len();
+        let (std, ci95) = if n < 2 {
+            (0.0, f64::INFINITY)
+        } else {
+            let std = (m2 / (n - 1) as f64).sqrt();
+            (std, 1.96 * std / (n as f64).sqrt())
+        };
+        let ascending = sorted(xs);
+        let at = |q| sorted_quantile(&ascending, q);
+        Self {
+            n,
+            mean: if n == 0 { f64::NAN } else { mean },
+            std,
+            ci95,
+            min: at(0.0),
+            q25: at(0.25),
+            median: at(0.5),
+            q75: at(0.75),
+            max: at(1.0),
+        }
     }
 }
 
@@ -280,6 +302,34 @@ mod tests {
         assert_eq!(s.min, 1.0);
         assert_eq!(s.max, 100.0);
         assert!((s.median - 50.5).abs() < 1e-9);
+    }
+
+    #[test]
+    fn summary_matches_batch_reference() {
+        let xs: Vec<f64> = (0..100).map(|i| ((i * 37) % 101) as f64 * 0.5).collect();
+        let s = Summary::of(&xs);
+        assert_eq!(s.n, xs.len());
+        assert!((s.mean - mean(&xs)).abs() < 1e-9);
+        assert!((s.std - std_dev(&xs)).abs() < 1e-9);
+        let (_, ci) = mean_ci95(&xs);
+        assert!((s.ci95 - ci).abs() < 1e-9);
+        assert_eq!(s.min, 0.0);
+        assert_eq!(s.max, 50.0);
+        for (got, q) in [(s.q25, 0.25), (s.median, 0.5), (s.q75, 0.75)] {
+            assert_eq!(got, quantile(&xs, q));
+        }
+    }
+
+    #[test]
+    fn summary_degenerate_counts() {
+        let s = Summary::of(&[]);
+        assert_eq!(s.n, 0);
+        assert!(s.mean.is_nan() && s.min.is_nan() && s.max.is_nan());
+        let s = Summary::of(&[3.0]);
+        assert_eq!(s.mean, 3.0);
+        assert_eq!(s.std, 0.0);
+        assert!(s.ci95.is_infinite());
+        assert_eq!((s.min, s.median, s.max), (3.0, 3.0, 3.0));
     }
 
     #[test]

@@ -372,11 +372,6 @@ impl<P: EnumerableProtocol> UrnSim<P> {
         sim
     }
 
-    /// Multiplicity of the state with id `id`.
-    pub fn count_of_id(&self, id: usize) -> u64 {
-        self.counts[id]
-    }
-
     /// The protocol instance driving this simulation.
     pub fn protocol(&self) -> &P {
         &self.protocol
@@ -1207,7 +1202,13 @@ mod tests {
         let mut sim = UrnSim::new(Cycle, 4096, 61).with_block(256);
         assert!(sim.steps_until(1 << 22, |s| {
             assert_visits_each_occupied_state_once(s);
-            s.count_of_id(15) >= 64
+            let mut count_15 = 0;
+            s.for_each_state(&mut |state, k| {
+                if state == 15 {
+                    count_15 = k;
+                }
+            });
+            count_15 >= 64
         }));
         // The stop fell inside a block, which was rewound and replayed.
         assert_ne!(sim.interactions() % 256, 0);

@@ -11,7 +11,7 @@
 //! * [`core`] — the paper's three-epoch leader-election protocol;
 //! * [`baselines`] — the competing protocols of the paper's Table 1;
 //! * [`ppexp`] — the declarative experiment engine (specs, sharded trial
-//!   plans, online aggregation, versioned JSON/CSV artifacts, replay).
+//!   plans, exact aggregates, versioned JSON/CSV artifacts, replay).
 //!
 //! See `examples/quickstart.rs` for a five-line end-to-end run.
 

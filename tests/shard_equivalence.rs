@@ -355,6 +355,25 @@ fn ppctl_params_and_census_reject_bad_input_with_exit_2() {
     assert!(output.status.success(), "{output:?}");
 }
 
+/// A synthetic final-epoch start with more actives than the configuration
+/// has leaders (n − 2⌊n/4⌋ = 128 at n = 256), counted or scaled by
+/// `log₂ n`, is a usage error naming n and the leader count, not a panic.
+#[test]
+fn ppctl_run_rejects_more_actives_than_leaders_with_exit_2() {
+    for (init, actives) in [("final-epoch:100000", 100_000), ("final-epoch:100lg", 800)] {
+        let output = ppctl(&["run", "--protocol", "gsu19", "--n", "256", "--init", init]);
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(output.status.code(), Some(2), "{init}: {stderr}");
+        assert!(
+            stderr.contains(&format!(
+                "places {actives} actives at n = 256, which has only 128 leaders"
+            )),
+            "{init}: {stderr}"
+        );
+        assert!(output.stdout.is_empty(), "{init}");
+    }
+}
+
 /// A reader that closes stdout before `ppctl` writes to it ends the
 /// output, never the process: no panic, no backtrace, no exit 101.
 #[test]
@@ -541,6 +560,51 @@ fn ppctl_census_output_is_pinned_on_every_engine() {
                 "{args:?}"
             );
         }
+    }
+}
+
+/// `ppctl sweep` and `ppctl elect` print the same table and line for one
+/// seed. The sweep's median column is the exact median of its eight
+/// trials per n.
+#[test]
+fn ppctl_sweep_and_elect_output_is_pinned() {
+    let pins = [
+        (
+            &[
+                "sweep",
+                "--protocol",
+                "gsu19",
+                "--n",
+                "256..512",
+                "--trials",
+                "8",
+                "--seed",
+                "3",
+                "--threads",
+                "2",
+            ][..],
+            concat!(
+                "protocol: gsu19\n",
+                "n    trials  mean t  ci95  median  t/(lg*lglg)  t/lg^2\n",
+                "------------------------------------------------------\n",
+                "256  8       297.9   69.4  294.2   12.41        4.65\n",
+                "512  8       374.9   56.3  360.2   13.14        4.63\n",
+            ),
+        ),
+        (
+            &["elect", "--protocol", "gsu19", "--n", "1024", "--seed", "7"][..],
+            "gsu19: unique leader among 1024 agents after 1064.3 parallel time \
+             (1 leader state) [trial seed 5249615513478625046]\n",
+        ),
+    ];
+    for (args, expected) in pins {
+        let output = ppctl(args);
+        assert!(output.status.success(), "{args:?}: {output:?}");
+        assert_eq!(
+            String::from_utf8_lossy(&output.stdout),
+            expected,
+            "{args:?}"
+        );
     }
 }
 
