@@ -23,6 +23,11 @@ use ppsim::{CompiledProtocol, Simulator, UrnSim};
 /// Sequential path: enough steps to dominate timer noise.
 const SEQ_STEPS: u64 = 10_000;
 
+/// Parallel time a mid-run sequential urn is advanced to, untimed, before
+/// it is measured: the occupancy a gsu19 stabilize trial below the
+/// batching cutoff steps through, instead of the single initial state.
+const MID_RUN_T: u64 = 50;
+
 /// Batched path: whole batches are cheap, so measure many more
 /// interactions per iteration to keep per-iteration wall time comparable.
 /// `PP_SCALE=quick` (the CI smoke) shrinks the iteration and drops the
@@ -57,6 +62,17 @@ fn urn_sequential(c: &mut Criterion) {
             b.iter(|| sim.steps(SEQ_STEPS));
         });
     }
+    // The per-step urn as `urn-batched` runs it below its batching cutoff
+    // (`ppsim::batched_block(2^11)` is 1), partway through an election.
+    let n = 1u64 << 11;
+    g.bench_function(
+        BenchmarkId::new(format!("gsu19-t{MID_RUN_T}"), "2^11"),
+        |b| {
+            let mut sim = UrnSim::new(Gsu19::for_population(n), n, 1);
+            sim.steps(MID_RUN_T * n);
+            b.iter(|| sim.steps(SEQ_STEPS));
+        },
+    );
     g.finish();
 }
 

@@ -1,10 +1,11 @@
 //! Batched interaction sampling — the exact collision-resampling urn trick.
 //!
 //! The sequential urn path ([`crate::Simulator::step`] on [`crate::UrnSim`])
-//! pays two Fenwick `find`s and four `add`s per interaction. Between
-//! observation points, whole batches of interactions can instead be sampled
-//! at once. A batch of `b` interactions is decomposed into **collision-free
-//! runs** separated by **collisions**:
+//! pays two Fenwick `find`s per interaction, plus two `add`s for each
+//! participant whose state changes. Between observation points, whole
+//! batches of interactions can instead be sampled at once. A batch of `b`
+//! interactions is decomposed into **collision-free runs** separated by
+//! **collisions**:
 //!
 //! * A collision-free run is a maximal prefix of interactions in which every
 //!   participant is *fresh* (has not interacted earlier in the batch). Its

@@ -101,26 +101,34 @@ impl Fenwick {
     /// This is the sampling primitive: with `target` uniform in
     /// `0..total()`, the returned slot is distributed proportionally to the
     /// weights.
-    pub fn find(&self, mut target: u64) -> usize {
+    pub fn find(&self, target: u64) -> usize {
+        self.find_prefix(target).0
+    }
+
+    /// [`Fenwick::find`] together with the mass before the slot it returns,
+    /// `prefix_sum(slot)`, which the search computes anyway.
+    pub fn find_prefix(&self, target: u64) -> (usize, u64) {
         debug_assert!(
             target < self.total,
             "target {} >= total {}",
             target,
             self.total
         );
+        let mut rest = target;
         let mut pos = 0usize;
         let mut step = self.top_bit;
         while step > 0 {
             let next = pos + step;
-            if next <= self.len && self.tree[next] <= target {
-                target -= self.tree[next];
+            if next <= self.len && self.tree[next] <= rest {
+                rest -= self.tree[next];
                 pos = next;
             }
             step >>= 1;
         }
-        // pos is the count of slots whose cumulative weight is <= original
-        // target, i.e. the 0-based index of the owning slot.
-        pos
+        // pos is the count of slots whose cumulative weight is <= target,
+        // i.e. the 0-based index of the owning slot, and the weight the
+        // descent subtracted is exactly the mass of the slots before it.
+        (pos, target - rest)
     }
 }
 
@@ -180,6 +188,17 @@ mod tests {
         assert_eq!(f.find(2), 1);
         assert_eq!(f.find(3), 3);
         assert_eq!(f.find(4), 3);
+    }
+
+    #[test]
+    fn find_prefix_returns_the_mass_before_the_slot() {
+        let weights: Vec<u64> = (0..29).map(|i| (i * 5 + 1) % 4).collect();
+        let f = Fenwick::from_weights(&weights);
+        for target in 0..f.total() {
+            let (slot, below) = f.find_prefix(target);
+            assert_eq!(below, f.prefix_sum(slot), "target {target}");
+            assert!(below <= target && target < below + weights[slot]);
+        }
     }
 
     #[test]

@@ -11,7 +11,8 @@
 //!
 //! This gives a process statistically identical to [`crate::AgentSim`] while
 //! storing only `|states|` counters, so the population size is limited only
-//! by `u64`. Each interaction costs O(log |states|) through a Fenwick tree.
+//! by `u64`. Each interaction costs O(log |states|) through a Fenwick tree:
+//! two searches, plus one move per participant whose state changes.
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -84,10 +85,24 @@ fn collision_pattern<R: Rng>(rng: &mut R, t: u64, u: u64) -> u8 {
     }
 }
 
-/// Occupancy ceiling for the shuffled path's dense pair-transition cache
-/// (`occ²` entries). Above it — only brief transients for the protocols in
-/// this repo — transitions are evaluated directly instead.
-const PAIR_CACHE_MAX_OCC: usize = 256;
+/// log2 of the number of entries of [`UrnSim`]'s transition memo: 2^12
+/// entries of 16 bytes, 64 KiB, which hold the working set of ordered
+/// state pairs of a gsu19 trial at the populations the urn runs per step
+/// and in short sub-batches.
+const MEMO_BITS: u32 = 12;
+const MEMO_SLOTS: usize = 1 << MEMO_BITS;
+
+/// An empty memo entry: no state id is `u32::MAX`, so it never matches.
+const MEMO_EMPTY: [u32; 4] = [u32::MAX; 4];
+
+/// The memo slot of the (responder, initiator) state-id pair: the top
+/// [`MEMO_BITS`] bits of a Fibonacci hash of the packed pair, which spreads
+/// the clustered ids of a protocol's role × phase layout over the table.
+#[inline(always)]
+fn memo_slot(r_id: usize, i_id: usize) -> usize {
+    let key = (r_id as u64) << 32 | i_id as u64;
+    (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - MEMO_BITS)) as usize
+}
 
 /// Reusable buffers for [`UrnSim::step_batch`], kept across batches so the
 /// batched path never allocates in steady state.
@@ -126,13 +141,6 @@ struct BatchScratch {
     /// Shuffled stream of fresh participants as occupied-slot indices, in
     /// consumption order (shuffled sub-batch path).
     flat: Vec<u32>,
-    /// Dense pair-transition memo for the shuffled path, keyed by
-    /// `responder_slot · occ + initiator_slot`: (generation stamp, responder
-    /// successor id, initiator successor id). Entries from older sub-batches
-    /// are invalidated by the generation stamp, never by clearing.
-    pair_cache: Vec<(u32, u32, u32)>,
-    /// Current generation of `pair_cache` (0 = never valid).
-    cache_gen: u32,
     /// Recorded (responder, initiator) state-id pairs — the block's implicit
     /// sequential trace, in execution order. Filled only by a block run
     /// with its trace on, so a `steps_until` run whose predicate never
@@ -266,6 +274,11 @@ pub struct UrnSim<P: EnumerableProtocol> {
     rng: SmallRng,
     interactions: u64,
     output_counts: [u64; NUM_OUTPUTS],
+    /// Direct-mapped transition memo: the entry at
+    /// `memo_slot(r_id, i_id)` holds `[r_id, i_id, rn_id, in_id]` for the
+    /// last pair that hashed there. A transition is a pure function of the
+    /// pair, so entries stay valid for the urn's whole life.
+    memo: Box<[[u32; 4]; MEMO_SLOTS]>,
     scratch: BatchScratch,
 }
 
@@ -282,11 +295,13 @@ impl<P: EnumerableProtocol> UrnSim<P> {
     /// interaction at a time unless [`UrnSim::with_block`] says otherwise.
     ///
     /// # Panics
-    /// Panics if `n < 2` or if the protocol's encode/decode pair is not
-    /// inverse on the initial state.
+    /// Panics if `n < 2`, if the protocol has `u32::MAX` states or more
+    /// (state ids are stored as `u32`), or if its encode/decode pair is
+    /// not inverse on the initial state.
     pub fn new(protocol: P, n: u64, seed: u64) -> Self {
         assert!(n >= 2, "population must contain at least two agents");
         let s = protocol.num_states();
+        assert!(s < u32::MAX as usize, "state ids must fit in u32");
         let mut state_of = Vec::with_capacity(s);
         let mut output_of = Vec::with_capacity(s);
         for id in 0..s {
@@ -323,6 +338,10 @@ impl<P: EnumerableProtocol> UrnSim<P> {
             rng: SmallRng::seed_from_u64(seed),
             interactions: 0,
             output_counts,
+            memo: vec![MEMO_EMPTY; MEMO_SLOTS]
+                .into_boxed_slice()
+                .try_into()
+                .expect("MEMO_SLOTS entries"),
             scratch: BatchScratch::default(),
         }
     }
@@ -426,9 +445,9 @@ impl<P: EnumerableProtocol> UrnSim<P> {
         let mut left = k;
         while left > 0 {
             let Some(block) = self.next_block(left) else {
-                let (r_id, i_id) = self.step_ids();
+                let (r_id, i_id) = self.draw_pair();
                 out.push((r_id as u32, i_id as u32));
-                self.finish_pair(r_id, i_id);
+                self.apply_pair(r_id, i_id);
                 left -= 1;
                 continue;
             };
@@ -668,10 +687,9 @@ impl<P: EnumerableProtocol> UrnSim<P> {
     ///    stream pairwise for run interactions and one entry per fresh
     ///    collision participant; touched collision participants are drawn
     ///    from the live post-update touched multiset exactly as in the
-    ///    bucketized path. Run transitions go through a generation-stamped
-    ///    dense (responder slot, initiator slot) memo, so the protocol's
-    ///    transition function runs at most once per ordered state pair per
-    ///    sub-batch.
+    ///    bucketized path. Every transition goes through the urn's
+    ///    persistent pair memo ([`UrnSim::successors`]), so the protocol's
+    ///    transition function runs only on the pairs the memo has not kept.
     ///
     /// Delta accounting differs from the bucketized path in one spot: fresh
     /// participants are subtracted from the configuration in bulk at the
@@ -743,21 +761,6 @@ impl<P: EnumerableProtocol> UrnSim<P> {
         self.rng.shuffle(&mut sc.flat);
 
         // Phase 4: apply the segments against the shuffled stream.
-        let occ = sc.occupied.len();
-        let use_cache = occ <= PAIR_CACHE_MAX_OCC;
-        if use_cache {
-            sc.pair_cache.resize(occ * occ, (0, 0, 0));
-            sc.cache_gen = sc.cache_gen.wrapping_add(1);
-            if sc.cache_gen == 0 {
-                // Generation counter wrapped: old stamps could collide, so
-                // invalidate everything once and restart at 1.
-                for e in &mut sc.pair_cache {
-                    e.0 = 0;
-                }
-                sc.cache_gen = 1;
-            }
-        }
-        let gen = sc.cache_gen;
         let mut idx = 0usize;
         let mut t_live = 0u64;
         for si in 0..sc.seg_runs.len() {
@@ -766,20 +769,7 @@ impl<P: EnumerableProtocol> UrnSim<P> {
                 let ji = sc.flat[idx + 1];
                 idx += 2;
                 let pair = (sc.occupied[jr as usize], sc.occupied[ji as usize]);
-                let next = if use_cache {
-                    let key = jr as usize * occ + ji as usize;
-                    let e = sc.pair_cache[key];
-                    if e.0 == gen {
-                        (e.1 as usize, e.2 as usize)
-                    } else {
-                        let (rn, inn) = self.successors(pair.0, pair.1);
-                        sc.pair_cache[key] = (gen, rn as u32, inn as u32);
-                        (rn, inn)
-                    }
-                } else {
-                    self.successors(pair.0, pair.1)
-                };
-                sc.credit_pair(pair, next, 1, trace);
+                sc.credit_pair(pair, self.successors(pair.0, pair.1), 1, trace);
             }
             t_live += 2 * sc.seg_runs[si];
             let pat = sc.seg_pats[si];
@@ -886,57 +876,107 @@ impl<P: EnumerableProtocol> UrnSim<P> {
         sc.init_nz.clear();
     }
 
-    /// Draw an interaction pair and remove both balls from the urn; the
-    /// caller finishes the interaction with [`UrnSim::finish_pair`].
+    /// Draw one interaction's (responder, initiator) state pair, leaving
+    /// both balls in the urn for [`UrnSim::apply_pair`].
+    ///
+    /// The initiator is one of the other n − 1 balls. Instead of taking
+    /// the responder's ball out of the tree for the second search, the
+    /// initiator's target skips it: a target at or above the mass before
+    /// the responder's slot moves up by one, which maps `0..n − 1` onto the
+    /// same slots as a search of the reduced tree.
     #[inline]
-    fn step_ids(&mut self) -> (usize, usize) {
-        let r_id = self.urn.find(self.rng.gen_range(0..self.population));
-        self.urn.add(r_id, -1);
-        self.add_count(r_id, -1);
-        let i_id = self.urn.find(self.rng.gen_range(0..self.population - 1));
-        self.urn.add(i_id, -1);
-        self.add_count(i_id, -1);
+    fn draw_pair(&mut self) -> (usize, usize) {
+        let (r_id, below_r) = self.urn.find_prefix(self.rng.gen_range(0..self.population));
+        let target = self.rng.gen_range(0..self.population - 1);
+        let i_id = self.urn.find(target + u64::from(target >= below_r));
         (r_id, i_id)
     }
 
     /// The state ids the transition sends the (responder `r_id`, initiator
-    /// `i_id`) state pair to.
+    /// `i_id`) state pair to, through the transition memo. Every urn path,
+    /// per step and batched, asks here, so a memo miss is the only place
+    /// the protocol's transition function runs.
     // Always inlined, like `BatchScratch::credit_pair`: both sit in every
-    // per-interaction loop of the urn, sequential and batched, and left to
-    // the compiler they were outlined, costing 4–5% of CPU time on gsu19
-    // trials at n = 2^11 and 2^12.
+    // per-interaction loop of the urn, and the hit path is a hash, a load
+    // and two compares.
     #[inline(always)]
-    fn successors(&self, r_id: usize, i_id: usize) -> (usize, usize) {
+    fn successors(&mut self, r_id: usize, i_id: usize) -> (usize, usize) {
+        let slot = memo_slot(r_id, i_id);
+        let [r, i, rn, inn] = self.memo[slot];
+        if r == r_id as u32 && i == i_id as u32 {
+            return (rn as usize, inn as usize);
+        }
+        self.successors_miss(slot, r_id, i_id)
+    }
+
+    /// Evaluate the transition of a pair the memo does not hold and store
+    /// it in `slot`, evicting the pair there.
+    #[cold]
+    #[inline(never)]
+    fn successors_miss(&mut self, slot: usize, r_id: usize, i_id: usize) -> (usize, usize) {
         let (r_new, i_new) = self
             .protocol
             .transition(self.state_of[r_id], self.state_of[i_id]);
-        (self.protocol.state_id(r_new), self.protocol.state_id(i_new))
+        let (rn_id, in_id) = (self.protocol.state_id(r_new), self.protocol.state_id(i_new));
+        self.memo[slot] = [r_id as u32, i_id as u32, rn_id as u32, in_id as u32];
+        (rn_id, in_id)
     }
 
-    /// Apply the transition to a drawn (responder, initiator) pair whose
-    /// balls have already been removed, reinsert the post-transition states
-    /// and update the interaction and output counters.
+    /// Apply the transition to a (responder, initiator) pair of balls in
+    /// the urn and count the interaction.
+    ///
+    /// Only participants whose state changes move: one ball leaves the old
+    /// state and joins the new one in the tree, the counts, the occupancy
+    /// index and the output counters. When a removal would empty a state
+    /// (a count of 1, or 2 when both participants share it), the pair
+    /// instead takes both balls out and puts the successors back, in that
+    /// order: the transient zero reorders `occupied_ids`, and the batched
+    /// samplers' draws depend on that order.
     #[inline]
-    fn finish_pair(&mut self, r_id: usize, i_id: usize) {
+    fn apply_pair(&mut self, r_id: usize, i_id: usize) {
         let (rn_id, in_id) = self.successors(r_id, i_id);
-        self.urn.add(rn_id, 1);
-        self.add_count(rn_id, 1);
-        self.urn.add(in_id, 1);
-        self.add_count(in_id, 1);
+        let shared = u64::from(r_id == i_id);
+        if self.counts[r_id] > 1 + shared && self.counts[i_id] > 1 + shared {
+            if rn_id != r_id {
+                self.move_ball(r_id, rn_id);
+            }
+            if in_id != i_id {
+                self.move_ball(i_id, in_id);
+            }
+        } else {
+            for (id, delta) in [(r_id, -1), (i_id, -1), (rn_id, 1), (in_id, 1)] {
+                self.urn.add(id, delta);
+                self.add_count(id, delta);
+            }
+            if rn_id != r_id {
+                self.move_output(r_id, rn_id);
+            }
+            if in_id != i_id {
+                self.move_output(i_id, in_id);
+            }
+        }
         self.interactions += 1;
-
-        if rn_id != r_id {
-            self.output_counts[self.output_of[r_id] as usize] -= 1;
-            self.output_counts[self.output_of[rn_id] as usize] += 1;
-        }
-        if in_id != i_id {
-            self.output_counts[self.output_of[i_id] as usize] -= 1;
-            self.output_counts[self.output_of[in_id] as usize] += 1;
-        }
     }
 
-    /// Apply one interaction with *given* participant states: remove one
-    /// ball of `r_id` and one of `i_id`, apply the transition, reinsert.
+    /// Move one ball from state `from` to state `to`.
+    #[inline]
+    fn move_ball(&mut self, from: usize, to: usize) {
+        self.urn.add(from, -1);
+        self.add_count(from, -1);
+        self.urn.add(to, 1);
+        self.add_count(to, 1);
+        self.move_output(from, to);
+    }
+
+    /// Move one agent's output from that of state `from` to that of `to`.
+    #[inline]
+    fn move_output(&mut self, from: usize, to: usize) {
+        self.output_counts[self.output_of[from] as usize] -= 1;
+        self.output_counts[self.output_of[to] as usize] += 1;
+    }
+
+    /// Apply one interaction with *given* participant states: one ball of
+    /// `r_id` and one of `i_id` take the transition's successor states.
     ///
     /// This is the decoding side of the shared interaction trace: replaying
     /// a recorded batch trace pair-by-pair from the batch's starting
@@ -945,16 +985,15 @@ impl<P: EnumerableProtocol> UrnSim<P> {
     /// what makes exact predicate stops possible.
     ///
     /// # Panics
-    /// In debug builds, panics if either state has no balls left.
+    /// In debug builds, panics if the urn lacks the balls for the pair.
     pub fn replay_interaction(&mut self, r_id: u32, i_id: u32) {
         let (r_id, i_id) = (r_id as usize, i_id as usize);
         debug_assert!(self.counts[r_id] >= 1, "replay: responder state empty");
-        self.urn.add(r_id, -1);
-        self.add_count(r_id, -1);
-        debug_assert!(self.counts[i_id] >= 1, "replay: initiator state empty");
-        self.urn.add(i_id, -1);
-        self.add_count(i_id, -1);
-        self.finish_pair(r_id, i_id);
+        debug_assert!(
+            self.counts[i_id] > u64::from(r_id == i_id),
+            "replay: initiator state empty"
+        );
+        self.apply_pair(r_id, i_id);
     }
 
     /// Rewind the most recent recorded block of `block` interactions: apply
@@ -1019,10 +1058,8 @@ impl<P: EnumerableProtocol> Simulator for UrnSim<P> {
 
     #[inline]
     fn step(&mut self) {
-        // Draw responder, remove it from the urn, draw initiator from the
-        // remaining n-1 balls, then reinsert the post-transition states.
-        let (r_id, i_id) = self.step_ids();
-        self.finish_pair(r_id, i_id);
+        let (r_id, i_id) = self.draw_pair();
+        self.apply_pair(r_id, i_id);
     }
 
     /// The urn's stepping path: per step, or in blocks of its block size
@@ -1118,6 +1155,7 @@ mod tests {
     use super::*;
     use crate::protocol::Protocol;
     use crate::runner::run_until_stable;
+    use rand::RngCore;
 
     /// The slow leader-election protocol with a dense 2-state encoding.
     struct Slow;
@@ -1186,6 +1224,208 @@ mod tests {
         fn state_from_id(&self, id: usize) -> u8 {
             id as u8
         }
+    }
+
+    /// A `K`-state protocol whose pairs do everything a transition can:
+    /// leave both agents, move the responder, the initiator or both, or
+    /// swap their states. Its outputs cycle through all three, so output
+    /// counters move too.
+    struct Scatter<const K: u16>;
+    impl<const K: u16> Protocol for Scatter<K> {
+        type State = u16;
+        fn initial_state(&self) -> u16 {
+            0
+        }
+        fn transition(&self, r: u16, i: u16) -> (u16, u16) {
+            match (3 * r + i + 1) % 5 {
+                0 => (r, i),
+                1 => ((r + i + 1) % K, i),
+                2 => (r, (i + r + 5) % K),
+                3 => ((r + 7) % K, (i + 11) % K),
+                _ => (i, r),
+            }
+        }
+        fn output(&self, s: u16) -> Output {
+            match s % 3 {
+                0 => Output::Leader,
+                1 => Output::Follower,
+                _ => Output::Undecided,
+            }
+        }
+    }
+    impl<const K: u16> EnumerableProtocol for Scatter<K> {
+        fn num_states(&self) -> usize {
+            K as usize
+        }
+        fn state_id(&self, s: u16) -> usize {
+            s as usize
+        }
+        fn state_from_id(&self, id: usize) -> u16 {
+            id as u16
+        }
+    }
+
+    /// The urn as a per-step urn is specified: take the responder's ball
+    /// out, draw the initiator from the reduced tree, take its ball out,
+    /// and put the successors back, with every count and occupancy change
+    /// in that order.
+    struct ReferenceUrn {
+        urn: Fenwick,
+        counts: Vec<u64>,
+        occupied: Vec<usize>,
+        pos: Vec<u32>,
+        outputs: [u64; NUM_OUTPUTS],
+        rng: SmallRng,
+    }
+
+    impl ReferenceUrn {
+        fn new<P: EnumerableProtocol>(p: &P, n: u64, seed: u64) -> Self {
+            let s = p.num_states();
+            let mut urn = Self {
+                urn: Fenwick::new(s),
+                counts: vec![0; s],
+                occupied: Vec::new(),
+                pos: vec![u32::MAX; s],
+                outputs: [0; NUM_OUTPUTS],
+                rng: SmallRng::seed_from_u64(seed),
+            };
+            let init = p.initial_state();
+            urn.add(p.state_id(init), n as i64);
+            urn.outputs[p.output(init) as usize] = n;
+            urn
+        }
+
+        fn add(&mut self, id: usize, delta: i64) {
+            self.urn.add(id, delta);
+            let old = self.counts[id];
+            let new = (old as i64 + delta) as u64;
+            self.counts[id] = new;
+            if old == 0 {
+                self.pos[id] = self.occupied.len() as u32;
+                self.occupied.push(id);
+            } else if new == 0 {
+                let at = self.pos[id] as usize;
+                self.occupied.swap_remove(at);
+                if at < self.occupied.len() {
+                    self.pos[self.occupied[at]] = at as u32;
+                }
+            }
+        }
+
+        /// One sequential step; returns the drawn (responder, initiator).
+        fn step<P: EnumerableProtocol>(&mut self, p: &P) -> (usize, usize) {
+            let n = self.urn.total();
+            let r = self.urn.find(self.rng.gen_range(0..n));
+            self.add(r, -1);
+            let i = self.urn.find(self.rng.gen_range(0..n - 1));
+            self.add(i, -1);
+            self.put_back(p, r, i);
+            (r, i)
+        }
+
+        fn replay<P: EnumerableProtocol>(&mut self, p: &P, r: usize, i: usize) {
+            self.add(r, -1);
+            self.add(i, -1);
+            self.put_back(p, r, i);
+        }
+
+        fn put_back<P: EnumerableProtocol>(&mut self, p: &P, r: usize, i: usize) {
+            let (rs, is) = (p.state_from_id(r), p.state_from_id(i));
+            let (rn, inn) = p.transition(rs, is);
+            self.add(p.state_id(rn), 1);
+            self.add(p.state_id(inn), 1);
+            for (old, new) in [(rs, rn), (is, inn)] {
+                self.outputs[p.output(old) as usize] -= 1;
+                self.outputs[p.output(new) as usize] += 1;
+            }
+        }
+    }
+
+    /// The urn and the reference agree in occupancy order, counts, output
+    /// counters and the RNG's next output.
+    fn assert_same_urn<const K: u16>(sim: &UrnSim<Scatter<K>>, reference: &ReferenceUrn) {
+        let mut states = Vec::new();
+        sim.for_each_state(&mut |s, k| states.push((s as usize, k)));
+        let expected: Vec<(usize, u64)> = reference
+            .occupied
+            .iter()
+            .map(|&id| (id, reference.counts[id]))
+            .collect();
+        assert_eq!(states, expected);
+        assert_eq!(sim.output_counts(), reference.outputs);
+        assert_eq!(sim.rng.clone().next_u64(), reference.rng.clone().next_u64());
+    }
+
+    #[test]
+    fn per_step_urn_matches_the_remove_and_reinsert_reference_bit_for_bit() {
+        // At n = 10 over 24 states most occupied states hold one or two
+        // balls, so pairs that empty a state on removal, and pairs whose
+        // participants share a state, are common on both paths.
+        let p = Scatter::<24>;
+        let n = 10;
+        let (mut emptying, mut shared) = (0u64, 0u64);
+        for seed in 0..200 {
+            let mut sim = UrnSim::new(Scatter::<24>, n, seed);
+            let mut reference = ReferenceUrn::new(&p, n, seed);
+            let mut pick = SmallRng::seed_from_u64(seed ^ 0xA5A5);
+            for _ in 0..300 {
+                let before = reference.counts.clone();
+                let (r, i) = if pick.gen_range(0..2u32) == 0 {
+                    sim.step();
+                    reference.step(&p)
+                } else {
+                    // Replay a pair of occupied states, chosen per state
+                    // rather than per ball, so one-ball states come up
+                    // often.
+                    let occ = &reference.occupied;
+                    let r = occ[pick.gen_range(0..occ.len())];
+                    let i = occ[pick.gen_range(0..occ.len())];
+                    if r == i && before[r] < 2 {
+                        continue;
+                    }
+                    sim.replay_interaction(r as u32, i as u32);
+                    reference.replay(&p, r, i);
+                    (r, i)
+                };
+                let floor = 1 + u64::from(r == i);
+                emptying += u64::from(before[r] <= floor || before[i] <= floor);
+                shared += u64::from(r == i);
+                assert_same_urn(&sim, &reference);
+            }
+        }
+        assert!(emptying > 1000 && shared > 1000, "{emptying} / {shared}");
+    }
+
+    #[test]
+    fn memo_successors_survive_eviction() {
+        // 128 states give 16 384 ordered pairs for the memo's 4 096
+        // slots. Two sweeps in different orders make every pair miss at
+        // least once, evict pairs that share a slot, and hit the pairs
+        // the second sweep finds still stored.
+        let p = Scatter::<128>;
+        let mut sim = UrnSim::new(Scatter::<128>, 2, 1);
+        let k = p.num_states();
+        let (mut hits, mut misses) = (0u64, 0u64);
+        for pass in 0..2 {
+            for a in 0..k {
+                for b in 0..k {
+                    let (r, i) = if pass == 0 { (a, b) } else { (b, a) };
+                    let held = sim.memo[memo_slot(r, i)];
+                    if held[..2] == [r as u32, i as u32] {
+                        hits += 1;
+                    } else {
+                        misses += 1;
+                    }
+                    let (rn, inn) = p.transition(r as u16, i as u16);
+                    assert_eq!(
+                        sim.successors(r, i),
+                        (p.state_id(rn), p.state_id(inn)),
+                        "pair ({r}, {i}), pass {pass}"
+                    );
+                }
+            }
+        }
+        assert!(hits > 0 && misses > (k * k) as u64 + MEMO_SLOTS as u64);
     }
 
     /// `for_each_state` visits each state of `nonzero_counts` exactly
