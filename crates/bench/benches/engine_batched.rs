@@ -6,7 +6,7 @@
 //! individually resampled collision interactions, so the batched process is
 //! bit-for-bit the sequential one under the shared trace decoding. This
 //! target measures its per-interaction throughput against the sequential
-//! Fenwick path on the same protocol and population, which is the
+//! per-step path on the same protocol and population, which is the
 //! acceptance number for the batching work (≥10× at n ≥ 2^20 on `Gsu19`,
 //! exactness included). A batched urn's `steps` is `steps_until` under a
 //! never-true predicate, the path every batched `ppexp` trial runs, so

@@ -15,7 +15,7 @@
 
 use bench::{lg, one_config, scale, Scale};
 use core_protocol::Gsu19;
-use ppexp::{run_experiment, Observables, ProtocolKind, StopCondition};
+use ppexp::{run_experiment, EngineKind, Observables, ProtocolKind, StopCondition};
 use ppsim::table::{fnum, Table};
 
 fn main() {
@@ -42,6 +42,9 @@ fn main() {
     let budget_parallel = 4f64.powi(target_drag as i32) * lg(n) * 40.0;
 
     let mut spec = one_config(ProtocolKind::Gsu19, n, trials, 31, 0.0);
+    // The `drag:` stop takes a census at every check; on the urn a census
+    // walks the occupied states, not all n agents.
+    spec.engine = EngineKind::UrnBatched;
     spec.stop = StopCondition::DragReached {
         level: target_drag,
         budget_pt: budget_parallel,

@@ -61,6 +61,11 @@ impl LevelRace {
     }
 }
 
+/// The smallest population a level race is sized for: [`phi_for`] asserts
+/// it, and experiment specs reject smaller populations for the protocols
+/// that run one.
+pub const MIN_RACE_POPULATION: u64 = 4;
+
 /// Pick the level cap Φ for a race whose level-0 fraction of the whole
 /// population is `base_fraction` (1/4 for the paper's coins, 1 for GS18's
 /// whole-population junta election).
@@ -72,7 +77,10 @@ impl LevelRace {
 /// The paper's asymptotic choice Φ = ⌊log log n⌋ − 3 is recovered up to the
 /// additive constant; bench `calibration` sweeps Φ around this choice.
 pub fn phi_for(n: u64, base_fraction: f64) -> u8 {
-    assert!(n >= 4, "population too small for a level race");
+    assert!(
+        n >= MIN_RACE_POPULATION,
+        "population too small for a level race"
+    );
     assert!(base_fraction > 0.0 && base_fraction <= 1.0);
     let target = (n as f64).powf(-0.55);
     let mut phi = 0u8;

@@ -490,7 +490,6 @@ fn census_stop_hit<S: Simulator>(stop: &StopCondition, probe: &impl Probe<S>, si
     let Some(census) = probe.census(sim) else {
         return false;
     };
-    let sim_stable = sim.is_stably_elected();
     match *stop {
         StopCondition::DragReached { level, .. } => {
             census.max_active_drag.is_some_and(|d| d >= level)
@@ -501,13 +500,18 @@ fn census_stop_hit<S: Simulator>(stop: &StopCondition, probe: &impl Probe<S>, si
         StopCondition::ActivesBelow { count, .. } => {
             census.uninitialised() == 0 && census.active <= count
         }
-        // Settled: stably elected, or terminally extinct (roles assigned,
-        // every candidate withdrawn — no rule can ever create a leader).
-        StopCondition::Settled { .. } => {
-            sim_stable || (census.uninitialised() == 0 && census.alive() == 0)
-        }
         _ => false,
     }
+}
+
+/// Whether a `settled:` stop holds: the configuration is stably elected,
+/// or terminally extinct (roles assigned, every candidate withdrawn — no
+/// rule can ever create a leader). Census stops reach only the gsu19
+/// family, whose undecided agents are exactly the roles `0`/`X` and whose
+/// leaders are exactly the alive candidates, so the output counters
+/// decide it without a census.
+fn is_settled<S: Simulator>(sim: &S) -> bool {
+    sim.undecided() == 0 && sim.leaders() <= 1
 }
 
 /// Drive one simulation to its stopping condition, recording the spec's
@@ -543,15 +547,17 @@ pub(crate) fn drive<S: Simulator>(
     let mut sample_idx = 0usize;
     let mut stopped = false;
 
-    // The stopping predicate handed to `steps_until`. Census-based stops
-    // take a census at every check: after every interaction on `agent`
-    // and on `urn-batched` below its batching cutoff, else at every block
-    // end and every replayed pair. A census walks all n agents on
-    // `AgentSim` but only the occupied states on `UrnSim`, which is why
-    // large-n census-stop specs belong on `urn-batched`.
+    // The stopping predicate handed to `steps_until`. `drag:` and
+    // `active:` stops take a census at every check: after every
+    // interaction on `agent` and on `urn-batched` below its batching
+    // cutoff, else at every block end and every replayed pair. A census
+    // walks all n agents on `AgentSim` but only the occupied states on
+    // `UrnSim`, which is why large-n census-stop specs belong on
+    // `urn-batched`.
     let mut stop_pred = |s: &S| -> bool {
         match shape.stop {
             StopCondition::Stabilize { .. } => s.is_stably_elected(),
+            StopCondition::Settled { .. } => is_settled(s),
             StopCondition::Horizon { .. } => false,
             _ => census_stop_hit(&shape.stop, probe, s),
         }
@@ -670,5 +676,56 @@ pub(crate) fn drive<S: Simulator>(
         converged,
         metrics,
         traces,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use baselines::gsu_direct_withdrawal;
+    use core_protocol::synthetic::final_epoch_config;
+    use core_protocol::{Census, Gsu19};
+    use ppsim::AgentSim;
+
+    /// `settled:` as a census states it: stably elected, or every role
+    /// assigned and no candidate alive.
+    fn settled_by_census(sim: &AgentSim<Gsu19>) -> bool {
+        let c = Census::of(sim, sim.protocol().params());
+        sim.is_stably_elected() || (c.uninitialised() == 0 && c.alive() == 0)
+    }
+
+    /// Step `sim` for `k` interactions, checking after each that the
+    /// output counters and the census agree on `settled:`.
+    fn assert_settled_forms_agree(sim: &mut AgentSim<Gsu19>, k: u64) {
+        assert_eq!(is_settled(sim), settled_by_census(sim));
+        for _ in 0..k {
+            sim.step();
+            assert_eq!(
+                is_settled(sim),
+                settled_by_census(sim),
+                "after {} interactions",
+                sim.interactions()
+            );
+        }
+    }
+
+    #[test]
+    fn settled_from_output_counters_agrees_with_the_census() {
+        // Fresh trials run from unsettled roles to one leader.
+        let n = 128u64;
+        for seed in 0..4 {
+            for proto in [Gsu19::for_population(n), gsu_direct_withdrawal(n)] {
+                let mut sim = AgentSim::new(proto, n as usize, seed);
+                assert_settled_forms_agree(&mut sim, 400 * n);
+                assert!(is_settled(&sim) && sim.leaders() == 1, "seed {seed}");
+            }
+        }
+        // Every candidate withdrawn: settled by extinction.
+        for proto in [Gsu19::for_population(n), gsu_direct_withdrawal(n)] {
+            let states = final_epoch_config(proto.params(), n, 0, 5);
+            let mut sim = AgentSim::with_states(proto, states, 5);
+            assert!(is_settled(&sim) && sim.leaders() == 0);
+            assert_settled_forms_agree(&mut sim, 20 * n);
+        }
     }
 }

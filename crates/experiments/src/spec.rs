@@ -8,6 +8,8 @@
 //! `#` comments) and the same keys back every CLI flag of `ppctl run`, so
 //! a flag is exactly a one-line spec override.
 
+use components::junta::MIN_RACE_POPULATION;
+
 use crate::json::Json;
 use crate::observe::Observables;
 use crate::registry::{check_compiled_dims, ProtocolKind};
@@ -159,7 +161,9 @@ impl StopCondition {
         }
     }
 
-    /// Whether the stopping predicate needs a GSU19 census.
+    /// Whether the stopping predicate is stated over a GSU19 census, so
+    /// only the gsu19 family takes it. (`settled:` is evaluated from the
+    /// output counters, which agree with its census form there.)
     pub fn needs_census(&self) -> bool {
         matches!(
             self,
@@ -444,6 +448,14 @@ impl ExperimentSpec {
                 return Err(format!(
                     "population {n} too small for '{}' (need n >= 16)",
                     p.name()
+                ));
+            }
+        }
+        // The clock's level race (`phi_for` asserts) needs a few agents.
+        if let Some(&n) = self.ns.iter().find(|&&n| n < MIN_RACE_POPULATION) {
+            if self.protocols.contains(&ProtocolKind::Clock) {
+                return Err(format!(
+                    "population {n} too small for 'clock' (need n >= {MIN_RACE_POPULATION})"
                 ));
             }
         }
@@ -795,6 +807,20 @@ mod tests {
             .unwrap_err()
             .contains("'gs18' (need n >= 16)"));
         spec.protocols.pop();
+        spec.validate().unwrap();
+
+        // The clock's level race needs n >= 4.
+        let mut spec = ExperimentSpec {
+            protocols: vec![ProtocolKind::Slow, ProtocolKind::Clock],
+            ns: vec![4, 3],
+            stop: StopCondition::Horizon { at_pt: 1.0 },
+            ..ExperimentSpec::default()
+        };
+        assert!(spec
+            .validate()
+            .unwrap_err()
+            .contains("population 3 too small for 'clock' (need n >= 4)"));
+        spec.ns.pop();
         spec.validate().unwrap();
 
         // Compiled tables past the entry ceiling (B = 6 685 buckets).

@@ -1,8 +1,8 @@
 //! Batched interaction sampling — the exact collision-resampling urn trick.
 //!
 //! The sequential urn path ([`crate::Simulator::step`] on [`crate::UrnSim`])
-//! pays two Fenwick `find`s per interaction, plus two `add`s for each
-//! participant whose state changes. Between observation points, whole
+//! pays two scans of the occupied states per interaction, plus one move
+//! for each participant whose state changes. Between observation points, whole
 //! batches of interactions can instead be sampled at once. A batch of `b`
 //! interactions is decomposed into **collision-free runs** separated by
 //! **collisions**:

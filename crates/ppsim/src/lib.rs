@@ -25,8 +25,8 @@
 //!   interaction, O(n) memory. This is the workhorse for populations up to a
 //!   few tens of millions.
 //! * [`UrnSim`] keeps only a count per *state* (the population is an urn of
-//!   indistinguishable balls — valid because agents are anonymous). Sampling
-//!   uses a Fenwick tree, O(log |states|) per interaction, O(|states|)
+//!   indistinguishable balls — valid because agents are anonymous). A step
+//!   scans the occupied states, O(occupied) per interaction, O(|states|)
 //!   memory, enabling populations bounded only by `u64`.
 //!
 //! Both produce statistically identical processes; the integration test suite
@@ -85,7 +85,6 @@ pub mod adversary;
 pub mod agent_sim;
 pub mod batch;
 pub mod compiled;
-pub mod fenwick;
 pub mod parallel;
 pub mod protocol;
 pub mod rng;
@@ -98,7 +97,6 @@ pub mod urn;
 pub use adversary::{AdversarialSim, Blackout, Perturbation, Throttle};
 pub use agent_sim::AgentSim;
 pub use compiled::{CompiledProtocol, FactoredProtocol};
-pub use fenwick::Fenwick;
 pub use parallel::{default_threads, run_trials, run_trials_threads};
 pub use protocol::{EnumerableProtocol, Output, Protocol, Simulator};
 pub use rng::{split_seed, trial_seeds};

@@ -81,22 +81,33 @@ where
 
     let next = AtomicUsize::new(0);
     let (next, f) = (&next, &f);
+    // One worker: claim trial indices until none are left, keeping the
+    // (index, result) pairs in `ran`.
+    let work = move |mut ran: Vec<(usize, T)>| loop {
+        let i = next.fetch_add(1, Ordering::Relaxed);
+        if i >= trials {
+            break ran;
+        }
+        ran.push((i, f(i, split_seed(master_seed, i as u64))));
+    };
     let mut ran: Vec<(usize, T)> = std::thread::scope(|scope| {
+        // Each list is allocated here, on the collecting thread, with room
+        // for an even share: grown from inside the workers instead, the
+        // lists raised `agent-hetero`'s peak RSS by 0.1–0.2 MiB. A thread
+        // the OS refuses is not a failure: the workers that did start, and
+        // else the calling thread, work the whole queue.
+        let share = || Vec::with_capacity(trials.div_ceil(threads));
         let workers: Vec<_> = (0..threads)
-            .map(|_| {
-                // Allocated here, on the collecting thread, with room for
-                // an even share: grown from inside the workers instead, the
-                // lists raised `agent-hetero`'s peak RSS by 0.1–0.2 MiB.
-                let mut ran = Vec::with_capacity(trials.div_ceil(threads));
-                scope.spawn(move || loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= trials {
-                        break ran;
-                    }
-                    ran.push((i, f(i, split_seed(master_seed, i as u64))));
-                })
+            .map_while(|_| {
+                let ran = share();
+                std::thread::Builder::new()
+                    .spawn_scoped(scope, move || work(ran))
+                    .ok()
             })
             .collect();
+        if workers.is_empty() {
+            return work(share());
+        }
         workers
             .into_iter()
             .flat_map(|w| w.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))

@@ -11,14 +11,14 @@
 //!
 //! This gives a process statistically identical to [`crate::AgentSim`] while
 //! storing only `|states|` counters, so the population size is limited only
-//! by `u64`. Each interaction costs O(log |states|) through a Fenwick tree:
-//! two searches, plus one move per participant whose state changes.
+//! by `u64`. Each interaction costs O(occupied states): two scans of the
+//! occupied states in ascending id order, plus one move per participant
+//! whose state changes.
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 use crate::batch::{collision_free_run, draw_without_replacement_sparse, hypergeometric};
-use crate::fenwick::Fenwick;
 use crate::protocol::{EnumerableProtocol, Output, Simulator, NUM_OUTPUTS};
 
 /// The block size of a batched urn over `n` agents, and so of the
@@ -146,15 +146,6 @@ struct BatchScratch {
     /// with its trace on, so a `steps_until` run whose predicate never
     /// holds never allocates it.
     trace: Vec<(u32, u32)>,
-    /// Net deltas actually applied at each sub-batch merge, so the current
-    /// block can be rewound.
-    undo: Vec<(u32, i64)>,
-    /// Start index in `undo` of each recorded sub-batch's segment.
-    undo_marks: Vec<usize>,
-    /// `UrnSim::occupied_ids` at the start of the current `steps_until`
-    /// block, restored before the block is re-sampled with its trace (the
-    /// samplers' draws depend on the occupancy order).
-    block_occupied: Vec<usize>,
 }
 
 impl BatchScratch {
@@ -248,15 +239,24 @@ impl BatchScratch {
     }
 }
 
+/// The urn at the start of a `steps_until` block: its occupied states in
+/// occupancy order with their counts, its output counters and its
+/// interaction count. A stop inside the block puts it back twice, before
+/// the block is re-sampled with its trace on and before that trace is
+/// replayed.
+#[derive(Clone, Debug, Default)]
+struct Checkpoint {
+    states: Vec<(usize, u64)>,
+    outputs: [u64; NUM_OUTPUTS],
+    interactions: u64,
+}
+
 /// Urn simulator over an [`EnumerableProtocol`].
 pub struct UrnSim<P: EnumerableProtocol> {
     protocol: P,
-    /// Weighted sampling structure; weight of slot `id` = multiplicity of the
-    /// state with that id.
-    urn: Fenwick,
-    /// Dense mirror of the urn weights: `counts[id]` = multiplicity of state
-    /// `id`. Kept in lock-step with `urn`; the batched path reads and
-    /// updates it directly and replays net changes into the Fenwick tree.
+    /// `counts[id]` = multiplicity of state `id`. With the occupancy index
+    /// below it is the urn's only record of its configuration: the
+    /// per-step draws scan it, the batched path snapshots and updates it.
     counts: Vec<u64>,
     /// Ids of states with non-zero multiplicity, in insertion order
     /// (deterministic, not sorted). Maintained incrementally so the batched
@@ -264,6 +264,9 @@ pub struct UrnSim<P: EnumerableProtocol> {
     occupied_ids: Vec<usize>,
     /// Position of each id in `occupied_ids` (`u32::MAX` when absent).
     occupied_pos: Vec<u32>,
+    /// The ids of `occupied_ids` in ascending order: the per-step draws
+    /// lay the balls out in this order ([`UrnSim::find_ball`]).
+    occupied_sorted: Vec<usize>,
     /// Cached decode table: `state_of[id]` = the state with id `id`.
     state_of: Vec<P::State>,
     /// Cached output per state id.
@@ -280,6 +283,7 @@ pub struct UrnSim<P: EnumerableProtocol> {
     /// pair, so entries stay valid for the urn's whole life.
     memo: Box<[[u32; 4]; MEMO_SLOTS]>,
     scratch: BatchScratch,
+    checkpoint: Checkpoint,
 }
 
 impl<P: EnumerableProtocol> UrnSim<P> {
@@ -317,8 +321,6 @@ impl<P: EnumerableProtocol> UrnSim<P> {
         let init = protocol.initial_state();
         let init_id = protocol.state_id(init);
         assert!(init_id < s, "initial state id out of range");
-        let mut urn = Fenwick::new(s);
-        urn.add(init_id, n as i64);
         let mut counts = vec![0u64; s];
         counts[init_id] = n;
         let mut occupied_pos = vec![u32::MAX; s];
@@ -327,10 +329,10 @@ impl<P: EnumerableProtocol> UrnSim<P> {
         output_counts[protocol.output(init) as usize] = n;
         Self {
             protocol,
-            urn,
             counts,
             occupied_ids: vec![init_id],
             occupied_pos,
+            occupied_sorted: vec![init_id],
             state_of,
             output_of,
             population: n,
@@ -343,12 +345,14 @@ impl<P: EnumerableProtocol> UrnSim<P> {
                 .try_into()
                 .expect("MEMO_SLOTS entries"),
             scratch: BatchScratch::default(),
+            checkpoint: Checkpoint::default(),
         }
     }
 
-    /// Apply a multiplicity change to state `id` in both count structures
-    /// and the occupancy index (but not the Fenwick tree — callers pair
-    /// this with `urn.add`).
+    /// Apply a multiplicity change to state `id` in `counts` and the
+    /// occupancy index: a state that fills joins the end of `occupied_ids`
+    /// and its place in `occupied_sorted` (a binary search), one that
+    /// empties leaves both.
     #[inline]
     fn add_count(&mut self, id: usize, delta: i64) {
         let old = self.counts[id];
@@ -357,6 +361,8 @@ impl<P: EnumerableProtocol> UrnSim<P> {
         if old == 0 && new > 0 {
             self.occupied_pos[id] = self.occupied_ids.len() as u32;
             self.occupied_ids.push(id);
+            let at = self.occupied_sorted.partition_point(|&s| s < id);
+            self.occupied_sorted.insert(at, id);
         } else if old > 0 && new == 0 {
             let pos = self.occupied_pos[id] as usize;
             self.occupied_ids.swap_remove(pos);
@@ -364,6 +370,8 @@ impl<P: EnumerableProtocol> UrnSim<P> {
             if pos < self.occupied_ids.len() {
                 self.occupied_pos[self.occupied_ids[pos]] = pos as u32;
             }
+            let at = self.occupied_sorted.partition_point(|&s| s < id);
+            self.occupied_sorted.remove(at);
         }
     }
 
@@ -379,12 +387,10 @@ impl<P: EnumerableProtocol> UrnSim<P> {
         assert!(n >= 2, "population must contain at least two agents");
         // Rebuild the urn from the explicit configuration.
         let init_id = sim.protocol.state_id(sim.protocol.initial_state());
-        sim.urn.add(init_id, -(n as i64));
         sim.add_count(init_id, -(n as i64));
         sim.output_counts = [0; NUM_OUTPUTS];
         for &(s, c) in counts {
             let id = sim.protocol.state_id(s);
-            sim.urn.add(id, c as i64);
             sim.add_count(id, c as i64);
             sim.output_counts[sim.protocol.output(s) as usize] += c;
         }
@@ -396,13 +402,12 @@ impl<P: EnumerableProtocol> UrnSim<P> {
         &self.protocol
     }
 
-    /// All (state, multiplicity) pairs with non-zero multiplicity.
+    /// All (state, multiplicity) pairs with non-zero multiplicity, in
+    /// ascending state-id order.
     pub fn nonzero_counts(&self) -> Vec<(P::State, u64)> {
-        self.counts
+        self.occupied_sorted
             .iter()
-            .enumerate()
-            .filter(|&(_, &c)| c > 0)
-            .map(|(id, &c)| (self.state_of[id], c))
+            .map(|&id| (self.state_of[id], self.counts[id]))
             .collect()
     }
 
@@ -469,12 +474,10 @@ impl<P: EnumerableProtocol> UrnSim<P> {
     }
 
     /// Run one scheduling block of `block` interactions as
-    /// [`inner_batch_size`] exact sub-batches, logging the merged deltas so
-    /// the block can be rewound and, with `trace`, its interaction trace.
+    /// [`inner_batch_size`] exact sub-batches, logging with `trace` its
+    /// interaction trace.
     fn run_block(&mut self, block: u64, trace: bool) {
         self.scratch.trace.clear();
-        self.scratch.undo.clear();
-        self.scratch.undo_marks.clear();
         let inner = inner_batch_size(self.population);
         let mut rem = block;
         while rem > 0 {
@@ -547,24 +550,19 @@ impl<P: EnumerableProtocol> UrnSim<P> {
         sc
     }
 
-    /// Merge a sub-batch's accumulated deltas into the counts mirror, the
-    /// Fenwick tree, the occupancy index, the output counters and the undo
-    /// log, reset the touched multiset, and hand the scratch buffers back.
-    /// `dirty` may hold duplicates; zeroing `delta` on apply makes repeats
-    /// no-ops, so the undo log gets at most one entry per state id per
-    /// sub-batch.
+    /// Merge a sub-batch's accumulated deltas into the counts, the
+    /// occupancy index and the output counters, reset the touched
+    /// multiset, and hand the scratch buffers back. `dirty` may hold
+    /// duplicates; zeroing `delta` on apply makes repeats no-ops.
     fn merge_sub_batch(&mut self, mut sc: BatchScratch) {
-        sc.undo_marks.push(sc.undo.len());
         for k in 0..sc.dirty.len() {
             let id = sc.dirty[k] as usize;
             let d = sc.delta[id];
             if d != 0 {
                 sc.delta[id] = 0;
                 self.add_count(id, d);
-                self.urn.add(id, d);
                 let o = self.output_of[id] as usize;
                 self.output_counts[o] = (self.output_counts[o] as i64 + d) as u64;
-                sc.undo.push((id as u32, d));
             }
         }
         sc.dirty.clear();
@@ -574,7 +572,13 @@ impl<P: EnumerableProtocol> UrnSim<P> {
         }
         sc.touched_ids.clear();
         self.scratch = sc;
-        debug_assert_eq!(self.urn.total(), self.population);
+        debug_assert_eq!(self.occupied_total(), self.population);
+    }
+
+    /// The balls in the occupied states, n whenever `counts` and the
+    /// occupancy index agree: an O(occupied) debug check.
+    fn occupied_total(&self) -> u64 {
+        self.occupied_ids.iter().map(|&id| self.counts[id]).sum()
     }
 
     /// Bucketized exact sub-batch sampler.
@@ -594,10 +598,10 @@ impl<P: EnumerableProtocol> UrnSim<P> {
     ///    touched participants uniformly from the *post-update* touched
     ///    multiset, and the fresh participant (if any) from the pool.
     ///
-    /// Net multiplicity changes merge into the Fenwick tree, counts mirror,
-    /// occupancy index, output counters and undo log at the end. `trace`
-    /// says whether the interaction trace is logged too, so a caller can
-    /// replay the batch pair-by-pair (exact predicate stops).
+    /// Net multiplicity changes merge into the counts, occupancy index and
+    /// output counters at the end. `trace` says whether the interaction
+    /// trace is logged too, so a caller can replay the batch pair-by-pair
+    /// (exact predicate stops).
     fn step_batch_bucketed(&mut self, b: u64, trace: bool) {
         debug_assert!(b >= 1 && 2 * b <= self.population);
         let mut sc = self.begin_sub_batch();
@@ -694,7 +698,7 @@ impl<P: EnumerableProtocol> UrnSim<P> {
     /// Delta accounting differs from the bucketized path in one spot: fresh
     /// participants are subtracted from the configuration in bulk at the
     /// composition draw, so collision handling only subtracts the touched
-    /// sides. Trace, undo and merge machinery are shared.
+    /// sides. Trace and merge machinery are shared.
     fn step_batch_shuffled(&mut self, b: u64, trace: bool) {
         debug_assert!(b >= 1 && 2 * b <= self.population);
         let mut sc = self.begin_sub_batch();
@@ -880,16 +884,33 @@ impl<P: EnumerableProtocol> UrnSim<P> {
     /// both balls in the urn for [`UrnSim::apply_pair`].
     ///
     /// The initiator is one of the other n − 1 balls. Instead of taking
-    /// the responder's ball out of the tree for the second search, the
-    /// initiator's target skips it: a target at or above the mass before
-    /// the responder's slot moves up by one, which maps `0..n − 1` onto the
-    /// same slots as a search of the reduced tree.
+    /// the responder's ball out for the second scan, the initiator's target
+    /// skips it: a target at or above the mass before the responder's state
+    /// moves up by one, which maps `0..n − 1` onto the same states as a
+    /// scan of the urn without that ball.
     #[inline]
     fn draw_pair(&mut self) -> (usize, usize) {
-        let (r_id, below_r) = self.urn.find_prefix(self.rng.gen_range(0..self.population));
+        let r_target = self.rng.gen_range(0..self.population);
+        let (r_id, below_r) = self.find_ball(r_target);
         let target = self.rng.gen_range(0..self.population - 1);
-        let i_id = self.urn.find(target + u64::from(target >= below_r));
+        let (i_id, _) = self.find_ball(target + u64::from(target >= below_r));
         (r_id, i_id)
+    }
+
+    /// The state of ball `target` (`target < n`) when the balls are laid
+    /// out in ascending state-id order, and the number of balls before it:
+    /// a scan of `occupied_sorted` that reads `counts` as it goes.
+    #[inline]
+    fn find_ball(&self, target: u64) -> (usize, u64) {
+        let mut below = 0;
+        for &id in &self.occupied_sorted {
+            let c = self.counts[id];
+            if target < below + c {
+                return (id, below);
+            }
+            below += c;
+        }
+        unreachable!("ball {target} of {}", self.population)
     }
 
     /// The state ids the transition sends the (responder `r_id`, initiator
@@ -926,8 +947,8 @@ impl<P: EnumerableProtocol> UrnSim<P> {
     /// the urn and count the interaction.
     ///
     /// Only participants whose state changes move: one ball leaves the old
-    /// state and joins the new one in the tree, the counts, the occupancy
-    /// index and the output counters. When a removal would empty a state
+    /// state and joins the new one in the counts, the occupancy index and
+    /// the output counters. When a removal would empty a state
     /// (a count of 1, or 2 when both participants share it), the pair
     /// instead takes both balls out and puts the successors back, in that
     /// order: the transient zero reorders `occupied_ids`, and the batched
@@ -945,7 +966,6 @@ impl<P: EnumerableProtocol> UrnSim<P> {
             }
         } else {
             for (id, delta) in [(r_id, -1), (i_id, -1), (rn_id, 1), (in_id, 1)] {
-                self.urn.add(id, delta);
                 self.add_count(id, delta);
             }
             if rn_id != r_id {
@@ -961,9 +981,7 @@ impl<P: EnumerableProtocol> UrnSim<P> {
     /// Move one ball from state `from` to state `to`.
     #[inline]
     fn move_ball(&mut self, from: usize, to: usize) {
-        self.urn.add(from, -1);
         self.add_count(from, -1);
-        self.urn.add(to, 1);
         self.add_count(to, 1);
         self.move_output(from, to);
     }
@@ -996,52 +1014,36 @@ impl<P: EnumerableProtocol> UrnSim<P> {
         self.apply_pair(r_id, i_id);
     }
 
-    /// Rewind the most recent recorded block of `block` interactions: apply
-    /// the logged sub-batch merge deltas in reverse segment order (each
-    /// segment is an exact inverse, so counts never go transiently
-    /// negative) and roll back the interaction and output counters.
-    fn rewind_block(&mut self, block: u64) {
-        let undo = std::mem::take(&mut self.scratch.undo);
-        let marks = std::mem::take(&mut self.scratch.undo_marks);
-        for seg in (0..marks.len()).rev() {
-            let start = marks[seg];
-            let end = if seg + 1 < marks.len() {
-                marks[seg + 1]
-            } else {
-                undo.len()
-            };
-            for &(id, d) in &undo[start..end] {
-                let id = id as usize;
-                self.urn.add(id, -d);
-                self.add_count(id, -d);
-                let o = self.output_of[id] as usize;
-                self.output_counts[o] = (self.output_counts[o] as i64 - d) as u64;
-            }
-        }
-        self.interactions -= block;
-        // Hand the (cleared) buffers back so their capacity is reused.
-        let mut undo = undo;
-        undo.clear();
-        let mut marks = marks;
-        marks.clear();
-        self.scratch.undo = undo;
-        self.scratch.undo_marks = marks;
-        debug_assert_eq!(self.urn.total(), self.population);
+    /// Save the configuration a stop inside the next block returns to:
+    /// the occupied states in occupancy order with their counts, the output
+    /// counters and the interaction count. O(occupied).
+    fn save_checkpoint(&mut self) {
+        let cp = &mut self.checkpoint;
+        cp.states.clear();
+        cp.states
+            .extend(self.occupied_ids.iter().map(|&id| (id, self.counts[id])));
+        cp.outputs = self.output_counts;
+        cp.interactions = self.interactions;
     }
 
-    /// Put back the occupancy order saved at the start of the current
-    /// `steps_until` block. A rewind restores the block's set of occupied
-    /// states but not their order, on which the samplers' draws depend.
-    fn restore_block_occupancy(&mut self) {
-        let saved = &self.scratch.block_occupied;
-        debug_assert!(
-            saved.len() == self.occupied_ids.len() && saved.iter().all(|&id| self.counts[id] > 0),
-            "a rewind restores the block's set of occupied states"
-        );
-        self.occupied_ids.clone_from(saved);
-        for (pos, &id) in self.occupied_ids.iter().enumerate() {
-            self.occupied_pos[id] = pos as u32;
+    /// Put back the configuration [`UrnSim::save_checkpoint`] saved,
+    /// occupancy order included, since the samplers' draws depend on it.
+    fn restore_checkpoint(&mut self) {
+        for &id in &self.occupied_ids {
+            self.counts[id] = 0;
+            self.occupied_pos[id] = u32::MAX;
         }
+        self.occupied_ids.clear();
+        for &(id, c) in &self.checkpoint.states {
+            self.counts[id] = c;
+            self.occupied_pos[id] = self.occupied_ids.len() as u32;
+            self.occupied_ids.push(id);
+        }
+        self.occupied_sorted.clone_from(&self.occupied_ids);
+        self.occupied_sorted.sort_unstable();
+        self.output_counts = self.checkpoint.outputs;
+        self.interactions = self.checkpoint.interactions;
+        debug_assert_eq!(self.occupied_total(), self.population);
     }
 }
 
@@ -1065,20 +1067,21 @@ impl<P: EnumerableProtocol> Simulator for UrnSim<P> {
     /// The urn's stepping path: per step, or in blocks of its block size
     /// (see [`UrnSim::with_block`]), with *exact* first-hit stops.
     ///
-    /// Blocks are executed keeping only their undo log (O(occupied) entries
-    /// per sub-batch); the predicate is probed at block granularity (cheap).
-    /// When it holds at a block's end, the block is rewound and re-sampled
-    /// from the same RNG state and occupancy order with its interaction
-    /// trace on — the same draws, so the same trace and end state — then
-    /// rewound again and replayed pair-by-pair to find the exact first
-    /// interaction after which the predicate holds. Only that block's trace
-    /// is ever recorded, and the predicate sees exactly one call per block
-    /// end and per replayed pair. For the monotone /
-    /// eventually-stable predicates this repo uses (stable election, census
-    /// thresholds) the reported count is therefore exactly the sequential
-    /// chain's first-hit time; for a non-monotone predicate it is the first
-    /// hit *within the first block whose endpoint satisfies it* (earlier
-    /// transient flips strictly inside an unsatisfied block are not probed).
+    /// Each block starts by saving a checkpoint of the configuration
+    /// (O(occupied)); the predicate is probed at block granularity (cheap).
+    /// When it holds at a block's end, the checkpoint is restored and the
+    /// block re-sampled from the same RNG state and occupancy order with
+    /// its interaction trace on — the same draws, so the same trace and end
+    /// state — then the checkpoint is restored again and the trace replayed
+    /// pair-by-pair to find the exact first interaction after which the
+    /// predicate holds. Only that block's trace is ever recorded, and the
+    /// predicate sees exactly one call per block end and per replayed
+    /// pair. For the monotone / eventually-stable predicates this repo
+    /// uses (stable election, census thresholds) the reported count is
+    /// therefore exactly the sequential chain's first-hit time; for a
+    /// non-monotone predicate it is the first hit *within the first block
+    /// whose endpoint satisfies it* (earlier transient flips strictly
+    /// inside an unsatisfied block are not probed).
     fn steps_until<F>(&mut self, k: u64, mut pred: F) -> bool
     where
         F: FnMut(&Self) -> bool,
@@ -1097,25 +1100,26 @@ impl<P: EnumerableProtocol> Simulator for UrnSim<P> {
                 continue;
             };
             // What a re-sample of this block needs: the RNG state and the
-            // occupancy order its first sub-batch snapshots.
+            // configuration, in the occupancy order its first sub-batch
+            // snapshots.
             let rng = self.rng.clone();
-            self.scratch.block_occupied.clone_from(&self.occupied_ids);
+            self.save_checkpoint();
             self.run_block(block, false);
             left -= block;
             if pred(self) {
-                // The predicate holds somewhere inside this block. Rewind
-                // it and re-sample it with its trace on: the same draws
-                // give the same trace, end configuration and RNG state.
-                self.rewind_block(block);
+                // The predicate holds somewhere inside this block. Go back
+                // to its start and re-sample it with its trace on: the same
+                // draws give the same trace, end configuration and RNG
+                // state.
+                self.restore_checkpoint();
                 self.rng = rng;
-                self.restore_block_occupancy();
                 self.run_block(block, true);
-                // Rewind once more and replay the trace one interaction at
-                // a time until the predicate first holds. A full replay
-                // reproduces the block-end configuration bit for bit, so
-                // the loop is guaranteed to terminate with the predicate
-                // satisfied.
-                self.rewind_block(block);
+                // Back to the start once more, and replay the trace one
+                // interaction at a time until the predicate first holds. A
+                // full replay reproduces the block-end configuration bit
+                // for bit, so the loop is guaranteed to terminate with the
+                // predicate satisfied.
+                self.restore_checkpoint();
                 let trace = std::mem::take(&mut self.scratch.trace);
                 let mut hit = false;
                 for &(r, i) in &trace {
@@ -1265,12 +1269,25 @@ mod tests {
         }
     }
 
+    /// The state of ball `target` when the balls of `counts` are laid out
+    /// in id order, and the number of balls before it: a plain cumulative
+    /// scan over every state.
+    fn dense_find(counts: &[u64], target: u64) -> (usize, u64) {
+        let mut below = 0;
+        for (id, &c) in counts.iter().enumerate() {
+            if target < below + c {
+                return (id, below);
+            }
+            below += c;
+        }
+        panic!("ball {target} of {below}")
+    }
+
     /// The urn as a per-step urn is specified: take the responder's ball
-    /// out, draw the initiator from the reduced tree, take its ball out,
+    /// out, draw the initiator from the reduced urn, take its ball out,
     /// and put the successors back, with every count and occupancy change
     /// in that order.
     struct ReferenceUrn {
-        urn: Fenwick,
         counts: Vec<u64>,
         occupied: Vec<usize>,
         pos: Vec<u32>,
@@ -1282,7 +1299,6 @@ mod tests {
         fn new<P: EnumerableProtocol>(p: &P, n: u64, seed: u64) -> Self {
             let s = p.num_states();
             let mut urn = Self {
-                urn: Fenwick::new(s),
                 counts: vec![0; s],
                 occupied: Vec::new(),
                 pos: vec![u32::MAX; s],
@@ -1296,7 +1312,6 @@ mod tests {
         }
 
         fn add(&mut self, id: usize, delta: i64) {
-            self.urn.add(id, delta);
             let old = self.counts[id];
             let new = (old as i64 + delta) as u64;
             self.counts[id] = new;
@@ -1314,10 +1329,10 @@ mod tests {
 
         /// One sequential step; returns the drawn (responder, initiator).
         fn step<P: EnumerableProtocol>(&mut self, p: &P) -> (usize, usize) {
-            let n = self.urn.total();
-            let r = self.urn.find(self.rng.gen_range(0..n));
+            let n: u64 = self.counts.iter().sum();
+            let r = dense_find(&self.counts, self.rng.gen_range(0..n)).0;
             self.add(r, -1);
-            let i = self.urn.find(self.rng.gen_range(0..n - 1));
+            let i = dense_find(&self.counts, self.rng.gen_range(0..n - 1)).0;
             self.add(i, -1);
             self.put_back(p, r, i);
             (r, i)
@@ -1394,6 +1409,121 @@ mod tests {
             }
         }
         assert!(emptying > 1000 && shared > 1000, "{emptying} / {shared}");
+    }
+
+    /// The urn's occupancy index agrees with `counts`: `occupied_sorted`
+    /// is the ascending ids of the occupied states, `occupied_ids` and
+    /// `occupied_pos` are a consistent permutation of it, and the counts
+    /// sum to n.
+    fn assert_index_consistent<P: EnumerableProtocol>(sim: &UrnSim<P>) {
+        let occupied: Vec<usize> = (0..sim.counts.len())
+            .filter(|&id| sim.counts[id] > 0)
+            .collect();
+        assert_eq!(sim.occupied_sorted, occupied);
+        let mut ids = sim.occupied_ids.clone();
+        ids.sort_unstable();
+        assert_eq!(ids, occupied);
+        for (id, &pos) in sim.occupied_pos.iter().enumerate() {
+            match sim.occupied_ids.iter().position(|&o| o == id) {
+                Some(at) => assert_eq!(pos as usize, at, "state {id}"),
+                None => assert_eq!(pos, u32::MAX, "state {id}"),
+            }
+        }
+        assert_eq!(sim.counts.iter().sum::<u64>(), sim.population);
+    }
+
+    /// Everything a stop restores: the occupied states in occupancy order
+    /// with their counts, the output counters and the interaction count.
+    fn urn_state<P: EnumerableProtocol>(
+        sim: &UrnSim<P>,
+    ) -> (Vec<(usize, u64)>, [u64; NUM_OUTPUTS], u64) {
+        let states = sim.occupied_ids.iter().map(|&id| (id, sim.counts[id]));
+        (states.collect(), sim.output_counts, sim.interactions)
+    }
+
+    #[test]
+    fn occupancy_index_stays_consistent_on_every_urn_path() {
+        let start = [(0u16, 5u64), (3, 2), (7, 0), (3, 1), (23, 6), (0, 2)];
+        let sim = UrnSim::with_counts(Scatter::<24>, &start, 1);
+        assert_index_consistent(&sim);
+        assert_eq!(sim.nonzero_counts(), vec![(0, 7), (3, 3), (23, 6)]);
+        for seed in 0..40 {
+            // Per step, and replayed pairs of occupied states.
+            let mut sim = UrnSim::new(Scatter::<24>, 12, seed);
+            let mut pick = SmallRng::seed_from_u64(seed);
+            for _ in 0..200 {
+                sim.step();
+                assert_index_consistent(&sim);
+                let occ = &sim.occupied_ids;
+                let r = occ[pick.gen_range(0..occ.len())];
+                let i = occ[pick.gen_range(0..occ.len())];
+                if r != i || sim.counts[r] >= 2 {
+                    sim.replay_interaction(r as u32, i as u32);
+                    assert_index_consistent(&sim);
+                }
+            }
+            // Batched blocks, and stops inside them: the predicate checks
+            // the index at every block end and replayed pair, and first
+            // holds at the end of the tenth block.
+            let mut sim = UrnSim::new(Scatter::<24>, 64, seed).with_block(16);
+            for _ in 0..20 {
+                sim.steps(16);
+                assert_index_consistent(&sim);
+            }
+            let mut calls = 0;
+            assert!(sim.steps_until(1 << 20, |s| {
+                assert_index_consistent(s);
+                calls += 1;
+                calls > 10
+            }));
+            assert_eq!(sim.interactions(), 20 * 16 + 9 * 16 + 1);
+            assert_index_consistent(&sim);
+        }
+        // Both restores of a stop put back the block start, index
+        // included, and a replay of the traced block reaches its end.
+        let mut sim = UrnSim::new(Scatter::<24>, 64, 7).with_block(16);
+        for _ in 0..300 {
+            let rng = sim.rng.clone();
+            let before = urn_state(&sim);
+            sim.save_checkpoint();
+            sim.run_block(16, false);
+            let after = urn_state(&sim);
+            sim.restore_checkpoint();
+            assert_index_consistent(&sim);
+            assert_eq!(urn_state(&sim), before);
+            sim.rng = rng;
+            sim.run_block(16, true);
+            assert_eq!(urn_state(&sim), after);
+            sim.restore_checkpoint();
+            assert_index_consistent(&sim);
+            assert_eq!(urn_state(&sim), before);
+            for &(r, i) in &sim.scratch.trace.clone() {
+                sim.replay_interaction(r, i);
+                assert_index_consistent(&sim);
+            }
+            // The replay keeps the block start's occupancy order.
+            let (mut replayed, mut end) = (urn_state(&sim), after);
+            replayed.0.sort_unstable();
+            end.0.sort_unstable();
+            assert_eq!(replayed, end);
+        }
+    }
+
+    #[test]
+    fn find_ball_matches_a_dense_cumulative_scan() {
+        for (n, seed) in [(2, 1), (3, 2), (10, 3), (10, 4), (37, 5)] {
+            let mut sim = UrnSim::new(Scatter::<24>, n, seed);
+            for _ in 0..200 {
+                for target in 0..n {
+                    assert_eq!(
+                        sim.find_ball(target),
+                        dense_find(&sim.counts, target),
+                        "n = {n}, ball {target}"
+                    );
+                }
+                sim.step();
+            }
+        }
     }
 
     #[test]

@@ -6,7 +6,7 @@ use ppsim::batch::{
     collision_free_run, draw_without_replacement, draw_without_replacement_sparse, hypergeometric,
     BINV_EXACT_N, BINV_MEAN_CUTOFF,
 };
-use ppsim::{quantile, EnumerableProtocol, Fenwick, Output, Protocol, Simulator, UrnSim};
+use ppsim::{quantile, EnumerableProtocol, Output, Protocol, Simulator, UrnSim};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -46,105 +46,8 @@ impl EnumerableProtocol for Slow {
     }
 }
 
-/// A random program of Fenwick operations, validated against a plain
-/// vector model.
-#[derive(Clone, Debug)]
-enum Op {
-    /// Add to a slot (index, delta ≥ 0 — removals are generated from the
-    /// current model value inside the test to keep weights non-negative).
-    Add(usize, u64),
-    /// Remove one unit from a slot if it has any.
-    RemoveOne(usize),
-    PrefixSum(usize),
-    Get(usize),
-    FindAllUnits,
-}
-
-fn arb_op(len: usize) -> impl Strategy<Value = Op> {
-    prop_oneof![
-        (0..len, 0u64..50).prop_map(|(i, d)| Op::Add(i, d)),
-        (0..len).prop_map(Op::RemoveOne),
-        (0..=len).prop_map(Op::PrefixSum),
-        (0..len).prop_map(Op::Get),
-        Just(Op::FindAllUnits),
-    ]
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
-
-    #[test]
-    fn fenwick_matches_vector_model(
-        len in 1usize..40,
-        ops in prop::collection::vec(arb_op(64), 1..120),
-    ) {
-        let mut model = vec![0u64; len];
-        let mut fen = Fenwick::new(len);
-        for op in ops {
-            match op {
-                Op::Add(i, d) => {
-                    let i = i % len;
-                    model[i] += d;
-                    fen.add(i, d as i64);
-                }
-                Op::RemoveOne(i) => {
-                    let i = i % len;
-                    if model[i] > 0 {
-                        model[i] -= 1;
-                        fen.add(i, -1);
-                    }
-                }
-                Op::PrefixSum(i) => {
-                    let i = i.min(len);
-                    let expected: u64 = model[..i].iter().sum();
-                    prop_assert_eq!(fen.prefix_sum(i), expected);
-                }
-                Op::Get(i) => {
-                    let i = i % len;
-                    prop_assert_eq!(fen.get(i), model[i]);
-                }
-                Op::FindAllUnits => {
-                    // Every unit of mass must be found in its owning slot.
-                    let total: u64 = model.iter().sum();
-                    prop_assert_eq!(fen.total(), total);
-                    let mut unit = 0u64;
-                    for (slot, &w) in model.iter().enumerate() {
-                        for _ in 0..w.min(5) {
-                            prop_assert_eq!(fen.find(unit), slot);
-                            unit += 1;
-                        }
-                        unit += w.saturating_sub(5); // skip the bulk, spot-check ends
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn fenwick_from_weights_equals_incremental(weights in prop::collection::vec(0u64..100, 1..64)) {
-        let built = Fenwick::from_weights(&weights);
-        let mut incr = Fenwick::new(weights.len());
-        for (i, &w) in weights.iter().enumerate() {
-            incr.add(i, w as i64);
-        }
-        prop_assert_eq!(built.total(), incr.total());
-        for i in 0..weights.len() {
-            prop_assert_eq!(built.get(i), weights[i]);
-            prop_assert_eq!(built.prefix_sum(i), incr.prefix_sum(i));
-        }
-    }
-
-    #[test]
-    fn find_inverts_prefix_sum(weights in prop::collection::vec(0u64..20, 1..40)) {
-        let fen = Fenwick::from_weights(&weights);
-        prop_assume!(fen.total() > 0);
-        for target in 0..fen.total() {
-            let slot = fen.find(target);
-            // The owning slot's cumulative range must contain the target.
-            prop_assert!(fen.prefix_sum(slot) <= target);
-            prop_assert!(target < fen.prefix_sum(slot + 1));
-        }
-    }
 
     #[test]
     fn quantile_is_monotone_and_bounded(

@@ -151,9 +151,9 @@ fn compiled_agent_trajectory_is_bit_identical() {
 #[test]
 fn compiled_urn_trajectory_is_bit_identical() {
     // The packed id order is monotone in the codec id order and padding
-    // ids hold zero mass, so the Fenwick walks select corresponding
-    // states for the same uniform draws: sequential urns must match bit
-    // for bit under decoding.
+    // ids are never occupied, so the scans of the occupied states in id
+    // order select corresponding states for the same uniform draws:
+    // sequential urns must match bit for bit under decoding.
     let n = 1u64 << 12;
     let proto = Gsu19::for_population(n);
     let c = CompiledProtocol::new(proto);

@@ -355,6 +355,55 @@ fn ppctl_params_and_census_reject_bad_input_with_exit_2() {
     assert!(output.status.success(), "{output:?}");
 }
 
+/// Worker threads the OS refuses are not an error: the run works the
+/// queue on the threads that did start, else on the calling thread, and
+/// writes the bytes of a one-thread run. Here every one of the 300
+/// threads asked for is refused: 1 GiB stacks never fit the address-space
+/// limit set on ppctl alone, and no stack is ever mapped, so the limit
+/// leaves the run all the memory it needs.
+#[cfg(target_os = "linux")]
+#[test]
+fn ppctl_runs_on_the_worker_threads_the_os_grants() {
+    let dir = tmp_dir("refused-threads");
+    let (many, one) = (dir.join("many.json"), dir.join("one.json"));
+    let run = "run --protocol slow --n 64 --trials 300 --budget 100";
+    let output = Command::new("sh")
+        .env("RUST_MIN_STACK", (1u64 << 30).to_string())
+        .args(["-c", "ulimit -v 1000000; exec \"$@\"", "sh"])
+        .arg(env!("CARGO_BIN_EXE_ppctl"))
+        .args(run.split(' '))
+        .args(["--threads", "300", "--out", path_str(&many)])
+        .output()
+        .expect("sh spawns");
+    assert!(output.status.success(), "{output:?}");
+    let mut single: Vec<&str> = run.split(' ').collect();
+    single.extend(["--threads", "1", "--out", path_str(&one)]);
+    let output = ppctl(&single);
+    assert!(output.status.success(), "{output:?}");
+    assert_eq!(std::fs::read(&many).unwrap(), std::fs::read(&one).unwrap());
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The clock's level race needs n >= 4: smaller clock grid points are a
+/// usage error for every command that validates a spec, not a panic.
+#[test]
+fn ppctl_rejects_clock_below_the_level_race_minimum_with_exit_2() {
+    for command in ["run", "plan"] {
+        for n in ["2", "3"] {
+            let args = [command, "--protocol", "clock", "--n", n];
+            let output = ppctl(&[&args[..], &["--stop", "horizon:1"]].concat());
+            let stderr = String::from_utf8_lossy(&output.stderr);
+            assert_eq!(output.status.code(), Some(2), "{args:?}: {stderr}");
+            assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+            assert!(
+                stderr.contains("too small for 'clock' (need n >= 4)"),
+                "{args:?}: {stderr}"
+            );
+            assert!(output.stdout.is_empty(), "{args:?}");
+        }
+    }
+}
+
 /// A synthetic final-epoch start with more actives than the configuration
 /// has leaders (n − 2⌊n/4⌋ = 128 at n = 256), counted or scaled by
 /// `log₂ n`, is a usage error naming n and the leader count, not a panic.
