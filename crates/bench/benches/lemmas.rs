@@ -11,11 +11,13 @@
 //!   (`drag_histogram`, cumulative: inhibitors with drag ≥ ℓ).
 //! * **Lemma 7.3**: `O(log log n)` expected rounds reduce the active
 //!   candidates from `c·log n` to 1 in the final epoch (synthetic
-//!   `init = final-epoch:4lg` start, `active:1` stop).
+//!   `init = final-epoch:4lg` start, `active:1` stop, on `urn-batched`).
 
 use bench::{lg, one_config, scale, times_of};
 use core_protocol::Gsu19;
-use ppexp::{run_experiment, ConfigResult, InitConfig, Observables, ProtocolKind, StopCondition};
+use ppexp::{
+    run_experiment, ConfigResult, EngineKind, InitConfig, Observables, ProtocolKind, StopCondition,
+};
 use ppsim::table::{fnum, Table};
 
 fn main() {
@@ -151,6 +153,9 @@ fn lemma_7_3(sc: bench::Scale) {
     for &n in &sc.n_grid() {
         let trials = sc.trials(n).min(16);
         let mut spec = one_config(ProtocolKind::Gsu19, n, trials, 53, 0.0);
+        // The `active:` stop takes a census at every check; on the urn a
+        // census walks the occupied states, not all n agents.
+        spec.engine = EngineKind::UrnBatched;
         spec.init = InitConfig::FinalEpoch {
             k: 4,
             times_log2: true,

@@ -27,7 +27,8 @@ pub fn final_epoch_leaders(n: u64) -> u64 {
     n - 2 * (n / 4)
 }
 
-/// Build a settled **final-epoch** configuration:
+/// Draw a settled **final-epoch** configuration of `n` agents, one state
+/// per agent, lazily:
 ///
 /// * ≈ n/4 coins with levels following the `f_{ℓ+1} = f_ℓ²/2` recursion
 ///   (so the junta exists and the clock runs);
@@ -37,11 +38,19 @@ pub fn final_epoch_leaders(n: u64) -> u64 {
 ///   remaining ≈ n/2 leaders withdrawn;
 /// * every clock phase at 0.
 ///
+/// The states come in that order (coins, inhibitors, leaders), each drawn
+/// as the iterator reaches it, so a consumer that folds them into counts
+/// never holds n states.
+///
 /// # Panics
-/// Panics if `k_active` exceeds the leader sub-population
+/// Panics, at the call, if `k_active` exceeds the leader sub-population
 /// ([`final_epoch_leaders`]).
-pub fn final_epoch_config(params: &Params, n: u64, k_active: u64, seed: u64) -> Vec<AgentState> {
-    let mut rng = SmallRng::seed_from_u64(seed);
+pub fn final_epoch_config(
+    params: &Params,
+    n: u64,
+    k_active: u64,
+    seed: u64,
+) -> impl Iterator<Item = AgentState> {
     let n_coins = n / 4;
     let n_inhibitors = n / 4;
     let n_leaders = final_epoch_leaders(n);
@@ -49,69 +58,53 @@ pub fn final_epoch_config(params: &Params, n: u64, k_active: u64, seed: u64) -> 
         k_active <= n_leaders,
         "cannot place {k_active} actives among {n_leaders} leaders"
     );
-
-    let mut states = Vec::with_capacity(n as usize);
-
-    // Coins: conditional level distribution from the fraction recursion.
-    // P(level >= l | coin) = f_l / f_0.
+    let (phi, psi) = (params.phi, params.psi);
+    // Coins: conditional level distribution from the fraction recursion,
+    // P(level >= l | coin) = f_l / f_0 for l = 1..=Φ.
     let f0 = COIN_BASE_FRACTION;
-    for _ in 0..n_coins {
-        let u: f64 = rng.gen();
-        let mut level = 0u8;
-        while level < params.phi {
-            let p_ge_next = components::junta::expected_fraction_at_level(f0, level + 1) / f0;
-            if u < p_ge_next {
-                level += 1;
-            } else {
-                break;
-            }
-        }
-        states.push(AgentState {
-            role: Role::C {
-                level,
-                advancing: level >= params.phi,
-            },
-            phase: 0,
-        });
-    }
+    let p_ge: Vec<f64> = (1..=phi)
+        .map(|l| components::junta::expected_fraction_at_level(f0, l) / f0)
+        .collect();
+    let mut rng = SmallRng::seed_from_u64(seed);
 
-    // Inhibitors: truncated-geometric drag, stopped, started.
-    for _ in 0..n_inhibitors {
-        let mut drag = 0u8;
-        while drag < params.psi && rng.gen::<f64>() < 0.25 {
-            drag += 1;
-        }
-        states.push(AgentState {
-            role: Role::I {
+    (0..n).map(move |i| {
+        let role = if i < n_coins {
+            let u: f64 = rng.gen();
+            let level = p_ge.iter().take_while(|&&p| u < p).count() as u8;
+            Role::C {
+                level,
+                advancing: level >= phi,
+            }
+        } else if i < n_coins + n_inhibitors {
+            // Inhibitors: truncated-geometric drag, stopped, started.
+            let mut drag = 0u8;
+            while drag < psi && rng.gen::<f64>() < 0.25 {
+                drag += 1;
+            }
+            Role::I {
                 drag,
                 advancing: false,
                 high: false,
                 started: true,
-            },
-            phase: 0,
-        });
-    }
-
-    // Leaders: k_active actives in the final epoch, the rest withdrawn.
-    for i in 0..n_leaders {
-        let mode = if i < k_active {
-            LeaderMode::A
+            }
         } else {
-            LeaderMode::W
-        };
-        states.push(AgentState {
-            role: Role::L {
+            // Leaders: k_active actives in the final epoch, the rest
+            // withdrawn.
+            let mode = if i - n_coins - n_inhibitors < k_active {
+                LeaderMode::A
+            } else {
+                LeaderMode::W
+            };
+            Role::L {
                 mode,
                 cnt: 0,
                 flip: Flip::None,
                 void: true,
                 drag: 0,
-            },
-            phase: 0,
-        });
-    }
-
-    states
+            }
+        };
+        AgentState { role, phase: 0 }
+    })
 }
 
 #[cfg(test)]
@@ -123,7 +116,7 @@ mod tests {
 
     fn setup(n: u64, k: u64, seed: u64) -> (Gsu19, Vec<AgentState>) {
         let proto = Gsu19::for_population(n);
-        let states = final_epoch_config(proto.params(), n, k, seed);
+        let states = final_epoch_config(proto.params(), n, k, seed).collect();
         (proto, states)
     }
 

@@ -14,7 +14,7 @@ fn final_epoch_reduces_actives_geometrically() {
     let proto = Gsu19::for_population(n);
     let params = *proto.params();
     let k = 64;
-    let states = final_epoch_config(&params, n, k, 1);
+    let states = final_epoch_config(&params, n, k, 1).collect();
     let mut sim = AgentSim::with_states(proto, states, 2);
 
     // After ~8 rounds (each ≈ 5·log₂ n parallel time) the count must be
@@ -37,7 +37,7 @@ fn active_count_is_monotone_in_final_epoch() {
     let n = 1u64 << 11;
     let proto = Gsu19::for_population(n);
     let params = *proto.params();
-    let states = final_epoch_config(&params, n, 40, 3);
+    let states = final_epoch_config(&params, n, 40, 3).collect();
     let mut sim = AgentSim::with_states(proto, states, 4);
     let mut prev = 40u64;
     for _ in 0..400 {
@@ -65,7 +65,7 @@ fn passives_withdraw_after_drag_advance() {
     // One active that has already drawn heads, a crowd of passives, and
     // drag-0 inhibitors pre-elevated (high) so rule (10) can fire at the
     // first meeting.
-    let mut states = final_epoch_config(&params, n, 1, 5);
+    let mut states: Vec<_> = final_epoch_config(&params, n, 1, 5).collect();
     let mut passives = 0;
     for s in states.iter_mut() {
         match s.role {
@@ -133,7 +133,7 @@ fn inhibitors_stay_low_without_actives() {
     let n = 1u64 << 10;
     let proto = Gsu19::for_population(n);
     let params = *proto.params();
-    let mut states = final_epoch_config(&params, n, 1, 7);
+    let mut states: Vec<_> = final_epoch_config(&params, n, 1, 7).collect();
     // Demote the single active to withdrawn: no actives at all. (A
     // configuration only reachable through backup action, but valid.)
     for s in states.iter_mut() {
@@ -209,7 +209,7 @@ fn synthetic_start_stabilisation_persists() {
     let n = 1u64 << 10;
     let proto = Gsu19::for_population(n);
     let params = *proto.params();
-    let states = final_epoch_config(&params, n, 24, 10);
+    let states = final_epoch_config(&params, n, 24, 10).collect();
     let mut sim = AgentSim::with_states(proto, states, 11);
     let res = run_until_stable(&mut sim, 60_000 * n);
     assert!(res.converged);

@@ -258,13 +258,6 @@ pub struct Artifact {
 }
 
 impl Artifact {
-    /// Config lookup by grid point.
-    pub fn config(&self, protocol: ProtocolKind, n: u64) -> Option<&ConfigResult> {
-        self.configs
-            .iter()
-            .find(|c| c.protocol == protocol && c.n == n)
-    }
-
     /// The artifact as a JSON document.
     pub fn to_json(&self) -> Json {
         Json::Obj(vec![

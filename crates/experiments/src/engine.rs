@@ -26,7 +26,6 @@ use ppsim::rng::{split_seed, trial_seeds};
 use crate::artifact::{Artifact, ConfigResult, TrialRecord};
 use crate::cache::{Cache, CacheStats, ConfigCache};
 use crate::cost::trial_cost_units;
-use crate::observe::RunShape;
 use crate::registry::{ProtocolKind, Runnable};
 use crate::spec::ExperimentSpec;
 
@@ -53,18 +52,6 @@ pub fn effective_threads(spec: &ExperimentSpec) -> usize {
         default_threads()
     } else {
         spec.threads
-    }
-}
-
-/// The per-trial execution shape a spec declares (engine, stop,
-/// observables) — everything [`Runnable::run`] needs besides the seed.
-fn run_shape(spec: &ExperimentSpec) -> RunShape<'_> {
-    RunShape {
-        engine: spec.engine,
-        stop: spec.stop,
-        sample_at: &spec.sample_at,
-        observables: &spec.observables,
-        round_every: spec.round_every,
     }
 }
 
@@ -233,7 +220,6 @@ pub(crate) fn run_pool(
             runnables[job.config] = Some(Runnable::build(job.protocol, job.n, spec)?);
         }
     }
-    let shape = run_shape(spec);
     let fresh = run_trials_threads(missing.len(), 0, effective_threads(spec), |k, _| {
         let job = &jobs[missing[k]];
         let runnable = runnables[job.config]
@@ -242,7 +228,7 @@ pub(crate) fn run_pool(
         TrialRecord {
             trial: job.trial,
             seed: job.seed,
-            outcome: runnable.run(job.n, job.seed, &shape, &spec.init),
+            outcome: runnable.run(job.n, job.seed, spec),
         }
     });
     // `run_trials_threads` returns results in job order: slot k of

@@ -1,11 +1,7 @@
 //! Observable registry: named measurements with declared sampling
 //! schedules, and the trial driver that executes them.
 //!
-//! PR 4's `ObservableSet` was a two-value enum (core | census) that could
-//! only measure *at the stopping point*, which is why the round- and
-//! epoch-structured benches (Table 1, Figures 2/3, the lemma validations)
-//! still drove simulators by hand. This module replaces it with a
-//! registry of named observables, each declaring **when** it samples and
+//! Each observable of the registry declares **when** it samples and
 //! **what** it records:
 //!
 //! | name              | schedule | records                                          |
@@ -47,12 +43,12 @@
 
 use std::collections::BTreeSet;
 
-use core_protocol::{Census, Params};
+use core_protocol::{AgentState, Census, Params};
 use ppsim::trace::Series;
-use ppsim::Simulator;
+use ppsim::{EnumerableProtocol, Simulator};
 
 use crate::registry::TrialOutcome;
-use crate::spec::{EngineKind, StopCondition};
+use crate::spec::{ExperimentSpec, StopCondition};
 
 /// When an observable samples.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -159,7 +155,7 @@ impl ObservableKind {
 }
 
 /// The (deduplicated, canonically ordered) set of observables a spec
-/// selects. The empty set is the PR 4 `core` level: only the always-on
+/// selects. The empty set is the `core` level: only the always-on
 /// metrics `time`/`interactions`/`leaders`/`undecided`.
 #[derive(Clone, PartialEq, Eq, Debug, Default)]
 pub struct Observables {
@@ -240,34 +236,27 @@ impl Observables {
     }
 }
 
-/// Everything the trial driver needs to know about how one trial
-/// executes; shared by every config of a spec.
-pub(crate) struct RunShape<'a> {
-    pub engine: EngineKind,
-    pub stop: StopCondition,
-    pub sample_at: &'a [f64],
-    pub observables: &'a Observables,
-    /// Round-boundary spacing, in units of `n · log₂ n` interactions.
-    pub round_every: f64,
+/// The GSU19 capability of a gsu19-family trial: the parameters, the
+/// decoder from a simulated state to its [`AgentState`] that every census
+/// reads through, and the encoder a synthetic initial configuration is
+/// written through — the identity for `Gsu19`, `decode_state` and
+/// `encode_state` for its compiled form. The spec validator guarantees
+/// census-needing observables and stop conditions, and synthetic inits,
+/// only reach trials that have one.
+pub(crate) struct Gsu<D, E> {
+    pub params: Params,
+    pub decode: D,
+    pub encode: E,
 }
 
-/// Census access for the trial driver: the one capability that separates
-/// the gsu19 protocol family (full census, decoded if compiled) from
-/// everything else. The spec validator guarantees census-needing
-/// observables and stop conditions only meet probes that answer `Some`.
-pub(crate) trait Probe<S: Simulator> {
-    /// Census of the current configuration, if the protocol supports one.
-    fn census(&self, sim: &S) -> Option<Census>;
-    /// Census of a configuration given as (state, multiplicity) pairs, if
-    /// the protocol supports one.
-    fn census_of(&self, counts: &[(S::State, u64)]) -> Option<Census>;
-    /// The GSU19 parameters, if the protocol has them.
-    fn params(&self) -> Option<&Params>;
-    /// Dense state id of a state (`EnumerableProtocol::state_id`): the key
-    /// of a [`Snapshot`] and of the `observed_states` distinct-state count.
-    fn state_id(&self, s: S::State) -> usize;
-    /// The epoch a state reports (`Protocol::epoch_of`).
-    fn epoch_of(&self, s: S::State) -> Option<u32>;
+impl<D, E> Gsu<D, E> {
+    /// Census of the current configuration of `sim`.
+    fn census<S: Simulator>(&self, sim: &S) -> Census
+    where
+        D: Fn(S::State) -> AgentState,
+    {
+        Census::of_with(sim, &self.params, &self.decode)
+    }
 }
 
 /// An observation point's view of the configuration: its distinct states
@@ -296,7 +285,11 @@ impl<St: Copy> Snapshot<St> {
     }
 
     /// Fold the current configuration of `sim`, replacing the last one.
-    fn take<S: Simulator<State = St>>(&mut self, sim: &S, probe: &impl Probe<S>) {
+    fn take<S: Simulator<State = St>>(
+        &mut self,
+        sim: &S,
+        proto: &impl EnumerableProtocol<State = St>,
+    ) {
         let Snapshot { slot, ids, counts } = self;
         for &id in ids.iter() {
             slot[id] = u32::MAX;
@@ -304,7 +297,7 @@ impl<St: Copy> Snapshot<St> {
         ids.clear();
         counts.clear();
         sim.for_each_state(&mut |s, k| {
-            let id = probe.state_id(s);
+            let id = proto.state_id(s);
             if id >= slot.len() {
                 slot.resize(id + 1, u32::MAX);
             }
@@ -319,10 +312,6 @@ impl<St: Copy> Snapshot<St> {
         });
     }
 }
-
-/// Seed stream tag for synthetic initial configurations, so the init
-/// draw is independent of the scheduler stream (`rng::split_seed`).
-pub(crate) const INIT_STREAM: u64 = 0x1717;
 
 /// Per-trial accumulators for round- and epoch-scheduled observables.
 struct ObsAccum {
@@ -374,27 +363,30 @@ impl ObsAccum {
     /// distinct-state set, the `round_census` traces (grid points only:
     /// their time axis is shared across trials), the first-hit drag times
     /// and, when epochs are observed, the epoch events.
-    fn observe<S: Simulator>(
+    fn observe<S: Simulator, D: Fn(S::State) -> AgentState, E>(
         &mut self,
         sim: &S,
-        probe: &impl Probe<S>,
+        proto: &impl EnumerableProtocol<State = S::State>,
+        gsu: Option<&Gsu<D, E>>,
         obs: &Observables,
         snapshot: &mut Snapshot<S::State>,
         on_grid: bool,
     ) {
         let pt = sim.parallel_time();
-        snapshot.take(sim, probe);
+        snapshot.take(sim, proto);
         if let Some(seen) = &mut self.seen_states {
             seen.extend(snapshot.ids.iter().copied());
         }
         let traces = on_grid && !self.round_traces.is_empty();
-        let census =
-            (traces || self.drag_first.is_some() || obs.contains(ObservableKind::EpochCandidates))
-                .then(|| probe.census_of(&snapshot.counts))
-                .flatten();
-        if let (Some(c), true) = (&census, traces) {
-            let params = probe.params().expect("census implies params");
-            let junta = c.coins_at_least(params.phi) as f64;
+        let gsu = gsu.filter(|_| {
+            traces || self.drag_first.is_some() || obs.contains(ObservableKind::EpochCandidates)
+        });
+        let census = gsu.map(|g| {
+            let counts = snapshot.counts.iter().map(|&(s, k)| ((g.decode)(s), k));
+            Census::of_counts(&g.params, counts)
+        });
+        if let (Some(c), Some(g), true) = (&census, gsu, traces) {
+            let junta = c.coins_at_least(g.params.phi) as f64;
             let drag = c.max_active_drag.map_or(-1.0, f64::from);
             for (series, v) in self.round_traces.iter_mut().zip([
                 c.active as f64,
@@ -419,7 +411,7 @@ impl ObsAccum {
             let epoch = snapshot
                 .counts
                 .iter()
-                .map(|&(s, _)| probe.epoch_of(s))
+                .map(|&(s, _)| proto.epoch_of(s))
                 .max()
                 .flatten();
             if epoch != self.last_epoch {
@@ -486,8 +478,12 @@ fn census_metrics(
 /// inlined: the stop predicate is inlined into the engines' interaction
 /// loops, where taking a census is the rare, cold case.
 #[inline(never)]
-fn census_stop_hit<S: Simulator>(stop: &StopCondition, probe: &impl Probe<S>, sim: &S) -> bool {
-    let Some(census) = probe.census(sim) else {
+fn census_stop_hit<S: Simulator, D: Fn(S::State) -> AgentState, E>(
+    stop: &StopCondition,
+    gsu: Option<&Gsu<D, E>>,
+    sim: &S,
+) -> bool {
+    let Some(census) = gsu.map(|g| g.census(sim)) else {
         return false;
     };
     match *stop {
@@ -517,6 +513,15 @@ fn is_settled<S: Simulator>(sim: &S) -> bool {
 /// Drive one simulation to its stopping condition, recording the spec's
 /// observables on their declared schedules.
 ///
+/// `proto` is the protocol `sim` runs: it names the states
+/// (`EnumerableProtocol::state_id`) and reports their epochs
+/// (`Protocol::epoch_of`). `gsu` is the census capability of the gsu19
+/// family and `None` for every other protocol. `drive` alone decides when
+/// to take a census: the stop-point metrics and `sample_at` rows take one
+/// only when `spec.observables.needs_census()`, an observation point only
+/// for `round_census`, `drag_times` or `epoch_candidates`, and `drag:` and
+/// `active:` stops one at every check.
+///
 /// The loop advances in segments bounded by the next round boundary (when
 /// any round- or epoch-scheduled observable is active), the next
 /// trajectory sample point, and the budget; within a segment the engine
@@ -525,24 +530,31 @@ fn is_settled<S: Simulator>(sim: &S) -> bool {
 /// stop condition** — `stabilize:`, `drag:`, `active:` and `settled:`
 /// alike — on every engine: the batched urn probes at block granularity
 /// and rewinds/replays its interaction trace to the exact hit, per-step
-/// engines check after every interaction. (Before the exact batch engine,
-/// census-based stops were quantised to the round grid; no mode quantises
-/// any more.) Round-scheduled observables still sample on the round grid;
-/// the stop point is observed too — the first-hit (`drag_times`),
-/// epoch-event and `observed_states` accumulators — but not the
-/// `round_census` traces, whose time axis must stay on the shared grid.
-pub(crate) fn drive<S: Simulator>(
+/// engines check after every interaction. Round-scheduled observables
+/// sample on the round grid; the stop point is observed too — the
+/// first-hit (`drag_times`), epoch-event and `observed_states`
+/// accumulators — but not the `round_census` traces, whose time axis must
+/// stay on the shared grid.
+pub(crate) fn drive<S, P, D, E>(
     sim: &mut S,
-    shape: &RunShape,
-    probe: &impl Probe<S>,
-) -> TrialOutcome {
+    spec: &ExperimentSpec,
+    proto: &P,
+    gsu: Option<&Gsu<D, E>>,
+) -> TrialOutcome
+where
+    S: Simulator<State = P::State>,
+    P: EnumerableProtocol,
+    D: Fn(P::State) -> AgentState,
+{
     let n = sim.population();
-    let obs = shape.observables;
+    let obs = &spec.observables;
     let rounds_on = obs.needs_rounds() || obs.needs_epochs();
-    let round_step = ((shape.round_every * (n as f64).log2() * n as f64) as u64).max(1);
-    let budget = (shape.stop.budget_pt() * n as f64) as u64;
+    let round_step = ((spec.round_every * (n as f64).log2() * n as f64) as u64).max(1);
+    let budget = (spec.stop.budget_pt() * n as f64) as u64;
+    // The census of the stop-point metrics and the `sample_at` rows.
+    let stop_census = gsu.filter(|_| obs.needs_census());
 
-    let mut accum = ObsAccum::new(obs, probe.params());
+    let mut accum = ObsAccum::new(obs, gsu.map(|g| &g.params));
     let mut sample_traces: Vec<Series> = Vec::new();
     let mut sample_idx = 0usize;
     let mut stopped = false;
@@ -555,11 +567,11 @@ pub(crate) fn drive<S: Simulator>(
     // `UrnSim`, which is why large-n census-stop specs belong on
     // `urn-batched`.
     let mut stop_pred = |s: &S| -> bool {
-        match shape.stop {
+        match spec.stop {
             StopCondition::Stabilize { .. } => s.is_stably_elected(),
             StopCondition::Settled { .. } => is_settled(s),
             StopCondition::Horizon { .. } => false,
-            _ => census_stop_hit(&shape.stop, probe, s),
+            _ => census_stop_hit(&spec.stop, gsu, s),
         }
     };
 
@@ -569,7 +581,7 @@ pub(crate) fn drive<S: Simulator>(
 
     // The k = 0 boundary: observe the initial configuration too.
     if rounds_on {
-        accum.observe(sim, probe, obs, &mut snapshot, true);
+        accum.observe(sim, proto, gsu, obs, &mut snapshot, true);
     }
     if stop_pred(sim) {
         stopped = true;
@@ -581,7 +593,7 @@ pub(crate) fn drive<S: Simulator>(
         } else {
             u64::MAX
         };
-        let next_sample = shape
+        let next_sample = spec
             .sample_at
             .get(sample_idx)
             .map_or(u64::MAX, |&t| (t * n as f64) as u64);
@@ -593,15 +605,15 @@ pub(crate) fn drive<S: Simulator>(
         }
 
         if rounds_on && sim.interactions() == next_round {
-            accum.observe(sim, probe, obs, &mut snapshot, true);
+            accum.observe(sim, proto, gsu, obs, &mut snapshot, true);
         }
         if sim.interactions() == next_sample {
             let mut row = vec![
                 ("leaders".to_string(), sim.leaders() as f64),
                 ("undecided".to_string(), sim.undecided() as f64),
             ];
-            if let (Some(c), Some(p)) = (probe.census(sim), probe.params()) {
-                census_metrics(obs, &c, p, &mut row);
+            if let Some(g) = stop_census {
+                census_metrics(obs, &g.census(sim), &g.params, &mut row);
             }
             if sample_traces.is_empty() {
                 sample_traces = row
@@ -617,7 +629,7 @@ pub(crate) fn drive<S: Simulator>(
         }
     }
 
-    let converged = match shape.stop {
+    let converged = match spec.stop {
         StopCondition::Horizon { .. } => true,
         _ => stopped,
     };
@@ -629,7 +641,7 @@ pub(crate) fn drive<S: Simulator>(
     // traces are *not* extended here — their time axis must stay on the
     // grid shared across trials.
     if rounds_on {
-        accum.observe(sim, probe, obs, &mut snapshot, false);
+        accum.observe(sim, proto, gsu, obs, &mut snapshot, false);
     }
 
     // Stop-point metrics: the always-on core set, then each selected
@@ -640,8 +652,8 @@ pub(crate) fn drive<S: Simulator>(
         ("leaders".to_string(), sim.leaders() as f64),
         ("undecided".to_string(), sim.undecided() as f64),
     ];
-    if let (Some(c), Some(p)) = (probe.census(sim), probe.params()) {
-        census_metrics(obs, &c, p, &mut metrics);
+    if let Some(g) = stop_census {
+        census_metrics(obs, &g.census(sim), &g.params, &mut metrics);
     }
     if let Some(first) = &accum.drag_first {
         for (l, slot) in first.iter().enumerate() {
@@ -722,7 +734,7 @@ mod tests {
         }
         // Every candidate withdrawn: settled by extinction.
         for proto in [Gsu19::for_population(n), gsu_direct_withdrawal(n)] {
-            let states = final_epoch_config(proto.params(), n, 0, 5);
+            let states = final_epoch_config(proto.params(), n, 0, 5).collect();
             let mut sim = AgentSim::with_states(proto, states, 5);
             assert!(is_settled(&sim) && sim.leaders() == 0);
             assert_settled_forms_agree(&mut sim, 20 * n);

@@ -1,23 +1,26 @@
 //! Protocol registry: one place that knows every protocol of the study,
 //! how to construct it for a population (including ablation variants,
 //! parameter overrides and synthetic initial configurations), whether it
-//! can be compiled, and how to drive one trial of it on any engine.
+//! can be compiled, and how to start one trial of it on any engine.
 //!
-//! This replaces the protocol `match` arms that used to be duplicated
-//! across `ppctl`, the benches and the examples — adding a protocol means
-//! extending [`ProtocolKind`] and the private `Runnable` here, and every
-//! consumer (CLI, presets, benches) picks it up.
+//! Adding a protocol means extending [`ProtocolKind`] and the private
+//! `Runnable` here, and every consumer (CLI, presets, benches) picks it
+//! up. A trial builds its simulator in `run_one` and hands it, with the
+//! spec and the protocol, to the one trial driver (`observe::drive`). The
+//! two gsu19 arms of `Runnable::run` also hand over the GSU19 codec
+//! (`observe::Gsu`) that every census and the synthetic initial
+//! configuration go through.
 
 use baselines::{gsu_direct_withdrawal, gsu_no_backup, gsu_no_drag, Bkko18, Gs18, SlowLe};
 use components::clock_protocol::ClockProtocol;
-use core_protocol::{gamma_for, synthetic, AgentState, Census, Gsu19, Params};
+use core_protocol::{gamma_for, synthetic, AgentState, Gsu19, Params};
 use ppsim::compiled::table_dims;
 use ppsim::rng::split_seed;
 use ppsim::trace::Series;
-use ppsim::{batched_block, AgentSim, CompiledProtocol, EnumerableProtocol, Simulator, UrnSim};
+use ppsim::{batched_block, AgentSim, CompiledProtocol, EnumerableProtocol, UrnSim};
 
-use crate::observe::{drive, Probe, RunShape, INIT_STREAM};
-use crate::spec::{EngineKind, ExperimentSpec, InitConfig};
+use crate::observe::{drive, Gsu};
+use crate::spec::{EngineKind, ExperimentSpec};
 
 /// The protocols this repository can run, by CLI/spec name.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Hash)]
@@ -75,7 +78,7 @@ impl ProtocolKind {
     }
 
     /// Whether this is the paper's protocol or one of its ablations —
-    /// everything a GSU19 [`Census`] applies to.
+    /// everything a GSU19 [`Census`](core_protocol::Census) applies to.
     pub fn is_gsu_family(self) -> bool {
         matches!(
             self,
@@ -150,101 +153,6 @@ impl TrialOutcome {
             .iter()
             .find(|(k, _)| k == name)
             .map(|&(_, v)| v)
-    }
-}
-
-/// No-census probe for protocols outside the gsu19 family; carries the
-/// protocol for state-id enumeration (`observed_states`).
-pub(crate) struct CoreProbe<P>(P);
-
-impl<P, S> Probe<S> for CoreProbe<P>
-where
-    P: EnumerableProtocol,
-    S: Simulator<State = P::State>,
-{
-    fn census(&self, _sim: &S) -> Option<Census> {
-        None
-    }
-    fn census_of(&self, _counts: &[(S::State, u64)]) -> Option<Census> {
-        None
-    }
-    fn params(&self) -> Option<&Params> {
-        None
-    }
-    fn state_id(&self, s: S::State) -> usize {
-        self.0.state_id(s)
-    }
-    fn epoch_of(&self, s: S::State) -> Option<u32> {
-        self.0.epoch_of(s)
-    }
-}
-
-/// Protocols whose states decode to a GSU19 [`AgentState`], so a census
-/// can be taken: the plain protocol (identity) and its compiled form
-/// (packed-id decode).
-pub(crate) trait GsuDecode: EnumerableProtocol {
-    fn gsu_params(&self) -> Params;
-    fn decode_gsu(&self, s: Self::State) -> AgentState;
-    fn encode_gsu(&self, s: AgentState) -> Self::State;
-}
-
-impl GsuDecode for Gsu19 {
-    fn gsu_params(&self) -> Params {
-        *self.params()
-    }
-    fn decode_gsu(&self, s: AgentState) -> AgentState {
-        s
-    }
-    fn encode_gsu(&self, s: AgentState) -> AgentState {
-        s
-    }
-}
-
-impl GsuDecode for CompiledProtocol<Gsu19> {
-    fn gsu_params(&self) -> Params {
-        *self.inner().params()
-    }
-    fn decode_gsu(&self, s: u32) -> AgentState {
-        self.decode_state(s)
-    }
-    fn encode_gsu(&self, s: AgentState) -> u32 {
-        self.encode_state(s)
-    }
-}
-
-/// Census probe for the gsu19 family (plain or compiled).
-pub(crate) struct CensusProbe<P: GsuDecode> {
-    proto: P,
-    params: Params,
-}
-
-impl<P: GsuDecode> CensusProbe<P> {
-    fn new(proto: P) -> Self {
-        let params = proto.gsu_params();
-        Self { proto, params }
-    }
-}
-
-impl<P: GsuDecode, S: Simulator<State = P::State>> Probe<S> for CensusProbe<P> {
-    fn census(&self, sim: &S) -> Option<Census> {
-        Some(Census::of_with(sim, &self.params, |s| {
-            self.proto.decode_gsu(s)
-        }))
-    }
-    fn census_of(&self, counts: &[(S::State, u64)]) -> Option<Census> {
-        Some(Census::of_counts(
-            &self.params,
-            counts.iter().map(|&(s, k)| (self.proto.decode_gsu(s), k)),
-        ))
-    }
-    fn params(&self) -> Option<&Params> {
-        Some(&self.params)
-    }
-    fn state_id(&self, s: S::State) -> usize {
-        self.proto.state_id(s)
-    }
-    fn epoch_of(&self, s: S::State) -> Option<u32> {
-        self.proto.epoch_of(s)
     }
 }
 
@@ -350,111 +258,96 @@ impl Runnable {
         })
     }
 
-    /// Run one trial. The spec validator guarantees census-needing
-    /// observables/stops and synthetic inits only reach gsu19 variants.
-    pub fn run(&self, n: u64, seed: u64, shape: &RunShape, init: &InitConfig) -> TrialOutcome {
-        let census = shape.observables.needs_census()
-            || shape.observables.needs_epochs()
-            || shape.stop.needs_census();
+    /// Run one trial of `spec` at population `n` from the trial seed
+    /// `seed`. The two gsu19 arms build the trial's [`Gsu`] (census decoder
+    /// and synthetic-init encoder); the spec validator guarantees
+    /// census-needing observables/stops and synthetic inits only reach
+    /// them.
+    pub fn run(&self, n: u64, seed: u64, spec: &ExperimentSpec) -> TrialOutcome {
         match self {
             Runnable::Gsu19(p) => {
-                let states = init_states(p, n, seed, init);
-                if census {
-                    run_one(*p, n, seed, shape, &CensusProbe::new(*p), states)
-                } else {
-                    run_one(*p, n, seed, shape, &CoreProbe(*p), states)
-                }
+                let gsu = Gsu {
+                    params: *p.params(),
+                    decode: |s| s,
+                    encode: |s| s,
+                };
+                run_one(p, n, seed, spec, Some(&gsu))
             }
             Runnable::CompiledGsu19(p) => {
-                let states = init_states(p, n, seed, init);
-                if census {
-                    run_one(
-                        p.clone(),
-                        n,
-                        seed,
-                        shape,
-                        &CensusProbe::new(p.clone()),
-                        states,
-                    )
-                } else {
-                    run_one(p.clone(), n, seed, shape, &CoreProbe(p.clone()), states)
-                }
+                let gsu = Gsu {
+                    params: *p.inner().params(),
+                    decode: |s| p.decode_state(s),
+                    encode: |s| p.encode_state(s),
+                };
+                run_one(p, n, seed, spec, Some(&gsu))
             }
-            Runnable::Gs18(p) => run_one(*p, n, seed, shape, &CoreProbe(*p), None),
-            Runnable::CompiledGs18(p) => {
-                run_one(p.clone(), n, seed, shape, &CoreProbe(p.clone()), None)
-            }
-            Runnable::Bkko18(p) => run_one(*p, n, seed, shape, &CoreProbe(*p), None),
-            Runnable::Slow(p) => run_one(*p, n, seed, shape, &CoreProbe(*p), None),
-            Runnable::Clock(p) => run_one(*p, n, seed, shape, &CoreProbe(*p), None),
+            Runnable::Gs18(p) => run_one(p, n, seed, spec, NoGsu::None),
+            Runnable::CompiledGs18(p) => run_one(p, n, seed, spec, NoGsu::None),
+            Runnable::Bkko18(p) => run_one(p, n, seed, spec, NoGsu::None),
+            Runnable::Slow(p) => run_one(p, n, seed, spec, NoGsu::None),
+            Runnable::Clock(p) => run_one(p, n, seed, spec, NoGsu::None),
         }
     }
 }
 
-/// Synthetic initial states for a trial, drawn from a seed stream split
-/// off the trial seed (so init randomness is independent of the
-/// scheduler stream and every trial replays bit-identically from its
-/// `(seed, config, trial)` address).
-fn init_states<P: GsuDecode>(
+/// The `gsu` of a protocol outside the gsu19 family: no census and no
+/// synthetic init.
+type NoGsu<'a, St> = Option<&'a Gsu<fn(St) -> AgentState, fn(AgentState) -> St>>;
+
+/// Seed stream tag for synthetic initial configurations (`split_seed`).
+const INIT_STREAM: u64 = 0x1717;
+
+/// Run one trial of `proto` on the spec's engine.
+///
+/// A gsu19-family trial with a synthetic `spec.init` starts from
+/// `final_epoch_config`, drawn from a seed stream split off the trial
+/// seed (so init randomness is independent of the scheduler stream and
+/// every trial replays bit-identically from its `(seed, config, trial)`
+/// address); every other trial starts from the protocol's initial state.
+/// The agent engine collects the drawn states in agent order; the urn
+/// folds them straight into its counts, bucketing by dense state id, so
+/// it never holds one state per agent.
+fn run_one<P, D, E>(
     proto: &P,
     n: u64,
     seed: u64,
-    init: &InitConfig,
-) -> Option<Vec<P::State>> {
-    let k = init.actives_for(n)?;
-    let params = proto.gsu_params();
-    Some(
-        synthetic::final_epoch_config(&params, n, k, split_seed(seed, INIT_STREAM))
-            .into_iter()
-            .map(|s| proto.encode_gsu(s))
-            .collect(),
-    )
-}
-
-/// Fold explicit states into `(state, multiplicity)` pairs for
-/// [`UrnSim::with_counts`], bucketing by dense state id.
-fn states_to_counts<P: EnumerableProtocol>(proto: &P, states: &[P::State]) -> Vec<(P::State, u64)> {
-    let mut counts = vec![0u64; proto.num_states()];
-    for &s in states {
-        counts[proto.state_id(s)] += 1;
-    }
-    counts
-        .into_iter()
-        .enumerate()
-        .filter(|&(_, c)| c > 0)
-        .map(|(id, c)| (proto.state_from_id(id), c))
-        .collect()
-}
-
-fn run_one<P, B>(
-    proto: P,
-    n: u64,
-    seed: u64,
-    shape: &RunShape,
-    probe: &B,
-    states: Option<Vec<P::State>>,
+    spec: &ExperimentSpec,
+    gsu: Option<&Gsu<D, E>>,
 ) -> TrialOutcome
 where
-    P: EnumerableProtocol,
-    B: Probe<AgentSim<P>> + Probe<UrnSim<P>>,
+    P: EnumerableProtocol + Clone,
+    D: Fn(P::State) -> AgentState,
+    E: Fn(AgentState) -> P::State,
 {
-    match shape.engine {
+    let init = gsu.and_then(|g| {
+        let k = spec.init.actives_for(n)?;
+        let states = synthetic::final_epoch_config(&g.params, n, k, split_seed(seed, INIT_STREAM));
+        Some(states.map(&g.encode))
+    });
+    match spec.engine {
         EngineKind::Agent => {
-            let mut sim = match states {
-                Some(states) => AgentSim::with_states(proto, states, seed),
-                None => AgentSim::new(proto, n as usize, seed),
+            let mut sim = match init {
+                Some(states) => AgentSim::with_states(proto.clone(), states.collect(), seed),
+                None => AgentSim::new(proto.clone(), n as usize, seed),
             };
-            drive(&mut sim, shape, probe)
+            drive(&mut sim, spec, proto, gsu)
         }
         EngineKind::UrnBatched => {
-            let sim = match states {
+            let sim = match init {
                 Some(states) => {
-                    let counts = states_to_counts(&proto, &states);
-                    UrnSim::with_counts(proto, &counts, seed)
+                    let mut counts = vec![0u64; proto.num_states()];
+                    for s in states {
+                        counts[proto.state_id(s)] += 1;
+                    }
+                    let counts: Vec<_> = (counts.into_iter().enumerate())
+                        .filter(|&(_, c)| c > 0)
+                        .map(|(id, c)| (proto.state_from_id(id), c))
+                        .collect();
+                    UrnSim::with_counts(proto.clone(), &counts, seed)
                 }
-                None => UrnSim::new(proto, n, seed),
+                None => UrnSim::new(proto.clone(), n, seed),
             };
-            drive(&mut sim.with_block(batched_block(n)), shape, probe)
+            drive(&mut sim.with_block(batched_block(n)), spec, proto, gsu)
         }
     }
 }
@@ -463,19 +356,15 @@ where
 mod tests {
     use super::*;
     use crate::observe::{ObservableKind, Observables};
-    use crate::spec::StopCondition;
+    use crate::spec::{InitConfig, StopCondition};
 
-    fn shape<'a>(
-        stop: StopCondition,
-        observables: &'a Observables,
-        sample_at: &'a [f64],
-    ) -> RunShape<'a> {
-        RunShape {
-            engine: EngineKind::Agent,
+    /// A gsu19 spec on the agent engine with `stop` and the `observables`
+    /// (a spec value).
+    fn spec(stop: StopCondition, observables: &str) -> ExperimentSpec {
+        ExperimentSpec {
             stop,
-            sample_at,
-            observables,
-            round_every: 1.0,
+            observables: Observables::parse(observables).unwrap(),
+            ..gsu_spec()
         }
     }
 
@@ -544,16 +433,14 @@ mod tests {
 
     #[test]
     fn stabilize_outcome_has_core_metrics() {
-        let obs = Observables::none();
-        let shape = shape(
+        let sp = spec(
             StopCondition::Stabilize {
                 budget_pt: 10_000.0,
             },
-            &obs,
-            &[],
+            "core",
         );
-        let r = Runnable::build(ProtocolKind::Slow, 64, &ExperimentSpec::default()).unwrap();
-        let out = r.run(64, 1, &shape, &InitConfig::Fresh);
+        let r = Runnable::build(ProtocolKind::Slow, 64, &sp).unwrap();
+        let out = r.run(64, 1, &sp);
         assert!(out.converged);
         assert_eq!(out.metric("leaders"), Some(1.0));
         assert_eq!(out.metric("undecided"), Some(0.0));
@@ -563,12 +450,13 @@ mod tests {
 
     #[test]
     fn horizon_outcome_samples_traces() {
-        let obs = Observables::parse("census").unwrap();
-        let sample_at = [1.0, 2.0, 4.0];
-        let mut sh = shape(StopCondition::Horizon { at_pt: 4.0 }, &obs, &sample_at);
-        sh.engine = EngineKind::UrnBatched;
-        let r = Runnable::build(ProtocolKind::Gsu19, 256, &gsu_spec()).unwrap();
-        let out = r.run(256, 3, &sh, &InitConfig::Fresh);
+        let sp = ExperimentSpec {
+            engine: EngineKind::UrnBatched,
+            sample_at: vec![1.0, 2.0, 4.0],
+            ..spec(StopCondition::Horizon { at_pt: 4.0 }, "census")
+        };
+        let r = Runnable::build(ProtocolKind::Gsu19, 256, &sp).unwrap();
+        let out = r.run(256, 3, &sp);
         assert!(out.converged);
         assert!(out.metric("coins_ge0").is_some());
         assert_eq!(out.metric("interactions"), Some(1024.0));
@@ -580,12 +468,14 @@ mod tests {
 
     #[test]
     fn round_census_traces_share_the_grid_across_trials() {
-        let obs = Observables::parse("round_census,observed_states").unwrap();
-        let sh = shape(StopCondition::Horizon { at_pt: 64.0 }, &obs, &[]);
+        let sp = spec(
+            StopCondition::Horizon { at_pt: 64.0 },
+            "round_census,observed_states",
+        );
         let n = 256u64;
-        let r = Runnable::build(ProtocolKind::Gsu19, n, &gsu_spec()).unwrap();
-        let a = r.run(n, 5, &sh, &InitConfig::Fresh);
-        let b = r.run(n, 9, &sh, &InitConfig::Fresh);
+        let r = Runnable::build(ProtocolKind::Gsu19, n, &sp).unwrap();
+        let a = r.run(n, 5, &sp);
+        let b = r.run(n, 9, &sp);
         let series_a = a.traces.iter().find(|s| s.name == "rc_active").unwrap();
         let series_b = b.traces.iter().find(|s| s.name == "rc_active").unwrap();
         // Boundaries at k·n·log₂ n are deterministic: identical time axes.
@@ -597,17 +487,15 @@ mod tests {
 
     #[test]
     fn epoch_observables_record_the_countdown() {
-        let obs = Observables::parse("epoch_candidates").unwrap();
-        let sh = shape(
+        let sp = spec(
             StopCondition::Stabilize {
                 budget_pt: 40_000.0,
             },
-            &obs,
-            &[],
+            "epoch_candidates",
         );
         let n = 256u64;
-        let r = Runnable::build(ProtocolKind::Gsu19, n, &gsu_spec()).unwrap();
-        let out = r.run(n, 12, &sh, &InitConfig::Fresh);
+        let r = Runnable::build(ProtocolKind::Gsu19, n, &sp).unwrap();
+        let out = r.run(n, 12, &sp);
         assert!(out.converged);
         // At least the first epochs of the countdown were seen, values
         // ascending, with an active count recorded at each.
@@ -625,18 +513,16 @@ mod tests {
 
     #[test]
     fn drag_stop_reports_the_exact_first_hit() {
-        let obs = Observables::parse("drag_times").unwrap();
-        let sh = shape(
+        let sp = spec(
             StopCondition::DragReached {
                 level: 1,
                 budget_pt: 60_000.0,
             },
-            &obs,
-            &[],
+            "drag_times",
         );
         let n = 512u64;
-        let r = Runnable::build(ProtocolKind::Gsu19, n, &gsu_spec()).unwrap();
-        let out = r.run(n, 13, &sh, &InitConfig::Fresh);
+        let r = Runnable::build(ProtocolKind::Gsu19, n, &sp).unwrap();
+        let out = r.run(n, 13, &sp);
         assert!(out.converged, "drag 1 not reached");
         let t1 = out.metric("drag_ge1_pt").expect("first drag-1 time");
         assert!(out.metric("drag_ge0_pt").unwrap() <= t1);
@@ -650,18 +536,16 @@ mod tests {
         // A fresh population has zero actives *before any candidate
         // exists*; the settled guard must keep the stop from trivially
         // firing at t = 0.
-        let obs = Observables::none();
-        let sh = shape(
+        let sp = spec(
             StopCondition::ActivesBelow {
                 count: 1,
                 budget_pt: 40_000.0,
             },
-            &obs,
-            &[],
+            "core",
         );
         let n = 256u64;
-        let r = Runnable::build(ProtocolKind::Gsu19, n, &gsu_spec()).unwrap();
-        let out = r.run(n, 7, &sh, &InitConfig::Fresh);
+        let r = Runnable::build(ProtocolKind::Gsu19, n, &sp).unwrap();
+        let out = r.run(n, 7, &sp);
         assert!(out.converged);
         assert!(
             out.metric("time").unwrap() > 0.0,
@@ -672,26 +556,26 @@ mod tests {
 
     #[test]
     fn synthetic_init_starts_in_the_final_epoch() {
-        let obs = Observables::parse("census").unwrap();
-        let sh = shape(
-            StopCondition::ActivesBelow {
-                count: 1,
-                budget_pt: 40_000.0,
-            },
-            &obs,
-            &[],
-        );
         let n = 512u64;
-        let init = InitConfig::FinalEpoch {
-            k: 4,
-            times_log2: true,
+        let sp = ExperimentSpec {
+            init: InitConfig::FinalEpoch {
+                k: 4,
+                times_log2: true,
+            },
+            ..spec(
+                StopCondition::ActivesBelow {
+                    count: 1,
+                    budget_pt: 40_000.0,
+                },
+                "census",
+            )
         };
-        let r = Runnable::build(ProtocolKind::Gsu19, n, &gsu_spec()).unwrap();
-        let out = r.run(n, 17, &sh, &init);
+        let r = Runnable::build(ProtocolKind::Gsu19, n, &sp).unwrap();
+        let out = r.run(n, 17, &sp);
         assert!(out.converged, "never got down to one active");
         assert_eq!(out.metric("active"), Some(1.0));
         // The same trial replays bit-identically (init seed is derived).
-        let again = r.run(n, 17, &sh, &init);
+        let again = r.run(n, 17, &sp);
         assert_eq!(out, again);
     }
 
@@ -704,7 +588,6 @@ mod tests {
         let census = Observables::parse("census").unwrap();
         let all = Observables::of(ObservableKind::ALL.to_vec());
         let stabilize = StopCondition::Stabilize { budget_pt: 40000.0 };
-        let mut spec = gsu_spec();
         for (engine, n, stop, obs, round_every) in [
             (
                 EngineKind::Agent,
@@ -717,32 +600,28 @@ mod tests {
             (EngineKind::Agent, 512, stabilize, &all, 0.5),
             (EngineKind::UrnBatched, 4096, stabilize, &all, 0.5),
         ] {
-            let sh = RunShape {
+            let mut sp = ExperimentSpec {
                 engine,
+                stop,
+                observables: obs.clone(),
                 round_every,
-                ..shape(stop, obs, &[])
+                ..gsu_spec()
             };
-            spec.compiled = false;
-            let plain = Runnable::build(ProtocolKind::Gsu19, n, &spec).unwrap();
-            spec.compiled = true;
-            let compiled = Runnable::build(ProtocolKind::Gsu19, n, &spec).unwrap();
-            let a = plain.run(n, 9, &sh, &InitConfig::Fresh);
+            let plain = Runnable::build(ProtocolKind::Gsu19, n, &sp).unwrap();
+            sp.compiled = true;
+            let compiled = Runnable::build(ProtocolKind::Gsu19, n, &sp).unwrap();
+            let a = plain.run(n, 9, &sp);
             assert!(a.converged, "{engine:?} n = {n}");
-            assert_eq!(
-                a,
-                compiled.run(n, 9, &sh, &InitConfig::Fresh),
-                "{engine:?} n = {n}"
-            );
+            assert_eq!(a, compiled.run(n, 9, &sp), "{engine:?} n = {n}");
         }
     }
 
     #[test]
     fn clock_epoch_times_track_rounds() {
-        let obs = Observables::parse("epoch_times").unwrap();
-        let sh = shape(StopCondition::Horizon { at_pt: 400.0 }, &obs, &[]);
+        let sp = spec(StopCondition::Horizon { at_pt: 400.0 }, "epoch_times");
         let n = 512u64;
-        let r = Runnable::build(ProtocolKind::Clock, n, &gsu_spec()).unwrap();
-        let out = r.run(n, 19, &sh, &InitConfig::Fresh);
+        let r = Runnable::build(ProtocolKind::Clock, n, &sp).unwrap();
+        let out = r.run(n, 19, &sp);
         // The clock ticks: several round events, at increasing times,
         // each carrying the reported (wrapping) counter value.
         let mut times = Vec::new();

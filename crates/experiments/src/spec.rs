@@ -313,8 +313,9 @@ pub struct ExperimentSpec {
     /// [`StopCondition::Horizon`]; must be ascending and within the
     /// horizon.
     pub sample_at: Vec<f64>,
-    /// Round-boundary spacing for round-scheduled observables and
-    /// census-based stops, in units of `n · log₂ n` interactions.
+    /// Round-boundary spacing for round- and epoch-scheduled observables,
+    /// in units of `n · log₂ n` interactions. Stops do not read it: every
+    /// stop condition is an exact first hit.
     pub round_every: f64,
     /// Initial configuration trials start from.
     pub init: InitConfig,

@@ -125,8 +125,6 @@ struct BatchScratch {
     touched_counts: Vec<u64>,
     /// State ids with non-zero `touched_counts`, in insertion order.
     touched_ids: Vec<u32>,
-    /// Position of each id in `touched_ids` (`u32::MAX` when absent).
-    touched_pos: Vec<u32>,
     /// Net multiplicity change per state id accumulated over the batch
     /// (dense, zeroed after each apply).
     delta: Vec<i64>,
@@ -154,7 +152,6 @@ impl BatchScratch {
     fn touched_insert(&mut self, id: usize, m: u64) {
         let c = self.touched_counts[id];
         if c == 0 {
-            self.touched_pos[id] = self.touched_ids.len() as u32;
             self.touched_ids.push(id as u32);
         }
         self.touched_counts[id] = c + m;
@@ -173,11 +170,7 @@ impl BatchScratch {
             if x < c {
                 self.touched_counts[id] = c - 1;
                 if c == 1 {
-                    self.touched_pos[id] = u32::MAX;
                     self.touched_ids.swap_remove(k);
-                    if k < self.touched_ids.len() {
-                        self.touched_pos[self.touched_ids[k] as usize] = k as u32;
-                    }
                 }
                 return id;
             }
@@ -540,7 +533,6 @@ impl<P: EnumerableProtocol> UrnSim<P> {
         let s = self.counts.len();
         sc.delta.resize(s, 0);
         sc.touched_counts.resize(s, 0);
-        sc.touched_pos.resize(s, u32::MAX);
         sc.occupied.clear();
         sc.pool.clear();
         for &id in &self.occupied_ids {
@@ -568,7 +560,6 @@ impl<P: EnumerableProtocol> UrnSim<P> {
         sc.dirty.clear();
         for &id in &sc.touched_ids {
             sc.touched_counts[id as usize] = 0;
-            sc.touched_pos[id as usize] = u32::MAX;
         }
         sc.touched_ids.clear();
         self.scratch = sc;

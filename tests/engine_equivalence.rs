@@ -289,7 +289,7 @@ fn urn_handles_heterogeneous_start() {
     let n = 1u64 << 10;
     let proto = Gsu19::for_population(n);
     let params = *proto.params();
-    let states = final_epoch_config(&params, n, 20, 9);
+    let states: Vec<_> = final_epoch_config(&params, n, 20, 9).collect();
     // Aggregate into counts for the urn.
     let mut counts: std::collections::HashMap<_, u64> = std::collections::HashMap::new();
     for s in &states {

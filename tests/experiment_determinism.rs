@@ -28,9 +28,11 @@ const BATCHED_SPEC: &str = include_str!("golden/batched.spec");
 const BATCHED_GOLDEN: &str = include_str!("golden/batched.json");
 const OBSERVED_SPEC: &str = include_str!("golden/observed.spec");
 const OBSERVED_GOLDEN: &str = include_str!("golden/observed.json");
+const STOPS_SPEC: &str = include_str!("golden/stops.spec");
+const STOPS_GOLDEN: &str = include_str!("golden/stops.json");
 
-/// Every golden spec: the PR 4 pair plus the round/epoch-observable one.
-const ALL_SPECS: [&str; 3] = [TINY_SPEC, CENSUS_SPEC, ROUNDS_SPEC];
+/// The golden specs the thread-count, replay and schema checks run.
+const ALL_SPECS: [&str; 4] = [TINY_SPEC, CENSUS_SPEC, ROUNDS_SPEC, STOPS_SPEC];
 
 fn spec_with_threads(text: &str, threads: usize) -> ExperimentSpec {
     let mut spec = ExperimentSpec::parse(text).expect("golden spec parses");
@@ -84,6 +86,7 @@ fn golden_artifacts_regenerate_byte_for_byte() {
         (ROUNDS_SPEC, ROUNDS_GOLDEN, "rounds"),
         (BATCHED_SPEC, BATCHED_GOLDEN, "batched"),
         (OBSERVED_SPEC, OBSERVED_GOLDEN, "observed"),
+        (STOPS_SPEC, STOPS_GOLDEN, "stops"),
     ] {
         let artifact = run_experiment(&spec_with_threads(spec_text, 0)).unwrap();
         let regenerated = artifact.to_json_string();
@@ -111,6 +114,7 @@ fn emitted_artifacts_pass_schema_validation() {
         ROUNDS_GOLDEN,
         BATCHED_GOLDEN,
         OBSERVED_GOLDEN,
+        STOPS_GOLDEN,
     ] {
         let doc = json::parse(golden).expect("golden is valid JSON");
         Artifact::validate_json(&doc).expect("golden matches the ppexp/v1 schema");

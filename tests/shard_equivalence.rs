@@ -40,6 +40,8 @@ const ROUNDS_SPEC: &str = include_str!("golden/rounds.spec");
 const ROUNDS_GOLDEN: &str = include_str!("golden/rounds.json");
 const OBSERVED_SPEC: &str = include_str!("golden/observed.spec");
 const OBSERVED_GOLDEN: &str = include_str!("golden/observed.json");
+const STOPS_SPEC: &str = include_str!("golden/stops.spec");
+const STOPS_GOLDEN: &str = include_str!("golden/stops.json");
 
 fn spec_with_threads(text: &str, threads: usize) -> ExperimentSpec {
     let mut spec = ExperimentSpec::parse(text).expect("golden spec parses");
@@ -164,6 +166,7 @@ fn merged_shards_reproduce_every_golden_byte_for_byte() {
         (CENSUS_SPEC, CENSUS_GOLDEN, "census"),
         (ROUNDS_SPEC, ROUNDS_GOLDEN, "rounds"),
         (OBSERVED_SPEC, OBSERVED_GOLDEN, "observed"),
+        (STOPS_SPEC, STOPS_GOLDEN, "stops"),
     ] {
         let spec = spec_with_threads(spec_text, 0);
         let shards: Vec<(String, ShardOutput)> = (0..3)
