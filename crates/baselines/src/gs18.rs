@@ -54,8 +54,8 @@ impl Gs18 {
         &self.inner
     }
 
-    /// Compile into dense transition tables (see [`ppsim::compiled`]):
-    /// the phase and output tables are built here, and each role entry is
+    /// Compile into transition tables (see [`ppsim::compiled`]): the
+    /// phase and per-bucket tables are built here, and each role entry is
     /// probed the first time an interaction looks it up.
     pub fn compiled(self) -> CompiledProtocol<Gs18> {
         CompiledProtocol::new(self)

@@ -60,8 +60,8 @@ impl Gsu19 {
     /// are replayed from `u32` lookup tables, which makes the
     /// [`ppsim::AgentSim`] hot loop several times faster and cuts the
     /// per-bucket cost of the batched urn path. Only the small phase and
-    /// output tables are built here; each role entry is probed the first
-    /// time an interaction looks it up.
+    /// per-bucket tables are built here; each role entry is probed the
+    /// first time an interaction looks it up.
     pub fn compiled(self) -> CompiledProtocol<Gsu19> {
         CompiledProtocol::new(self)
     }

@@ -250,12 +250,30 @@ pub(crate) struct Gsu<D, E> {
 }
 
 impl<D, E> Gsu<D, E> {
-    /// Census of the current configuration of `sim`.
-    fn census<S: Simulator>(&self, sim: &S) -> Census
+    /// Census of the current configuration of `sim`, folded into
+    /// `snapshot` first so that each distinct state is decoded once: on
+    /// `AgentSim` a census walks all n agents, and decoding a compiled
+    /// protocol's packed id goes through the codec.
+    fn census<S: Simulator>(
+        &self,
+        sim: &S,
+        proto: &impl EnumerableProtocol<State = S::State>,
+        snapshot: &mut Snapshot<S::State>,
+    ) -> Census
     where
         D: Fn(S::State) -> AgentState,
     {
-        Census::of_with(sim, &self.params, &self.decode)
+        snapshot.take(sim, proto);
+        self.census_of(snapshot)
+    }
+
+    /// Census of the configuration `snapshot` last folded.
+    fn census_of<St: Copy>(&self, snapshot: &Snapshot<St>) -> Census
+    where
+        D: Fn(St) -> AgentState,
+    {
+        let counts = snapshot.counts.iter().map(|&(s, k)| ((self.decode)(s), k));
+        Census::of_counts(&self.params, counts)
     }
 }
 
@@ -381,10 +399,7 @@ impl ObsAccum {
         let gsu = gsu.filter(|_| {
             traces || self.drag_first.is_some() || obs.contains(ObservableKind::EpochCandidates)
         });
-        let census = gsu.map(|g| {
-            let counts = snapshot.counts.iter().map(|&(s, k)| ((g.decode)(s), k));
-            Census::of_counts(&g.params, counts)
-        });
+        let census = gsu.map(|g| g.census_of(snapshot));
         if let (Some(c), Some(g), true) = (&census, gsu, traces) {
             let junta = c.coins_at_least(g.params.phi) as f64;
             let drag = c.max_active_drag.map_or(-1.0, f64::from);
@@ -474,16 +489,19 @@ fn census_metrics(
     }
 }
 
-/// Whether a census-based stopping predicate holds for `sim`. Never
-/// inlined: the stop predicate is inlined into the engines' interaction
-/// loops, where taking a census is the rare, cold case.
+/// Whether a census-based stopping predicate holds for `sim`, folding it
+/// into `snapshot`. Never inlined: the stop predicate is inlined into the
+/// engines' interaction loops, where taking a census is the rare, cold
+/// case.
 #[inline(never)]
 fn census_stop_hit<S: Simulator, D: Fn(S::State) -> AgentState, E>(
     stop: &StopCondition,
     gsu: Option<&Gsu<D, E>>,
     sim: &S,
+    proto: &impl EnumerableProtocol<State = S::State>,
+    snapshot: &mut Snapshot<S::State>,
 ) -> bool {
-    let Some(census) = gsu.map(|g| g.census(sim)) else {
+    let Some(census) = gsu.map(|g| g.census(sim, proto, snapshot)) else {
         return false;
     };
     match *stop {
@@ -565,13 +583,14 @@ where
     // cutoff, else at every block end and every replayed pair. A census
     // walks all n agents on `AgentSim` but only the occupied states on
     // `UrnSim`, which is why large-n census-stop specs belong on
-    // `urn-batched`.
+    // `urn-batched`. The predicate folds into a snapshot of its own.
+    let mut stop_snapshot = Snapshot::new();
     let mut stop_pred = |s: &S| -> bool {
         match spec.stop {
             StopCondition::Stabilize { .. } => s.is_stably_elected(),
             StopCondition::Settled { .. } => is_settled(s),
             StopCondition::Horizon { .. } => false,
-            _ => census_stop_hit(&spec.stop, gsu, s),
+            _ => census_stop_hit(&spec.stop, gsu, s, proto, &mut stop_snapshot),
         }
     };
 
@@ -613,7 +632,8 @@ where
                 ("undecided".to_string(), sim.undecided() as f64),
             ];
             if let Some(g) = stop_census {
-                census_metrics(obs, &g.census(sim), &g.params, &mut row);
+                let census = g.census(sim, proto, &mut snapshot);
+                census_metrics(obs, &census, &g.params, &mut row);
             }
             if sample_traces.is_empty() {
                 sample_traces = row
@@ -653,7 +673,8 @@ where
         ("undecided".to_string(), sim.undecided() as f64),
     ];
     if let Some(g) = stop_census {
-        census_metrics(obs, &g.census(sim), &g.params, &mut metrics);
+        let census = g.census(sim, proto, &mut snapshot);
+        census_metrics(obs, &census, &g.params, &mut metrics);
     }
     if let Some(first) = &accum.drag_first {
         for (l, slot) in first.iter().enumerate() {

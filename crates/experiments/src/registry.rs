@@ -1,7 +1,15 @@
 //! Protocol registry: one place that knows every protocol of the study,
 //! how to construct it for a population (including ablation variants,
-//! parameter overrides and synthetic initial configurations), whether it
-//! can be compiled, and how to start one trial of it on any engine.
+//! parameter overrides and synthetic initial configurations), which
+//! protocols run on compiled transition tables, and how to start one
+//! trial of it on any engine.
+//!
+//! The gsu19 family and gs18 run on `ppsim::compiled` tables on every
+//! engine whenever `table_dims` accepts their parameters. Only gsu19
+//! overrides past the bucket packing or the phase-table ceiling (such as
+//! `phi = 32, psi = 32` or `gamma = 40000`) run the dynamic transition;
+//! `compiled = true` makes those a usage error instead, and changes
+//! nothing else.
 //!
 //! Adding a protocol means extending [`ProtocolKind`] and the private
 //! `Runnable` here, and every consumer (CLI, presets, benches) picks it
@@ -179,10 +187,10 @@ fn gsu_params(kind: ProtocolKind, n: u64, spec: &ExperimentSpec) -> Params {
 }
 
 /// Check that `kind`'s compiled tables at population `n`, under the
-/// spec's parameter overrides, fit the table packing and entry ceiling
-/// ([`table_dims`]). `CompiledProtocol::new` asserts the same check, so
-/// the validator calls this first to turn an oversized override into a
-/// usage error.
+/// spec's parameter overrides, fit the table packing and the phase-table
+/// ceiling ([`table_dims`]). `Runnable::build` compiles exactly when this
+/// passes; with `compiled = true` the validator calls it first to turn
+/// an oversized override into a usage error.
 pub(crate) fn check_compiled_dims(
     kind: ProtocolKind,
     n: u64,
@@ -213,8 +221,9 @@ pub(crate) fn check_compiled_dims(
 /// config, on any thread, fill one set of role entries as they first
 /// look them up.
 pub(crate) enum Runnable {
+    /// A gsu19-family protocol whose overrides exceed the compiled
+    /// tables' packing or phase-table ceiling.
     Gsu19(Gsu19),
-    Gs18(Gs18),
     Bkko18(Bkko18),
     Slow(SlowLe),
     Clock(ClockProtocol),
@@ -223,22 +232,35 @@ pub(crate) enum Runnable {
 }
 
 impl Runnable {
-    /// Instantiate `kind` for population `n` with the spec's compiled
-    /// flag and parameter overrides (the spec validator has already
-    /// checked support).
+    /// Instantiate `kind` for population `n` with the spec's parameter
+    /// overrides: compiled whenever the protocol has tables and
+    /// [`table_dims`] accepts them. `spec.compiled` selects nothing; it
+    /// only turns a protocol without tables, or tables that do not fit,
+    /// into an error (the spec validator reports both first).
     pub fn build(kind: ProtocolKind, n: u64, spec: &ExperimentSpec) -> Result<Self, String> {
-        Ok(match (kind, spec.compiled) {
-            (k, false) if k.is_gsu_family() => Runnable::Gsu19(Gsu19::new(gsu_params(k, n, spec))),
-            (k, true) if k.is_gsu_family() => {
-                Runnable::CompiledGsu19(Gsu19::new(gsu_params(k, n, spec)).compiled())
+        if spec.compiled && !kind.supports_compiled() {
+            return Err(format!(
+                "protocol '{}' has no compiled tables (gsu19 family | gs18 only)",
+                kind.name()
+            ));
+        }
+        Ok(match kind {
+            ProtocolKind::Gsu19
+            | ProtocolKind::Gsu19NoDrag
+            | ProtocolKind::Gsu19NoBackup
+            | ProtocolKind::Gsu19Direct => {
+                let p = Gsu19::new(gsu_params(kind, n, spec));
+                match check_compiled_dims(kind, n, spec) {
+                    Ok(()) => Runnable::CompiledGsu19(p.compiled()),
+                    Err(_) if !spec.compiled => Runnable::Gsu19(p),
+                    Err(e) => return Err(e),
+                }
             }
-            (ProtocolKind::Gs18, false) => Runnable::Gs18(Gs18::for_population(n)),
-            (ProtocolKind::Gs18, true) => {
-                Runnable::CompiledGs18(Gs18::for_population(n).compiled())
-            }
-            (ProtocolKind::Bkko18, false) => Runnable::Bkko18(Bkko18::for_population(n)),
-            (ProtocolKind::Slow, false) => Runnable::Slow(SlowLe),
-            (ProtocolKind::Clock, false) => Runnable::Clock(ClockProtocol::new(
+            // No overrides reach gs18, and its derived tables fit at every n.
+            ProtocolKind::Gs18 => Runnable::CompiledGs18(Gs18::for_population(n).compiled()),
+            ProtocolKind::Bkko18 => Runnable::Bkko18(Bkko18::for_population(n)),
+            ProtocolKind::Slow => Runnable::Slow(SlowLe),
+            ProtocolKind::Clock => Runnable::Clock(ClockProtocol::new(
                 n,
                 if spec.gamma == 0 {
                     gamma_for(n)
@@ -246,15 +268,6 @@ impl Runnable {
                     spec.gamma
                 },
             )),
-            (kind, true) => {
-                return Err(format!(
-                    "protocol '{}' has no compiled tables (gsu19 family | gs18 only)",
-                    kind.name()
-                ))
-            }
-            // Guarded arms don't count toward exhaustiveness; every
-            // uncompiled kind is in fact handled above.
-            (kind, false) => unreachable!("uncompiled '{}' handled above", kind.name()),
         })
     }
 
@@ -281,7 +294,6 @@ impl Runnable {
                 };
                 run_one(p, n, seed, spec, Some(&gsu))
             }
-            Runnable::Gs18(p) => run_one(p, n, seed, spec, NoGsu::None),
             Runnable::CompiledGs18(p) => run_one(p, n, seed, spec, NoGsu::None),
             Runnable::Bkko18(p) => run_one(p, n, seed, spec, NoGsu::None),
             Runnable::Slow(p) => run_one(p, n, seed, spec, NoGsu::None),
@@ -414,21 +426,36 @@ mod tests {
         spec.compiled = true;
         assert!(Runnable::build(ProtocolKind::Bkko18, 64, &spec).is_err());
         assert!(Runnable::build(ProtocolKind::Gsu19, 64, &spec).is_ok());
+        // B = 40 725 buckets is past the table packing: `compiled = true`
+        // insists on tables, `compiled = false` falls back to the dynamic
+        // transition.
+        spec.phi = 32;
+        spec.psi = 32;
+        let err = Runnable::build(ProtocolKind::Gsu19, 1 << 10, &spec).err();
+        assert!(err.is_some_and(|e| e.contains("B = 40725")));
         spec.compiled = false;
+        match Runnable::build(ProtocolKind::Gsu19, 1 << 10, &spec).unwrap() {
+            Runnable::Gsu19(p) => assert_eq!(p.params().phi, 32),
+            _ => panic!("expected the dynamic fallback"),
+        }
+        // Whatever fits compiles, whatever `compiled` says.
         spec.gamma = 32;
         spec.phi = 2;
+        spec.psi = 0;
         match Runnable::build(ProtocolKind::Gsu19, 1 << 10, &spec).unwrap() {
-            Runnable::Gsu19(p) => {
-                assert_eq!(p.params().gamma, 32);
-                assert_eq!(p.params().phi, 2);
+            Runnable::CompiledGsu19(p) => {
+                assert_eq!(p.inner().params().gamma, 32);
+                assert_eq!(p.inner().params().phi, 2);
             }
-            _ => panic!("expected a dynamic gsu19"),
+            _ => panic!("expected a compiled gsu19"),
         }
         // Ablation kinds carry their flags through the registry.
         match Runnable::build(ProtocolKind::Gsu19NoDrag, 1 << 10, &gsu_spec()).unwrap() {
-            Runnable::Gsu19(p) => assert!(!p.params().enable_drag),
-            _ => panic!("expected a dynamic gsu19 variant"),
+            Runnable::CompiledGsu19(p) => assert!(!p.inner().params().enable_drag),
+            _ => panic!("expected a compiled gsu19 variant"),
         }
+        let gs18 = Runnable::build(ProtocolKind::Gs18, 1 << 10, &gsu_spec()).unwrap();
+        assert!(matches!(gs18, Runnable::CompiledGs18(_)));
     }
 
     #[test]
@@ -581,10 +608,11 @@ mod tests {
 
     #[test]
     fn compiled_census_decodes_states() {
-        // Compiled and plain trajectories are bit-identical, so every
+        // Compiled and dynamic trajectories are bit-identical, so every
         // observable must read the same through packed ids as through codec
         // ids — fed one entry per agent (`agent`) or one per occupied state
-        // (`urn-batched`).
+        // (`urn-batched`). The registry compiles gsu19, so the dynamic
+        // reference runs `run_one` on `Gsu19` itself.
         let census = Observables::parse("census").unwrap();
         let all = Observables::of(ObservableKind::ALL.to_vec());
         let stabilize = StopCondition::Stabilize { budget_pt: 40000.0 };
@@ -600,19 +628,24 @@ mod tests {
             (EngineKind::Agent, 512, stabilize, &all, 0.5),
             (EngineKind::UrnBatched, 4096, stabilize, &all, 0.5),
         ] {
-            let mut sp = ExperimentSpec {
+            let sp = ExperimentSpec {
                 engine,
                 stop,
                 observables: obs.clone(),
                 round_every,
                 ..gsu_spec()
             };
-            let plain = Runnable::build(ProtocolKind::Gsu19, n, &sp).unwrap();
-            sp.compiled = true;
+            let proto = Gsu19::for_population(n);
+            let gsu = Gsu {
+                params: *proto.params(),
+                decode: |s| s,
+                encode: |s| s,
+            };
+            let dynamic = run_one(&proto, n, 9, &sp, Some(&gsu));
             let compiled = Runnable::build(ProtocolKind::Gsu19, n, &sp).unwrap();
-            let a = plain.run(n, 9, &sp);
-            assert!(a.converged, "{engine:?} n = {n}");
-            assert_eq!(a, compiled.run(n, 9, &sp), "{engine:?} n = {n}");
+            assert!(matches!(compiled, Runnable::CompiledGsu19(_)));
+            assert!(dynamic.converged, "{engine:?} n = {n}");
+            assert_eq!(dynamic, compiled.run(n, 9, &sp), "{engine:?} n = {n}");
         }
     }
 

@@ -289,8 +289,12 @@ pub struct ExperimentSpec {
     pub protocols: Vec<ProtocolKind>,
     /// Execution engine shared by every config.
     pub engine: EngineKind,
-    /// Run on compiled transition tables (`ppsim::compiled`); requires
-    /// every protocol to support compilation (gsu19, gs18).
+    /// Insist on compiled transition tables (`ppsim::compiled`): every
+    /// protocol must have them (gsu19 family, gs18) and every config's
+    /// tables must fit `table_dims`. It selects no path: those protocols
+    /// run compiled whenever their tables fit, whatever this says, and
+    /// the artifact bytes are the same either way apart from this key's
+    /// echo. It stays in the echo and the cache identity.
     pub compiled: bool,
     /// Population grid.
     pub ns: Vec<u64>,
@@ -824,15 +828,19 @@ mod tests {
         spec.ns.pop();
         spec.validate().unwrap();
 
-        // Compiled tables past the entry ceiling (B = 6 685 buckets).
-        let spec = ExperimentSpec {
+        // Compiled tables past the bucket packing (B = 40 725 buckets).
+        // Under it, any bucket count compiles: the role tables are sized
+        // by the buckets a run meets (B = 6 685 here).
+        let mut spec = ExperimentSpec {
             compiled: true,
-            phi: 12,
-            psi: 12,
+            phi: 32,
+            psi: 32,
             ..ExperimentSpec::default()
         };
         let err = spec.validate().unwrap_err();
-        assert!(err.contains("B = 6685") && err.contains("limit"), "{err}");
+        assert!(err.contains("B = 40725") && err.contains("2^15"), "{err}");
+        (spec.phi, spec.psi) = (12, 12);
+        spec.validate().unwrap();
 
         let spec = ExperimentSpec {
             protocols: vec![ProtocolKind::Slow],

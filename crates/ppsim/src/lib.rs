@@ -49,12 +49,13 @@
 //! step below.
 //!
 //! Orthogonally, protocols whose transition factors through a
-//! (role bucket, clock phase) state split can be **compiled** into dense
+//! (role bucket, clock phase) state split can be **compiled** into
 //! lookup tables ([`compiled::CompiledProtocol`], trait
 //! [`compiled::FactoredProtocol`]): the phase update and the role rules
 //! are probed once and replayed at memory speed, with states as dense
-//! `u32` ids. A compiled protocol drops into either engine (and the
-//! batched path) unchanged.
+//! `u32` ids and role tables sized by the buckets a run meets. A
+//! compiled protocol drops into either engine (and the batched path)
+//! unchanged.
 //!
 //! ## Quick example
 //!

@@ -16,8 +16,10 @@
 //! the spec directly (a `key = value` file via `--spec`, with every key
 //! also available as a flag override). Engines: `agent` (exact agent
 //! array) and `urn-batched` (count-based, exact batched sampling, the
-//! only engine interactive at n ≥ 2^30). `--compiled` runs the chosen
-//! engine on compiled transition tables (gsu19 and gs18).
+//! only engine interactive at n ≥ 2^30). The gsu19 family and gs18 run
+//! on compiled transition tables on both engines whenever their tables
+//! fit; `--compiled` only makes a protocol without tables, or tables that
+//! do not fit (e.g. `--phi 32 --psi 32`), a usage error.
 //!
 //! Argument parsing is hand-rolled (the repository keeps its dependency
 //! set to the simulation essentials) but strict: unknown commands and
@@ -28,7 +30,7 @@ use std::io::{ErrorKind, Write};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
 
-use population_protocols::core::{AgentState, Census, Gsu19, Params};
+use population_protocols::core::{Census, Gsu19};
 use population_protocols::ppexp::cache::write_atomic;
 use population_protocols::ppexp::{
     merge_from_cache, merge_shards, replay_trial, run_experiment, run_experiment_cached, run_shard,
@@ -36,7 +38,7 @@ use population_protocols::ppexp::{
     ExperimentSpec, ShardOutput,
 };
 use population_protocols::ppsim::table::{fnum, Table};
-use population_protocols::ppsim::{batched_block, AgentSim, EnumerableProtocol, Simulator, UrnSim};
+use population_protocols::ppsim::{batched_block, AgentSim, CompiledProtocol, Simulator, UrnSim};
 
 /// Write to stdout: the one path every command's output takes. A reader
 /// that closes the pipe early (`ppctl params | head -1`) ends the output:
@@ -176,8 +178,8 @@ fn print_help() -> Result<(), String> {
          engines:   agent (default) | urn-batched (exact blocks of n/16\n\
          \x20          interactions from n = 4096 up, per step below)\n\
          threads:   --threads K or the PPSIM_THREADS environment variable\n\
-         --compiled runs the engine on compiled transition tables\n\
-         \x20          (ppsim::compiled; gsu19 and gs18 only)"
+         --compiled requires compiled transition tables (ppsim::compiled;\n\
+         \x20          gsu19 and gs18, which use them whenever they fit)"
     )
 }
 
@@ -886,13 +888,7 @@ fn cmd_census(args: &[String]) -> Result<i32, String> {
     apply_spec_flags(&mut spec, &flags)?;
     let n = single_population(&spec)?;
     let at = spec.stop.budget_pt();
-    let proto = Gsu19::for_population(n);
-    let c = if spec.compiled {
-        let cp = proto.compiled();
-        census_at(cp.clone(), &spec, n, |s| cp.decode_state(s))
-    } else {
-        census_at(proto, &spec, n, |s| s)
-    };
+    let c = census_at(&Gsu19::for_population(n).compiled(), &spec, n);
     outln!("census at parallel time {at} (n = {n}):")?;
     outln!("  zero / X / deactivated : {} / {} / {}", c.zero, c.x, c.d)?;
     outln!("  coins by level         : {:?}", c.coin_levels)?;
@@ -912,26 +908,22 @@ fn cmd_census(args: &[String]) -> Result<i32, String> {
     Ok(0)
 }
 
-/// The census of `proto` (`Gsu19::for_population(n)`, or its compiled form
-/// read through `decode`) after a fresh run on `spec`'s engine to its horizon.
-fn census_at<P: EnumerableProtocol>(
-    proto: P,
-    spec: &ExperimentSpec,
-    n: u64,
-    decode: impl Fn(P::State) -> AgentState,
-) -> Census {
-    let params = Params::for_population(n);
+/// The census of `proto` (`Gsu19::for_population(n)` compiled), its states
+/// decoded through it, after a fresh run on `spec`'s engine to its horizon.
+fn census_at(proto: &CompiledProtocol<Gsu19>, spec: &ExperimentSpec, n: u64) -> Census {
+    let params = proto.inner().params();
+    let decode = |s| proto.decode_state(s);
     let interactions = (spec.stop.budget_pt() * n as f64) as u64;
     match spec.engine {
         EngineKind::Agent => {
-            let mut sim = AgentSim::new(proto, n as usize, spec.seed);
+            let mut sim = AgentSim::new(proto.clone(), n as usize, spec.seed);
             sim.steps(interactions);
-            Census::of_with(&sim, &params, decode)
+            Census::of_with(&sim, params, decode)
         }
         EngineKind::UrnBatched => {
-            let mut sim = UrnSim::new(proto, n, spec.seed).with_block(batched_block(n));
+            let mut sim = UrnSim::new(proto.clone(), n, spec.seed).with_block(batched_block(n));
             sim.steps(interactions);
-            Census::of_with(&sim, &params, decode)
+            Census::of_with(&sim, params, decode)
         }
     }
 }

@@ -22,10 +22,11 @@
 use std::process::Command;
 use std::sync::Barrier;
 
+use population_protocols::baselines::Gs18;
 use population_protocols::core::{Census, Gsu19, Params};
 use population_protocols::ppsim::{
     ks_critical, ks_statistic, run_trials_threads, run_until_stable, AgentSim, CompiledProtocol,
-    EnumerableProtocol, Protocol, Simulator, UrnSim,
+    EnumerableProtocol, FactoredProtocol, Protocol, Simulator, UrnSim,
 };
 
 /// Hand-built small parameters: every role component present, state space
@@ -40,6 +41,17 @@ fn tiny_params() -> Params {
         enable_backup: true,
         skip_fast_elim: false,
         direct_withdrawal: false,
+    }
+}
+
+/// `tiny_params` with GS18's rule switches: no cascade, no drag, direct
+/// withdrawal.
+fn gs18_tiny_params() -> Params {
+    Params {
+        skip_fast_elim: true,
+        enable_drag: false,
+        direct_withdrawal: true,
+        ..tiny_params()
     }
 }
 
@@ -84,15 +96,30 @@ fn exhaustive_equivalence_tiny_params() {
 fn exhaustive_equivalence_tiny_params_ablations() {
     // The GS18-style variant (skip cascade, no drag, direct withdrawal)
     // and the no-backup variant exercise every disabled-rule branch.
-    let mut gs18ish = tiny_params();
-    gs18ish.skip_fast_elim = true;
-    gs18ish.enable_drag = false;
-    gs18ish.direct_withdrawal = true;
-    assert_exhaustive_equivalence(Gsu19::new(gs18ish));
+    assert_exhaustive_equivalence(Gsu19::new(gs18_tiny_params()));
 
     let mut no_backup = tiny_params();
     no_backup.enable_backup = false;
     assert_exhaustive_equivalence(Gsu19::new(no_backup));
+}
+
+/// The contract's output clause over every state id: a state's output is
+/// its bucket's output at phase 0, so compiled tables store one output
+/// per bucket.
+fn assert_output_is_per_bucket<P: FactoredProtocol>(proto: &P) {
+    let phases = proto.phase_count();
+    for id in 0..proto.num_states() {
+        let at_phase_0 = proto.output(proto.state_from_id(id - id % phases));
+        assert_eq!(proto.output(proto.state_from_id(id)), at_phase_0, "id {id}");
+    }
+}
+
+#[test]
+fn output_is_per_bucket_at_tiny_params() {
+    assert_output_is_per_bucket(&Gsu19::new(tiny_params()));
+    assert_output_is_per_bucket(&Gsu19::new(gs18_tiny_params()));
+    // `Gs18` itself takes no parameters: its smallest population.
+    assert_output_is_per_bucket(&Gs18::for_population(16));
 }
 
 #[test]
@@ -323,4 +350,41 @@ fn ppctl_rejects_oversized_compiled_tables_with_exit_2() {
         }
     }
     assert!(!out.exists());
+}
+
+/// The same overrides without `--compiled` run: tables that do not fit
+/// leave the protocol on the dynamic transition, and nothing insists on
+/// them. With `--compiled` they stay a usage error.
+#[test]
+fn ppctl_runs_oversized_overrides_on_the_dynamic_fallback() {
+    let dir = std::env::temp_dir().join(format!("pp-compiled-fallback-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let out = dir.join("out.json");
+    let args = [
+        "run",
+        "--protocol",
+        "gsu19",
+        "--n",
+        "1024",
+        "--at",
+        "0.001",
+        "--phi",
+        "32",
+        "--psi",
+        "32",
+        "--out",
+        out.to_str().unwrap(),
+    ];
+    for (compiled, code) in [(&[][..], 0), (&["--compiled"][..], 2)] {
+        let _ = std::fs::remove_file(&out);
+        let output = Command::new(env!("CARGO_BIN_EXE_ppctl"))
+            .args(args)
+            .args(compiled)
+            .output()
+            .expect("ppctl spawns");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(output.status.code(), Some(code), "{compiled:?}: {stderr}");
+        assert_eq!(out.exists(), code == 0, "{compiled:?}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }
