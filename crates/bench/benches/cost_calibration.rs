@@ -3,16 +3,17 @@
 //! the weighted shard partition and the in-process trial pool).
 //!
 //! The library never measures time (ppcheck's wall-clock rule): the
-//! per-(engine, compiled) throughputs in
-//! `ppexp::cost::throughput_ipus` are *committed data*, and this target
-//! is where they come from. It runs each engine on the same gsu19
-//! config under a **horizon** stop — so the interaction count is exact
-//! by construction, `n · at_pt` per trial — times the whole experiment,
-//! and prints measured interactions-per-microsecond next to the
-//! committed value. The CI quick-bench smoke runs this target, so a
-//! drifting engine shows up as a measured/committed ratio drifting away
-//! from 1 — update the table in `crates/experiments/src/cost.rs` (and
-//! say so in the commit) when it does.
+//! per-engine throughputs in `ppexp::cost::throughput_ipus` are
+//! *committed data*, and this target is where they come from. It runs
+//! each engine on the same gsu19 config, on its compiled tables as every
+//! gsu19 config runs, under a **horizon** stop — so the interaction
+//! count is exact by construction, `n · at_pt` per trial — times the
+//! whole experiment, and prints measured interactions-per-microsecond
+//! next to the committed value. The CI quick-bench smoke runs this
+//! target, so a drifting engine shows up as a measured/committed ratio
+//! drifting away from 1 — update the table in
+//! `crates/experiments/src/cost.rs` (and say so in the commit) when it
+//! does.
 //!
 //! The model only needs *relative* magnitudes to schedule well; a ratio
 //! within ~2× is fine, an order of magnitude is not.
@@ -36,22 +37,14 @@ fn main() {
          (n = {n}, horizon {horizon_pt} pt, {trials} trials, {sc:?} scale) ===\n"
     );
 
-    let combos: &[(&str, EngineKind, bool)] = &[
-        ("agent", EngineKind::Agent, false),
-        ("agent --compiled", EngineKind::Agent, true),
-        ("urn-batched", EngineKind::UrnBatched, false),
-        ("urn-batched --compiled", EngineKind::UrnBatched, true),
-    ];
-
     let mut t = Table::new(["engine", "secs", "measured int/us", "committed", "ratio"]);
-    for &(label, engine, compiled) in combos {
+    for engine in [EngineKind::Agent, EngineKind::UrnBatched] {
         let spec = ExperimentSpec {
             protocols: vec![ProtocolKind::Gsu19],
             ns: vec![n],
             trials,
             seed: 1,
             engine,
-            compiled,
             stop: StopCondition::Horizon { at_pt: horizon_pt },
             threads: 1,
             ..ExperimentSpec::default()
@@ -62,9 +55,9 @@ fn main() {
         run_experiment(&spec).expect("calibration preset runs");
         let secs = start.elapsed().as_secs_f64();
         let measured = interactions / (secs * 1e6);
-        let committed = throughput_ipus(engine, compiled) as f64;
+        let committed = throughput_ipus(engine) as f64;
         t.row([
-            label.to_string(),
+            engine.name().to_string(),
             fnum(secs),
             fnum(measured),
             fnum(committed),

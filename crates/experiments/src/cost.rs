@@ -8,7 +8,7 @@
 //! per trial (a model microsecond on the calibration machine):
 //!
 //! ```text
-//! cost = expected interactions / throughput(engine, compiled)
+//! cost = expected interactions / throughput(engine)
 //! ```
 //!
 //! Both scheduling layers consume it: the in-process trial pool
@@ -117,29 +117,18 @@ pub fn expected_interactions(spec: &ExperimentSpec, protocol: ProtocolKind, n: u
 }
 
 /// Committed throughput table, in **interactions per model
-/// microsecond** (= millions of interactions per second), per
-/// `(engine, compiled)`. Calibrated by the bench crate's
+/// microsecond** (= millions of interactions per second), per engine:
+/// the rate of gsu19 on its compiled tables, the path every gsu19-family
+/// and gs18 config takes. Calibrated by the bench crate's
 /// `cost_calibration` target (quick scale, single core, gsu19 under a
 /// horizon stop so interaction counts are exact); re-run it with
 /// `PP_SCALE=quick cargo bench -p bench --bench cost_calibration`
 /// whenever an engine changes materially and update these numbers in
 /// the same commit. Only relative magnitudes matter to scheduling.
-pub fn throughput_ipus(engine: EngineKind, compiled: bool) -> u64 {
+pub fn throughput_ipus(engine: EngineKind) -> u64 {
     match engine {
-        EngineKind::Agent => {
-            if compiled {
-                25
-            } else {
-                20
-            }
-        }
-        EngineKind::UrnBatched => {
-            if compiled {
-                14
-            } else {
-                17
-            }
-        }
+        EngineKind::Agent => 25,
+        EngineKind::UrnBatched => 14,
     }
 }
 
@@ -152,7 +141,7 @@ const MAX_COST_UNITS: u64 = 1 << 60;
 /// arguments and bit-identical across platforms, so every worker and
 /// the merge derive the same weighted partition independently.
 pub fn trial_cost_units(spec: &ExperimentSpec, protocol: ProtocolKind, n: u64) -> u64 {
-    let ipus = throughput_ipus(spec.engine, spec.compiled) as f64;
+    let ipus = throughput_ipus(spec.engine) as f64;
     let units = (expected_interactions(spec, protocol, n) / ipus).ceil();
     if units >= MAX_COST_UNITS as f64 {
         MAX_COST_UNITS
@@ -250,9 +239,12 @@ mod tests {
             ..ExperimentSpec::default()
         };
         let agent = trial_cost_units(&spec, ProtocolKind::Gsu19, n);
+        spec.engine = EngineKind::UrnBatched;
+        let urn = trial_cost_units(&spec, ProtocolKind::Gsu19, n);
+        assert!(agent < urn);
+        // `compiled` selects no path, so it costs nothing either way.
         spec.compiled = true;
-        let compiled = trial_cost_units(&spec, ProtocolKind::Gsu19, n);
-        assert!(compiled < agent);
+        assert_eq!(trial_cost_units(&spec, ProtocolKind::Gsu19, n), urn);
     }
 
     #[test]
@@ -264,7 +256,7 @@ mod tests {
         // Pin the default-spec value so accidental model edits are
         // loud: gsu19, agent engine, n = 2^12 → parallel time
         // 12 · lg2(4096) · lglg2(4096) = 12 · 12 · 3.5 = 504 pt,
-        // 4096 · 504 interactions / 20 ipus = 103 220 units (ceil).
-        assert_eq!(a, 103_220);
+        // 4096 · 504 interactions / 25 ipus = 82 576 units (ceil).
+        assert_eq!(a, 82_576);
     }
 }

@@ -188,14 +188,15 @@ pub(crate) fn load_cached(
 ///
 /// The one execution kernel: a run, a shard, a resumed shard and a
 /// replay all fill their slots here, so they produce bit-identical
-/// records by construction.
+/// records by construction. Each of them validates `spec` first, which
+/// is `Runnable::build`'s precondition.
 pub(crate) fn run_pool(
     spec: &ExperimentSpec,
     jobs: &[PlannedTrial],
     slots: &mut [Option<TrialRecord>],
     cache: Option<&Cache>,
     stats: &mut CacheStats,
-) -> Result<(), String> {
+) {
     let empty = slots.iter().filter(|r| r.is_none()).count();
     let slices = cache
         .map(|cache| load_cached(spec, jobs, slots, cache))
@@ -208,7 +209,7 @@ pub(crate) fn run_pool(
     stats.hits += empty - missing.len();
     stats.misses += missing.len();
     if missing.is_empty() {
-        return Ok(());
+        return;
     }
 
     // One Runnable per config with misses, shared by the pool workers; a
@@ -217,7 +218,7 @@ pub(crate) fn run_pool(
     for &i in &missing {
         let job = &jobs[i];
         if runnables[job.config].is_none() {
-            runnables[job.config] = Some(Runnable::build(job.protocol, job.n, spec)?);
+            runnables[job.config] = Some(Runnable::build(job.protocol, job.n, spec));
         }
     }
     let fresh = run_trials_threads(missing.len(), 0, effective_threads(spec), |k, _| {
@@ -256,7 +257,6 @@ pub(crate) fn run_pool(
             "warning: config {config}: {count} trial cache store(s) failed: {first}"
         );
     }
-    Ok(())
 }
 
 /// Aggregate a whole plan's records, in canonical plan order, into the
@@ -309,7 +309,7 @@ pub fn run_experiment_cached(
     let plan = trial_plan(spec);
     let mut slots = vec![None; plan.len()];
     let mut stats = CacheStats::default();
-    run_pool(spec, &plan, &mut slots, cache, &mut stats)?;
+    run_pool(spec, &plan, &mut slots, cache, &mut stats);
     let records = slots
         .into_iter()
         .map(|r| r.expect("run_pool fills every slot"))
@@ -343,7 +343,7 @@ pub fn replay_trial(
         &mut slot,
         None,
         &mut CacheStats::default(),
-    )?;
+    );
     Ok(slot[0].take().expect("run_pool fills every slot"))
 }
 

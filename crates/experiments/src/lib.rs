@@ -5,7 +5,7 @@
 //! with one pipeline:
 //!
 //! * an [`ExperimentSpec`] *declares* a study — protocols × population
-//!   grid, engine (including compiled tables), trials, master seed,
+//!   grid, engine, trials, master seed,
 //!   stopping condition, observables, optional trajectory sample points;
 //! * [`run_experiment`] expands it into a deterministic plan of trial
 //!   jobs, shards them over `ppsim::run_trials_threads`, summarises each

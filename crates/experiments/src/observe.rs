@@ -236,13 +236,13 @@ impl Observables {
     }
 }
 
-/// The GSU19 capability of a gsu19-family trial: the parameters, the
-/// decoder from a simulated state to its [`AgentState`] that every census
-/// reads through, and the encoder a synthetic initial configuration is
-/// written through — the identity for `Gsu19`, `decode_state` and
-/// `encode_state` for its compiled form. The spec validator guarantees
-/// census-needing observables and stop conditions, and synthetic inits,
-/// only reach trials that have one.
+/// The GSU19 capability of a trial on the GSU19 substrate (the gsu19
+/// family and gs18): the parameters, the decoder from a simulated state
+/// to its [`AgentState`] that every census reads through, and the encoder
+/// a synthetic initial configuration is written through — the identity
+/// for `Gsu19`, `decode_state` and `encode_state` for its compiled form.
+/// The spec validator guarantees census-needing observables and stop
+/// conditions, and synthetic inits, only reach the gsu19 family.
 pub(crate) struct Gsu<D, E> {
     pub params: Params,
     pub decode: D,
@@ -533,8 +533,8 @@ fn is_settled<S: Simulator>(sim: &S) -> bool {
 ///
 /// `proto` is the protocol `sim` runs: it names the states
 /// (`EnumerableProtocol::state_id`) and reports their epochs
-/// (`Protocol::epoch_of`). `gsu` is the census capability of the gsu19
-/// family and `None` for every other protocol. `drive` alone decides when
+/// (`Protocol::epoch_of`). `gsu` is the census capability of the GSU19
+/// substrate and `None` for every other protocol. `drive` alone decides when
 /// to take a census: the stop-point metrics and `sample_at` rows take one
 /// only when `spec.observables.needs_census()`, an observation point only
 /// for `round_census`, `drag_times` or `epoch_candidates`, and `drag:` and

@@ -4,18 +4,19 @@
 //! protocols run on compiled transition tables, and how to start one
 //! trial of it on any engine.
 //!
-//! The gsu19 family and gs18 run on `ppsim::compiled` tables on every
-//! engine whenever `table_dims` accepts their parameters. Only gsu19
-//! overrides past the bucket packing or the phase-table ceiling (such as
-//! `phi = 32, psi = 32` or `gamma = 40000`) run the dynamic transition;
-//! `compiled = true` makes those a usage error instead, and changes
-//! nothing else.
+//! The gsu19 family and gs18 share the GSU19 substrate and run on its
+//! `ppsim::compiled` tables on every engine: one `Runnable` arm compiles
+//! `Gsu19` under the kind's parameters (gs18's come from
+//! `Gs18::for_population`). Spec validation rejects overrides past the
+//! bucket packing or the phase-table ceiling (such as `phi = 32, psi = 32`
+//! or `gamma = 4098`) first, whatever `compiled` says; `compiled = true`
+//! only insists that every protocol has tables.
 //!
 //! Adding a protocol means extending [`ProtocolKind`] and the private
 //! `Runnable` here, and every consumer (CLI, presets, benches) picks it
 //! up. A trial builds its simulator in `run_one` and hands it, with the
 //! spec and the protocol, to the one trial driver (`observe::drive`). The
-//! two gsu19 arms of `Runnable::run` also hand over the GSU19 codec
+//! substrate's arm of `Runnable::run` also hands over the GSU19 codec
 //! (`observe::Gsu`) that every census and the synthetic initial
 //! configuration go through.
 
@@ -164,15 +165,17 @@ impl TrialOutcome {
     }
 }
 
-/// GSU19 parameters for one grid point, with the spec's overrides
-/// applied.
+/// GSU19-substrate parameters of `kind` (the gsu19 family or gs18) for
+/// one grid point, with the spec's overrides applied (validation keeps
+/// them off gs18).
 fn gsu_params(kind: ProtocolKind, n: u64, spec: &ExperimentSpec) -> Params {
     let mut p = match kind {
         ProtocolKind::Gsu19 => Params::for_population(n),
         ProtocolKind::Gsu19NoDrag => *gsu_no_drag(n).params(),
         ProtocolKind::Gsu19NoBackup => *gsu_no_backup(n).params(),
         ProtocolKind::Gsu19Direct => *gsu_direct_withdrawal(n).params(),
-        _ => unreachable!("gsu_params called for a non-gsu protocol"),
+        ProtocolKind::Gs18 => *Gs18::for_population(n).params(),
+        _ => unreachable!("gsu_params called off the GSU19 substrate"),
     };
     if spec.gamma != 0 {
         p.gamma = spec.gamma;
@@ -188,30 +191,25 @@ fn gsu_params(kind: ProtocolKind, n: u64, spec: &ExperimentSpec) -> Params {
 
 /// Check that `kind`'s compiled tables at population `n`, under the
 /// spec's parameter overrides, fit the table packing and the phase-table
-/// ceiling ([`table_dims`]). `Runnable::build` compiles exactly when this
-/// passes; with `compiled = true` the validator calls it first to turn
-/// an oversized override into a usage error.
+/// ceiling ([`table_dims`]). The validator calls it for every config, so
+/// `Runnable::build` can compile unconditionally.
 pub(crate) fn check_compiled_dims(
     kind: ProtocolKind,
     n: u64,
     spec: &ExperimentSpec,
 ) -> Result<(), String> {
-    let (checked, gamma) = match kind {
-        k if k.is_gsu_family() => {
-            let p = Gsu19::new(gsu_params(k, n, spec));
-            (table_dims(&p), p.params().gamma)
-        }
-        ProtocolKind::Gs18 => {
-            let p = Gs18::for_population(n);
-            (table_dims(&p), p.params().gamma)
-        }
-        _ => return Ok(()),
-    };
-    checked.map(|_| ()).map_err(|e| {
+    // Derived parameters always fit: `gamma_for` clamps Γ to at most 128,
+    // and Φ ≤ 19, Ψ ≤ 12 keep B under 10 000. Only overrides can leave
+    // the tables.
+    if !kind.supports_compiled() || (spec.gamma, spec.phi, spec.psi) == (0, 0, 0) {
+        return Ok(());
+    }
+    let p = Gsu19::new(gsu_params(kind, n, spec));
+    table_dims(&p).map(|_| ()).map_err(|e| {
         format!(
-            "compiled = true: '{}' at n = {n} (Γ = {gamma}) cannot be compiled: {e}; \
-             run it with compiled = false",
-            kind.name()
+            "'{}' at n = {n} (Γ = {}) does not fit the compiled transition tables: {e}",
+            kind.name(),
+            p.params().gamma
         )
     })
 }
@@ -221,43 +219,29 @@ pub(crate) fn check_compiled_dims(
 /// config, on any thread, fill one set of role entries as they first
 /// look them up.
 pub(crate) enum Runnable {
-    /// A gsu19-family protocol whose overrides exceed the compiled
-    /// tables' packing or phase-table ceiling.
-    Gsu19(Gsu19),
+    /// The GSU19 substrate on compiled tables: the gsu19 family and gs18.
+    Gsu19(CompiledProtocol<Gsu19>),
     Bkko18(Bkko18),
     Slow(SlowLe),
     Clock(ClockProtocol),
-    CompiledGsu19(CompiledProtocol<Gsu19>),
-    CompiledGs18(CompiledProtocol<Gs18>),
 }
 
 impl Runnable {
     /// Instantiate `kind` for population `n` with the spec's parameter
-    /// overrides: compiled whenever the protocol has tables and
-    /// [`table_dims`] accepts them. `spec.compiled` selects nothing; it
-    /// only turns a protocol without tables, or tables that do not fit,
-    /// into an error (the spec validator reports both first).
-    pub fn build(kind: ProtocolKind, n: u64, spec: &ExperimentSpec) -> Result<Self, String> {
-        if spec.compiled && !kind.supports_compiled() {
-            return Err(format!(
-                "protocol '{}' has no compiled tables (gsu19 family | gs18 only)",
-                kind.name()
-            ));
-        }
-        Ok(match kind {
+    /// overrides. The gsu19 family and gs18 compile their tables here.
+    ///
+    /// Precondition: `spec` passed [`ExperimentSpec::validate`], which
+    /// rejects overrides the protocol does not take and tables that do
+    /// not fit; `CompiledProtocol::new` panics on the latter.
+    pub fn build(kind: ProtocolKind, n: u64, spec: &ExperimentSpec) -> Self {
+        match kind {
             ProtocolKind::Gsu19
             | ProtocolKind::Gsu19NoDrag
             | ProtocolKind::Gsu19NoBackup
-            | ProtocolKind::Gsu19Direct => {
-                let p = Gsu19::new(gsu_params(kind, n, spec));
-                match check_compiled_dims(kind, n, spec) {
-                    Ok(()) => Runnable::CompiledGsu19(p.compiled()),
-                    Err(_) if !spec.compiled => Runnable::Gsu19(p),
-                    Err(e) => return Err(e),
-                }
+            | ProtocolKind::Gsu19Direct
+            | ProtocolKind::Gs18 => {
+                Runnable::Gsu19(Gsu19::new(gsu_params(kind, n, spec)).compiled())
             }
-            // No overrides reach gs18, and its derived tables fit at every n.
-            ProtocolKind::Gs18 => Runnable::CompiledGs18(Gs18::for_population(n).compiled()),
             ProtocolKind::Bkko18 => Runnable::Bkko18(Bkko18::for_population(n)),
             ProtocolKind::Slow => Runnable::Slow(SlowLe),
             ProtocolKind::Clock => Runnable::Clock(ClockProtocol::new(
@@ -268,25 +252,17 @@ impl Runnable {
                     spec.gamma
                 },
             )),
-        })
+        }
     }
 
     /// Run one trial of `spec` at population `n` from the trial seed
-    /// `seed`. The two gsu19 arms build the trial's [`Gsu`] (census decoder
-    /// and synthetic-init encoder); the spec validator guarantees
+    /// `seed`. The substrate's arm builds the trial's [`Gsu`] (census
+    /// decoder and synthetic-init encoder); the spec validator guarantees
     /// census-needing observables/stops and synthetic inits only reach
-    /// them.
+    /// the gsu19 family.
     pub fn run(&self, n: u64, seed: u64, spec: &ExperimentSpec) -> TrialOutcome {
         match self {
             Runnable::Gsu19(p) => {
-                let gsu = Gsu {
-                    params: *p.params(),
-                    decode: |s| s,
-                    encode: |s| s,
-                };
-                run_one(p, n, seed, spec, Some(&gsu))
-            }
-            Runnable::CompiledGsu19(p) => {
                 let gsu = Gsu {
                     params: *p.inner().params(),
                     decode: |s| p.decode_state(s),
@@ -294,7 +270,6 @@ impl Runnable {
                 };
                 run_one(p, n, seed, spec, Some(&gsu))
             }
-            Runnable::CompiledGs18(p) => run_one(p, n, seed, spec, NoGsu::None),
             Runnable::Bkko18(p) => run_one(p, n, seed, spec, NoGsu::None),
             Runnable::Slow(p) => run_one(p, n, seed, spec, NoGsu::None),
             Runnable::Clock(p) => run_one(p, n, seed, spec, NoGsu::None),
@@ -302,7 +277,7 @@ impl Runnable {
     }
 }
 
-/// The `gsu` of a protocol outside the gsu19 family: no census and no
+/// The `gsu` of a protocol off the GSU19 substrate: no census and no
 /// synthetic init.
 type NoGsu<'a, St> = Option<&'a Gsu<fn(St) -> AgentState, fn(AgentState) -> St>>;
 
@@ -421,41 +396,73 @@ mod tests {
     }
 
     #[test]
-    fn build_rejects_uncompilable_and_applies_overrides() {
+    fn build_applies_overrides_on_the_compiled_substrate() {
         let mut spec = gsu_spec();
-        spec.compiled = true;
-        assert!(Runnable::build(ProtocolKind::Bkko18, 64, &spec).is_err());
-        assert!(Runnable::build(ProtocolKind::Gsu19, 64, &spec).is_ok());
-        // B = 40 725 buckets is past the table packing: `compiled = true`
-        // insists on tables, `compiled = false` falls back to the dynamic
-        // transition.
-        spec.phi = 32;
-        spec.psi = 32;
-        let err = Runnable::build(ProtocolKind::Gsu19, 1 << 10, &spec).err();
-        assert!(err.is_some_and(|e| e.contains("B = 40725")));
-        spec.compiled = false;
-        match Runnable::build(ProtocolKind::Gsu19, 1 << 10, &spec).unwrap() {
-            Runnable::Gsu19(p) => assert_eq!(p.params().phi, 32),
-            _ => panic!("expected the dynamic fallback"),
-        }
-        // Whatever fits compiles, whatever `compiled` says.
         spec.gamma = 32;
         spec.phi = 2;
-        spec.psi = 0;
-        match Runnable::build(ProtocolKind::Gsu19, 1 << 10, &spec).unwrap() {
-            Runnable::CompiledGsu19(p) => {
-                assert_eq!(p.inner().params().gamma, 32);
-                assert_eq!(p.inner().params().phi, 2);
+        let Runnable::Gsu19(p) = Runnable::build(ProtocolKind::Gsu19, 1 << 10, &spec) else {
+            panic!("expected the compiled substrate");
+        };
+        assert_eq!(p.inner().params().gamma, 32);
+        assert_eq!(p.inner().params().phi, 2);
+        // Ablation kinds and gs18 carry their flags through the registry.
+        let params = |kind| match Runnable::build(kind, 1 << 10, &gsu_spec()) {
+            Runnable::Gsu19(p) => *p.inner().params(),
+            _ => panic!("expected the compiled substrate for {kind:?}"),
+        };
+        assert!(!params(ProtocolKind::Gsu19NoDrag).enable_drag);
+        assert_eq!(
+            params(ProtocolKind::Gs18),
+            *Gs18::for_population(1 << 10).params()
+        );
+    }
+
+    #[test]
+    fn derived_parameters_fit_the_tables_at_every_n() {
+        // `check_compiled_dims` skips specs without overrides on this
+        // ground, so every population a spec can name must fit.
+        let ns = (4..64)
+            .map(|e| 1u64 << e)
+            .chain([17, 1000, 3 << 40, u64::MAX]);
+        for n in ns {
+            for kind in ProtocolKind::ALL
+                .into_iter()
+                .filter(|k| k.supports_compiled())
+            {
+                let p = Gsu19::new(gsu_params(kind, n, &gsu_spec()));
+                let dims = table_dims(&p);
+                assert!(dims.is_ok(), "{kind:?} at n = {n}: {dims:?}");
             }
-            _ => panic!("expected a compiled gsu19"),
         }
-        // Ablation kinds carry their flags through the registry.
-        match Runnable::build(ProtocolKind::Gsu19NoDrag, 1 << 10, &gsu_spec()).unwrap() {
-            Runnable::CompiledGsu19(p) => assert!(!p.inner().params().enable_drag),
-            _ => panic!("expected a compiled gsu19 variant"),
+    }
+
+    #[test]
+    fn gs18_on_the_substrate_matches_its_own_compiled_tables() {
+        // The substrate arm compiles `Gsu19` under gs18's parameters and
+        // hands over the GSU19 codec. `Gs18`'s own tables, run without a
+        // codec, must give the same records bit for bit, on the per-step
+        // agent engine and on the batched urn, with `observed_states`
+        // counting packed ids.
+        for (engine, n) in [(EngineKind::Agent, 512u64), (EngineKind::UrnBatched, 4096)] {
+            let sp = ExperimentSpec {
+                protocols: vec![ProtocolKind::Gs18],
+                engine,
+                round_every: 0.5,
+                ..spec(
+                    StopCondition::Stabilize { budget_pt: 40000.0 },
+                    "observed_states",
+                )
+            };
+            sp.validate().unwrap();
+            let own = Gs18::for_population(n).compiled();
+            let substrate = Runnable::build(ProtocolKind::Gs18, n, &sp);
+            for seed in [3, 4] {
+                let reference = run_one(&own, n, seed, &sp, NoGsu::None);
+                assert!(reference.converged, "{engine:?} n = {n}");
+                assert!(reference.metric("observed_states").unwrap() > 2.0);
+                assert_eq!(substrate.run(n, seed, &sp), reference, "{engine:?} n = {n}");
+            }
         }
-        let gs18 = Runnable::build(ProtocolKind::Gs18, 1 << 10, &gsu_spec()).unwrap();
-        assert!(matches!(gs18, Runnable::CompiledGs18(_)));
     }
 
     #[test]
@@ -466,7 +473,7 @@ mod tests {
             },
             "core",
         );
-        let r = Runnable::build(ProtocolKind::Slow, 64, &sp).unwrap();
+        let r = Runnable::build(ProtocolKind::Slow, 64, &sp);
         let out = r.run(64, 1, &sp);
         assert!(out.converged);
         assert_eq!(out.metric("leaders"), Some(1.0));
@@ -482,7 +489,7 @@ mod tests {
             sample_at: vec![1.0, 2.0, 4.0],
             ..spec(StopCondition::Horizon { at_pt: 4.0 }, "census")
         };
-        let r = Runnable::build(ProtocolKind::Gsu19, 256, &sp).unwrap();
+        let r = Runnable::build(ProtocolKind::Gsu19, 256, &sp);
         let out = r.run(256, 3, &sp);
         assert!(out.converged);
         assert!(out.metric("coins_ge0").is_some());
@@ -500,7 +507,7 @@ mod tests {
             "round_census,observed_states",
         );
         let n = 256u64;
-        let r = Runnable::build(ProtocolKind::Gsu19, n, &sp).unwrap();
+        let r = Runnable::build(ProtocolKind::Gsu19, n, &sp);
         let a = r.run(n, 5, &sp);
         let b = r.run(n, 9, &sp);
         let series_a = a.traces.iter().find(|s| s.name == "rc_active").unwrap();
@@ -521,7 +528,7 @@ mod tests {
             "epoch_candidates",
         );
         let n = 256u64;
-        let r = Runnable::build(ProtocolKind::Gsu19, n, &sp).unwrap();
+        let r = Runnable::build(ProtocolKind::Gsu19, n, &sp);
         let out = r.run(n, 12, &sp);
         assert!(out.converged);
         // At least the first epochs of the countdown were seen, values
@@ -548,7 +555,7 @@ mod tests {
             "drag_times",
         );
         let n = 512u64;
-        let r = Runnable::build(ProtocolKind::Gsu19, n, &sp).unwrap();
+        let r = Runnable::build(ProtocolKind::Gsu19, n, &sp);
         let out = r.run(n, 13, &sp);
         assert!(out.converged, "drag 1 not reached");
         let t1 = out.metric("drag_ge1_pt").expect("first drag-1 time");
@@ -571,7 +578,7 @@ mod tests {
             "core",
         );
         let n = 256u64;
-        let r = Runnable::build(ProtocolKind::Gsu19, n, &sp).unwrap();
+        let r = Runnable::build(ProtocolKind::Gsu19, n, &sp);
         let out = r.run(n, 7, &sp);
         assert!(out.converged);
         assert!(
@@ -597,7 +604,7 @@ mod tests {
                 "census",
             )
         };
-        let r = Runnable::build(ProtocolKind::Gsu19, n, &sp).unwrap();
+        let r = Runnable::build(ProtocolKind::Gsu19, n, &sp);
         let out = r.run(n, 17, &sp);
         assert!(out.converged, "never got down to one active");
         assert_eq!(out.metric("active"), Some(1.0));
@@ -642,8 +649,7 @@ mod tests {
                 encode: |s| s,
             };
             let dynamic = run_one(&proto, n, 9, &sp, Some(&gsu));
-            let compiled = Runnable::build(ProtocolKind::Gsu19, n, &sp).unwrap();
-            assert!(matches!(compiled, Runnable::CompiledGsu19(_)));
+            let compiled = Runnable::build(ProtocolKind::Gsu19, n, &sp);
             assert!(dynamic.converged, "{engine:?} n = {n}");
             assert_eq!(dynamic, compiled.run(n, 9, &sp), "{engine:?} n = {n}");
         }
@@ -653,7 +659,7 @@ mod tests {
     fn clock_epoch_times_track_rounds() {
         let sp = spec(StopCondition::Horizon { at_pt: 400.0 }, "epoch_times");
         let n = 512u64;
-        let r = Runnable::build(ProtocolKind::Clock, n, &sp).unwrap();
+        let r = Runnable::build(ProtocolKind::Clock, n, &sp);
         let out = r.run(n, 19, &sp);
         // The clock ticks: several round events, at increasing times,
         // each carrying the reported (wrapping) counter value.

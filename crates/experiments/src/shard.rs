@@ -341,7 +341,7 @@ pub fn run_shard(
         }
         stats.resumed = prior.records.len();
     }
-    run_pool(spec, &slice, &mut slots, cache, &mut stats.cache)?;
+    run_pool(spec, &slice, &mut slots, cache, &mut stats.cache);
     let records = slice
         .iter()
         .zip(slots)

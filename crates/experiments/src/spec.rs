@@ -289,11 +289,11 @@ pub struct ExperimentSpec {
     pub protocols: Vec<ProtocolKind>,
     /// Execution engine shared by every config.
     pub engine: EngineKind,
-    /// Insist on compiled transition tables (`ppsim::compiled`): every
-    /// protocol must have them (gsu19 family, gs18) and every config's
-    /// tables must fit `table_dims`. It selects no path: those protocols
-    /// run compiled whenever their tables fit, whatever this says, and
-    /// the artifact bytes are the same either way apart from this key's
+    /// Insist that every protocol has compiled transition tables
+    /// (`ppsim::compiled`; the gsu19 family and gs18). It selects no
+    /// path: those protocols always run on their tables, and validation
+    /// checks that the tables fit `table_dims` whatever this says, so the
+    /// artifact bytes are the same either way apart from this key's
     /// echo. It stays in the echo and the cache identity.
     pub compiled: bool,
     /// Population grid.
@@ -447,7 +447,7 @@ impl ExperimentSpec {
             return Err(format!("population {n} too small (need n >= 2)"));
         }
         // GSU19's parameters (`Params::for_population` asserts) size the
-        // gsu19 family and gs18, and the compiled-table check below.
+        // gsu19 family and gs18, and their table check below.
         if let Some(&n) = self.ns.iter().find(|&&n| n < 16) {
             if let Some(p) = self.protocols.iter().find(|p| p.supports_compiled()) {
                 return Err(format!(
@@ -553,13 +553,12 @@ impl ExperimentSpec {
                 ));
             }
         }
-        if self.compiled {
-            // After the override range checks: the tables are sized from
-            // the overridden parameters.
-            for &protocol in &self.protocols {
-                for &n in &self.ns {
-                    check_compiled_dims(protocol, n, self)?;
-                }
+        // After the override range checks: the tables are sized from the
+        // overridden parameters, and every gsu19-family and gs18 config
+        // runs on them.
+        for &protocol in &self.protocols {
+            for &n in &self.ns {
+                check_compiled_dims(protocol, n, self)?;
             }
         }
         if self.protocols.contains(&ProtocolKind::Clock)
@@ -828,19 +827,34 @@ mod tests {
         spec.ns.pop();
         spec.validate().unwrap();
 
-        // Compiled tables past the bucket packing (B = 40 725 buckets).
-        // Under it, any bucket count compiles: the role tables are sized
-        // by the buckets a run meets (B = 6 685 here).
-        let mut spec = ExperimentSpec {
-            compiled: true,
-            phi: 32,
-            psi: 32,
-            ..ExperimentSpec::default()
-        };
-        let err = spec.validate().unwrap_err();
-        assert!(err.contains("B = 40725") && err.contains("2^15"), "{err}");
-        (spec.phi, spec.psi) = (12, 12);
-        spec.validate().unwrap();
+        // Tables past the bucket packing (B = 40 725 buckets) or the
+        // phase-table ceiling (Γ = 4098) are an error whatever `compiled`
+        // says. Under them, any bucket count compiles: the role tables are
+        // sized by the buckets a run meets (B = 6 685 here).
+        for compiled in [false, true] {
+            for (gamma, phi, psi, needles) in [
+                (0, 32, 32, ["B = 40725", "2^15"]),
+                (4098, 0, 0, ["Γ = 4098", "limit 67108864"]),
+            ] {
+                let spec = ExperimentSpec {
+                    compiled,
+                    gamma,
+                    phi,
+                    psi,
+                    ..ExperimentSpec::default()
+                };
+                let err = spec.validate().unwrap_err();
+                assert!(needles.iter().all(|s| err.contains(s)), "{err}");
+                assert!(!err.contains("compiled = false"), "{err}");
+            }
+            let spec = ExperimentSpec {
+                compiled,
+                phi: 12,
+                psi: 12,
+                ..ExperimentSpec::default()
+            };
+            spec.validate().unwrap();
+        }
 
         let spec = ExperimentSpec {
             protocols: vec![ProtocolKind::Slow],
@@ -1075,5 +1089,202 @@ mod tests {
             .map(|v| v.as_str().unwrap().to_string())
             .collect();
         assert_eq!(names, vec!["drag_times", "epoch_candidates"]);
+    }
+
+    /// Seeded draws for `random_spec_text`.
+    struct Draw<'a>(&'a mut u64);
+
+    impl Draw<'_> {
+        fn below(&mut self, k: usize) -> usize {
+            (ppsim::rng::splitmix64(self.0) % k as u64) as usize
+        }
+
+        /// A value from `(valid, edge)`: valid three times in four.
+        fn value(&mut self, (valid, edge): (&[&'static str], &[&'static str])) -> &'static str {
+            let pool = if edge.is_empty() || (!valid.is_empty() && self.below(4) != 0) {
+                valid
+            } else {
+                edge
+            };
+            pool[self.below(pool.len())]
+        }
+    }
+
+    /// A random spec file: each key (under a random one of its spellings)
+    /// appears with probability 1/3 (1/2 for gamma, phi and psi), with a
+    /// well-formed value three times in four and otherwise an
+    /// out-of-range or malformed one. The values cover n grids in all
+    /// three forms, every stop and init form, and gamma/phi/psi at and
+    /// past the compiled tables' bounds (Γ = 4096 fits and 4098 does not;
+    /// φ = 25, ψ = 32 gives B = 32 395 < 2^15, and φ = ψ = 32 gives
+    /// B = 40 725).
+    fn random_spec_text(rng: &mut u64) -> String {
+        type Values = &'static [&'static str];
+        let keys: [(Values, Values, Values); 18] = [
+            (&["protocols", "protocol"], &[], &[]),
+            (&["engine"], &["agent", "urn-batched"], &["urn"]),
+            (&["compiled"], &["true", "false"], &["maybe"]),
+            (&["n"], &[], &[]),
+            (&["trials"], &["1", "2"], &["0", "2097152", "-1"]),
+            (&["seed"], &["0", "18446744073709551615"], &["-3"]),
+            (&["threads"], &["0", "2"], &["x"]),
+            (
+                &["stop"],
+                &[
+                    "stabilize:100",
+                    "horizon:3",
+                    "drag:1:100",
+                    "active:1:100",
+                    "active:0:1e308",
+                    "settled:50",
+                ],
+                &[
+                    "stabilize:0",
+                    "stabilize:nan",
+                    "horizon:-1",
+                    "drag:0:100",
+                    "drag:13:100",
+                    "drag:x:100",
+                    "drag:2",
+                    "active:1",
+                    "sometime:5",
+                ],
+            ),
+            (&["budget"], &["100"], &["0", "inf", "x"]),
+            (&["at"], &["2", "1e-300"], &["0", "x"]),
+            (
+                &["observables"],
+                &[
+                    "core",
+                    "census",
+                    "observed_states",
+                    "epoch_times",
+                    "epoch_candidates, drag_times",
+                    "round_census, level_sizes, junta_size, drag_histogram",
+                ],
+                &["censsus"],
+            ),
+            (
+                &["round_every", "round-every"],
+                &["1", "0.5"],
+                &["0", "nan"],
+            ),
+            (
+                &["init"],
+                &["fresh", "final-epoch:4", "final-epoch:4lg"],
+                &[
+                    "final-epoch:0",
+                    "final-epoch:100000",
+                    "final-epoch:18446744073709551615lg",
+                    "warmed-up",
+                ],
+            ),
+            (
+                &["gamma"],
+                &["0", "4", "32", "128", "4096"],
+                &["3", "5", "4098", "40000", "65536"],
+            ),
+            (&["phi"], &["0", "2", "25", "32"], &["33", "256"]),
+            (&["psi"], &["0", "2", "32"], &["33"]),
+            (&["sample_at", "sample-at"], &["", "1, 2"], &["2, 1", "0"]),
+            (&["trails"], &[], &["5"]),
+        ];
+        let protocols = (
+            &[
+                "gsu19",
+                "gsu19-no-drag",
+                "gsu19-no-backup",
+                "gsu19-direct",
+                "gs18",
+                "bkko18",
+                "slow",
+                "clock",
+            ][..],
+            &["gsu20"][..],
+        );
+        let single = (
+            &["16", "100", "1024", "4096", "1099511627776"][..],
+            &[
+                "0",
+                "2",
+                "3",
+                "15",
+                "134217729",
+                "18446744073709551615",
+                "18446744073709551616",
+                "x",
+            ][..],
+        );
+        let lo = (&["16", "1000"][..], &["0", "3", "1048576"][..]);
+        let hi = (&["4096", "4194304"][..], &["2", "18446744073709551615"][..]);
+
+        let mut draw = Draw(rng);
+        let mut text = String::new();
+        for (spellings, valid, edge) in keys {
+            // The table-sizing overrides appear more often than the rest.
+            let odds = if matches!(spellings[0], "gamma" | "phi" | "psi") {
+                2
+            } else {
+                3
+            };
+            if draw.below(odds) != 0 {
+                continue;
+            }
+            let key = spellings[draw.below(spellings.len())];
+            let v = match key {
+                "protocols" | "protocol" => (0..1 + draw.below(3))
+                    .map(|_| draw.value(protocols))
+                    .collect::<Vec<_>>()
+                    .join(", "),
+                "n" => match draw.below(3) {
+                    0 => draw.value(single).to_string(),
+                    1 => format!("{}, {}", draw.value(single), draw.value(single)),
+                    _ => format!("{}..{}", draw.value(lo), draw.value(hi)),
+                },
+                _ => draw.value((valid, edge)).to_string(),
+            };
+            text += &format!("{key} = {v}\n");
+        }
+        text
+    }
+
+    /// Validation is the one gate in front of `Runnable::build`: on random
+    /// specs `parse` and `validate` never panic, and every spec that
+    /// validates builds a `Runnable` for each of its configs. Builds run
+    /// where Γ is small (phase tables of Γ = 4096 hold 2^25 entries).
+    #[test]
+    fn random_specs_validate_without_panicking_and_valid_specs_build() {
+        use crate::registry::Runnable;
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+
+        let mut rng = 0x5eed_u64;
+        let mut valid = 0;
+        for _ in 0..2000 {
+            let text = random_spec_text(&mut rng);
+            let checked = catch_unwind(AssertUnwindSafe(|| {
+                ExperimentSpec::parse(&text).map(|spec| {
+                    let ok = spec.validate().is_ok();
+                    (spec, ok)
+                })
+            }));
+            let Ok(Ok((spec, true))) = checked else {
+                assert!(checked.is_ok(), "parse or validate panicked on:\n{text}");
+                continue;
+            };
+            valid += 1;
+            if spec.gamma > 256 {
+                continue;
+            }
+            let built = catch_unwind(|| {
+                for &protocol in &spec.protocols {
+                    for &n in &spec.ns {
+                        Runnable::build(protocol, n, &spec);
+                    }
+                }
+            });
+            assert!(built.is_ok(), "a validated spec failed to build:\n{text}");
+        }
+        // The draw must reach `Runnable::build`, not only the error paths.
+        assert!(valid >= 100, "only {valid} of 2000 random specs validated");
     }
 }

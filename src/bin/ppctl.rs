@@ -16,10 +16,10 @@
 //! the spec directly (a `key = value` file via `--spec`, with every key
 //! also available as a flag override). Engines: `agent` (exact agent
 //! array) and `urn-batched` (count-based, exact batched sampling, the
-//! only engine interactive at n ≥ 2^30). The gsu19 family and gs18 run
-//! on compiled transition tables on both engines whenever their tables
-//! fit; `--compiled` only makes a protocol without tables, or tables that
-//! do not fit (e.g. `--phi 32 --psi 32`), a usage error.
+//! only engine interactive at n ≥ 2^30). The gsu19 family and gs18
+//! always run on compiled transition tables, on both engines: overrides
+//! past them (e.g. `--phi 32 --psi 32`) are a usage error, and
+//! `--compiled` only makes a protocol without tables one too.
 //!
 //! Argument parsing is hand-rolled (the repository keeps its dependency
 //! set to the simulation essentials) but strict: unknown commands and
@@ -157,7 +157,7 @@ fn print_help() -> Result<(), String> {
          \x20                                      predicted per-trial, per-config and\n\
          \x20                                      per-shard costs + k-worker makespan\n\
          \x20 validate FILE                        schema-check an artifact\n\
-         \x20 census --n N [--at T] [--seed S] [--engine E] [--compiled]\n\
+         \x20 census --n N [--at T] [--seed S] [--engine E]\n\
          \x20                                      census snapshot at parallel time T\n\n\
          run overrides (same keys as the spec file): --protocol P[,P...]\n\
          \x20 --engine E --compiled --n GRID --trials T --seed S --threads K\n\
@@ -178,8 +178,9 @@ fn print_help() -> Result<(), String> {
          engines:   agent (default) | urn-batched (exact blocks of n/16\n\
          \x20          interactions from n = 4096 up, per step below)\n\
          threads:   --threads K or the PPSIM_THREADS environment variable\n\
-         --compiled requires compiled transition tables (ppsim::compiled;\n\
-         \x20          gsu19 and gs18, which use them whenever they fit)"
+         --compiled requires every protocol to have compiled transition\n\
+         \x20          tables (ppsim::compiled; the gsu19 family and gs18,\n\
+         \x20          which always run on them)"
     )
 }
 
@@ -876,11 +877,7 @@ fn cmd_validate(args: &[String]) -> Result<i32, String> {
 }
 
 fn cmd_census(args: &[String]) -> Result<i32, String> {
-    let flags = Flags::parse(
-        args,
-        &["--n", "--at", "--seed", "--engine"],
-        &["--compiled"],
-    )?;
+    let flags = Flags::parse(args, &["--n", "--at", "--seed", "--engine"], &[])?;
     // A horizon spec, so a bad --n or --at is the validator's usage
     // error rather than a `Params` panic or a silent zero-length run.
     let mut spec = ExperimentSpec::default();

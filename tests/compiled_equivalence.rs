@@ -306,27 +306,21 @@ fn compiled_batched_urn_vs_dynamic_agent_ks() {
 }
 
 /// Compiled tables beyond the bucket packing or the table-entry ceiling
-/// are a usage error on every command that validates a spec: exit 2 with
-/// a message naming B, Γ and the limit, never a panic or a runaway
-/// allocation.
+/// are a usage error on every command that validates a spec, with or
+/// without `--compiled`: exit 2 with a message naming B, Γ and the
+/// limit, never a panic or a runaway allocation.
 #[test]
 fn ppctl_rejects_oversized_compiled_tables_with_exit_2() {
     let dir = std::env::temp_dir().join(format!("pp-compiled-dims-{}", std::process::id()));
     let out = dir.join("out.json");
     let (dir_arg, out_arg) = (dir.to_str().unwrap(), out.to_str().unwrap());
-    let base = [
-        "--protocol",
-        "gsu19",
-        "--compiled",
-        "--n",
-        "1024",
-        "--at",
-        "0.001",
-    ];
-    let cases: [(&[&str], [&str; 2]); 2] = [
+    let base = ["--protocol", "gsu19", "--n", "1024", "--at", "0.001"];
+    let cases: [(&[&str], [&str; 2]); 3] = [
         // B = 40 725 buckets: beyond the u16 bucket packing.
         (&["--phi", "32", "--psi", "32"], ["B = 40725", "2^15"]),
-        // A 2^33-entry phase table: beyond the entry ceiling.
+        // A 2^27-entry phase table: past the 2^26-entry ceiling.
+        (&["--gamma", "4098"], ["Γ = 4098", "limit 67108864"]),
+        // A 2^33-entry phase table.
         (&["--gamma", "40000"], ["Γ = 40000", "limit 67108864"]),
     ];
     for (overrides, needles) in cases {
@@ -336,55 +330,56 @@ fn ppctl_rejects_oversized_compiled_tables_with_exit_2() {
             vec!["work", "--shard", "0/1", "--out", out_arg],
             vec!["merge", "--from-cache", "--cache-dir", dir_arg],
         ] {
-            let output = Command::new(env!("CARGO_BIN_EXE_ppctl"))
-                .args(&command)
-                .args(base)
-                .args(overrides)
-                .output()
-                .expect("ppctl spawns");
-            let stderr = String::from_utf8_lossy(&output.stderr);
-            let case = format!("{command:?} {overrides:?}: {stderr}");
-            assert_eq!(output.status.code(), Some(2), "{case}");
-            assert!(!stderr.contains("panicked"), "{case}");
-            assert!(needles.iter().all(|s| stderr.contains(s)), "{case}");
+            for compiled in [&[][..], &["--compiled"][..]] {
+                let output = Command::new(env!("CARGO_BIN_EXE_ppctl"))
+                    .args(&command)
+                    .args(base)
+                    .args(overrides)
+                    .args(compiled)
+                    .output()
+                    .expect("ppctl spawns");
+                let stderr = String::from_utf8_lossy(&output.stderr);
+                let case = format!("{command:?} {overrides:?} {compiled:?}: {stderr}");
+                assert_eq!(output.status.code(), Some(2), "{case}");
+                assert!(!stderr.contains("panicked"), "{case}");
+                assert!(!stderr.contains("compiled = false"), "{case}");
+                assert!(needles.iter().all(|s| stderr.contains(s)), "{case}");
+            }
         }
     }
     assert!(!out.exists());
 }
 
-/// The same overrides without `--compiled` run: tables that do not fit
-/// leave the protocol on the dynamic transition, and nothing insists on
-/// them. With `--compiled` they stay a usage error.
+/// Overrides at the tables' bounds still plan and run: B = 32 395 buckets
+/// (`--phi 25 --psi 32`) is under the 2^15 packing, and Γ = 4096 gives a
+/// phase table of 2^25 entries, under the 2^26 ceiling. The Γ = 4096 case
+/// is only planned, so the test never builds a table that large.
 #[test]
-fn ppctl_runs_oversized_overrides_on_the_dynamic_fallback() {
-    let dir = std::env::temp_dir().join(format!("pp-compiled-fallback-{}", std::process::id()));
+fn ppctl_accepts_overrides_at_the_table_bounds() {
+    let dir = std::env::temp_dir().join(format!("pp-compiled-bounds-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let out = dir.join("out.json");
-    let args = [
+    let base = ["--protocol", "gsu19", "--n", "1024", "--at", "0.001"];
+    let ppctl = |args: &[&str]| {
+        let output = Command::new(env!("CARGO_BIN_EXE_ppctl"))
+            .args(args)
+            .args(base)
+            .output()
+            .expect("ppctl spawns");
+        let stderr = String::from_utf8_lossy(&output.stderr).into_owned();
+        assert_eq!(output.status.code(), Some(0), "{args:?}: {stderr}");
+    };
+    ppctl(&["plan", "--phi", "25", "--psi", "32"]);
+    ppctl(&["plan", "--gamma", "4096"]);
+    ppctl(&[
         "run",
-        "--protocol",
-        "gsu19",
-        "--n",
-        "1024",
-        "--at",
-        "0.001",
         "--phi",
-        "32",
+        "25",
         "--psi",
         "32",
         "--out",
         out.to_str().unwrap(),
-    ];
-    for (compiled, code) in [(&[][..], 0), (&["--compiled"][..], 2)] {
-        let _ = std::fs::remove_file(&out);
-        let output = Command::new(env!("CARGO_BIN_EXE_ppctl"))
-            .args(args)
-            .args(compiled)
-            .output()
-            .expect("ppctl spawns");
-        let stderr = String::from_utf8_lossy(&output.stderr);
-        assert_eq!(output.status.code(), Some(code), "{compiled:?}: {stderr}");
-        assert_eq!(out.exists(), code == 0, "{compiled:?}");
-    }
+    ]);
+    assert!(out.exists());
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -30,9 +30,11 @@ const OBSERVED_SPEC: &str = include_str!("golden/observed.spec");
 const OBSERVED_GOLDEN: &str = include_str!("golden/observed.json");
 const STOPS_SPEC: &str = include_str!("golden/stops.spec");
 const STOPS_GOLDEN: &str = include_str!("golden/stops.json");
+const GS18_SPEC: &str = include_str!("golden/gs18.spec");
+const GS18_GOLDEN: &str = include_str!("golden/gs18.json");
 
 /// The golden specs the thread-count, replay and schema checks run.
-const ALL_SPECS: [&str; 4] = [TINY_SPEC, CENSUS_SPEC, ROUNDS_SPEC, STOPS_SPEC];
+const ALL_SPECS: [&str; 5] = [TINY_SPEC, CENSUS_SPEC, ROUNDS_SPEC, STOPS_SPEC, GS18_SPEC];
 
 fn spec_with_threads(text: &str, threads: usize) -> ExperimentSpec {
     let mut spec = ExperimentSpec::parse(text).expect("golden spec parses");
@@ -87,6 +89,7 @@ fn golden_artifacts_regenerate_byte_for_byte() {
         (BATCHED_SPEC, BATCHED_GOLDEN, "batched"),
         (OBSERVED_SPEC, OBSERVED_GOLDEN, "observed"),
         (STOPS_SPEC, STOPS_GOLDEN, "stops"),
+        (GS18_SPEC, GS18_GOLDEN, "gs18"),
     ] {
         let artifact = run_experiment(&spec_with_threads(spec_text, 0)).unwrap();
         let regenerated = artifact.to_json_string();
@@ -115,6 +118,7 @@ fn emitted_artifacts_pass_schema_validation() {
         BATCHED_GOLDEN,
         OBSERVED_GOLDEN,
         STOPS_GOLDEN,
+        GS18_GOLDEN,
     ] {
         let doc = json::parse(golden).expect("golden is valid JSON");
         Artifact::validate_json(&doc).expect("golden matches the ppexp/v1 schema");

@@ -42,6 +42,8 @@ const OBSERVED_SPEC: &str = include_str!("golden/observed.spec");
 const OBSERVED_GOLDEN: &str = include_str!("golden/observed.json");
 const STOPS_SPEC: &str = include_str!("golden/stops.spec");
 const STOPS_GOLDEN: &str = include_str!("golden/stops.json");
+const GS18_SPEC: &str = include_str!("golden/gs18.spec");
+const GS18_GOLDEN: &str = include_str!("golden/gs18.json");
 
 fn spec_with_threads(text: &str, threads: usize) -> ExperimentSpec {
     let mut spec = ExperimentSpec::parse(text).expect("golden spec parses");
@@ -167,6 +169,7 @@ fn merged_shards_reproduce_every_golden_byte_for_byte() {
         (ROUNDS_SPEC, ROUNDS_GOLDEN, "rounds"),
         (OBSERVED_SPEC, OBSERVED_GOLDEN, "observed"),
         (STOPS_SPEC, STOPS_GOLDEN, "stops"),
+        (GS18_SPEC, GS18_GOLDEN, "gs18"),
     ] {
         let spec = spec_with_threads(spec_text, 0);
         let shards: Vec<(String, ShardOutput)> = (0..3)
@@ -565,8 +568,8 @@ fn ppctl_refuses_the_removed_batch_shift_and_urn_engine_with_exit_2() {
 }
 
 /// `ppctl census` prints the same census for one seed on every engine,
-/// with and without compiled tables (whose trajectories are
-/// bit-identical). At n = 8192 `urn-batched` runs batched blocks.
+/// running gsu19 on its compiled tables. At n = 8192 `urn-batched` runs
+/// batched blocks.
 #[test]
 fn ppctl_census_output_is_pinned_on_every_engine() {
     let pins = [
@@ -596,23 +599,21 @@ fn ppctl_census_output_is_pinned_on_every_engine() {
         ),
     ];
     for (engine, expected) in pins {
-        for compiled in [&[][..], &["--compiled"][..]] {
-            let args = [
-                &[
-                    "census", "--n", "8192", "--at", "2", "--seed", "3", "--engine", engine,
-                ][..],
-                compiled,
-            ]
-            .concat();
-            let output = ppctl(&args);
-            assert!(output.status.success(), "{args:?}: {output:?}");
-            assert_eq!(
-                String::from_utf8_lossy(&output.stdout),
-                expected,
-                "{args:?}"
-            );
-        }
+        let args = [
+            "census", "--n", "8192", "--at", "2", "--seed", "3", "--engine", engine,
+        ];
+        let output = ppctl(&args);
+        assert!(output.status.success(), "{args:?}: {output:?}");
+        assert_eq!(
+            String::from_utf8_lossy(&output.stdout),
+            expected,
+            "{args:?}"
+        );
     }
+    // The tables are not optional there, so neither is there a switch.
+    let output = ppctl(&["census", "--n", "8192", "--compiled"]);
+    assert_eq!(output.status.code(), Some(2), "{output:?}");
+    assert!(String::from_utf8_lossy(&output.stderr).contains("unknown flag: --compiled"));
 }
 
 /// `ppctl sweep` and `ppctl elect` print the same table and line for one
